@@ -1,6 +1,6 @@
 """tautint benchmark: one workload with cold caches, every metric by name.
 
-    python3 perfbench/run.py --workload graph_sum --seed 0 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload graph_sum --seed 0 --seconds 30 --trace 0
 
 Run it from the root of a checkout of the repository; it imports tautint from
 the checkout's src/ and needs nothing installed.  Workloads: graph_sum,
@@ -10,7 +10,8 @@ which layer moves which metric).
 Each repetition is a fresh single-threaded interpreter (workload.py), started
 one at a time, so every memo cache starts empty, as it does for each tautint
 invocation.  --trace 0 runs repetitions for about --seconds (at least one)
-and reports the median end-to-end metrics;
+and reports the median end-to-end metrics, with the times scaled to a
+reference machine speed (see calibrate);
 --trace 1 runs one untraced and one staged, traced repetition and reports the
 per-layer metrics, with the gap between the two totals as trace.overhead_s.  The spans are
 written to .bench_build/perfbench/.  Human-readable lines come first; the last
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -39,6 +41,12 @@ BUILD = ROOT / ".bench_build" / "perfbench"
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
 
 SETUP_SAMPLES = 6
+# one calibration point is the median of this many loops
+CALIBRATION_LOOPS = 5
+# the calibration loop's time at the reference speed that --trace 0 times are
+# scaled to; the loop takes about 0.11 s on one core of a 2-vCPU Xeon VM
+# under Python 3.11, where scaled times read about 10 % below wall time
+REFERENCE_LOOP_S = 0.1
 # the whole run must end within 180 s
 HARD_LIMIT = 175.0
 
@@ -95,6 +103,29 @@ def time_setup(env: dict[str, str], deadline: float, count: int) -> list[float]:
     return samples
 
 
+def calibrate() -> tuple[float, float]:
+    """Wall and CPU seconds of a fixed pure-Python loop, the median of
+    CALIBRATION_LOOPS runs in this process.
+
+    The loop does the kind of work tautint does (Fraction arithmetic into a
+    dict with tuple keys) and never touches tautint, so a change to the
+    program cannot move it; only the machine's speed can.  On a shared
+    2-vCPU VM that speed drifts by up to 40 % between quiet and busy periods,
+    for wall and CPU time alike, so --trace 0 scales its times by
+    REFERENCE_LOOP_S over the loop's time measured around the repetitions.
+    """
+    walls, cpus = [], []
+    for _ in range(CALIBRATION_LOOPS):
+        t0, c0 = time.perf_counter(), time.process_time()
+        acc: dict[tuple[int, int], Fraction] = {}
+        for i in range(40000):
+            key = (i % 61, i % 7)
+            acc[key] = acc.get(key, Fraction(0)) + Fraction(i % 13 + 1, i % 89 + 1)
+        walls.append(time.perf_counter() - t0)
+        cpus.append(time.process_time() - c0)
+    return statistics.median(walls), statistics.median(cpus)
+
+
 def run_workload(args: list[str], env: dict[str, str], deadline: float) -> dict:
     cmd = [sys.executable, str(HERE / "workload.py"), *args]
     out = run_process(cmd, env, deadline).stdout.strip().splitlines()
@@ -129,29 +160,42 @@ def metric(value, unit: str) -> dict:
 
 
 def plain_run(base: list[str], env: dict[str, str], seconds: float, deadline: float):
-    """Untraced repetitions; end-to-end metrics as medians."""
+    """Untraced repetitions; end-to-end metrics as medians at reference speed.
+
+    A calibration point is taken before the set-up samples, before the first
+    repetition and after each one.  The medians of the times are scaled by
+    the median of the points, so one point taken in a short burst of machine
+    noise moves nothing.
+    """
     # one untimed start writes the bytecode cache; set-up samples are taken
     # before and after the repetitions, so both ends of the run are seen
     time_setup(env, deadline, 1)
+    points = [calibrate()]
     setup = time_setup(env, deadline, SETUP_SAMPLES)
-    # start another repetition while it is expected to end no later than half
-    # a repetition after `seconds`, judged by the mean repetition so far
+    # start another repetition while it is expected to end within `seconds`,
+    # judged by the mean repetition so far
     loop_start = time.perf_counter()
-    reps = [run_workload(base, env, deadline)]
+    points.append(calibrate())
+    reps = []
     while True:
+        reps.append(run_workload(base, env, deadline))
+        points.append(calibrate())
         now = time.perf_counter()
         mean_rep = (now - loop_start) / len(reps)
-        if now - loop_start + 0.5 * mean_rep > seconds or now + 1.5 * mean_rep > deadline:
+        if now - loop_start + mean_rep > seconds or now + 1.5 * mean_rep > deadline:
             break
-        reps.append(run_workload(base, env, deadline))
     setup += time_setup(env, deadline, SETUP_SAMPLES)
-    print(f"repetitions: {len(reps)}  run_s: " + " ".join(f"{r['run_s']:.3f}" for r in reps))
+    loop_s = statistics.median(wall for wall, _ in points)
+    loop_cpu_s = statistics.median(cpu for _, cpu in points)
+    print(f"repetitions: {len(reps)}  wall run_s: " + " ".join(f"{r['run_s']:.3f}" for r in reps))
+    print("calibration loop s: " + " ".join(f"{wall:.4f}" for wall, _ in points))
+    print(f"wall setup_s: {statistics.median(setup):.4f}")
     attempted = sum(r["attempted"] for r in reps)
     failed = sum(r["failed"] for r in reps)
     values = {
-        "run_s": statistics.median(r["run_s"] for r in reps),
-        "cpu_s": statistics.median(r["cpu_s"] for r in reps),
-        "setup_s": statistics.median(setup),
+        "run_s": statistics.median(r["run_s"] for r in reps) * REFERENCE_LOOP_S / loop_s,
+        "cpu_s": statistics.median(r["cpu_s"] for r in reps) * REFERENCE_LOOP_S / loop_cpu_s,
+        "setup_s": statistics.median(setup) * REFERENCE_LOOP_S / loop_s,
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in reps),
         "passed_frac": (attempted - failed) / attempted,
     }
@@ -187,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=36.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ns = ap.parse_args(argv)
 

@@ -598,22 +598,17 @@ def run_traced(workload: str, inputs: dict, reference: dict, psi_ref: Path) -> d
         TRACERS[workload](inputs, tally, reference, tr, m)
     total_s = tr.total("workload")
     trace_psi(psi_ref, psi_ref.parent, tally, tr, m)
+    # a layer this workload does not call has no spans: its time reads 0
     for span_name, metric in SPAN_METRICS.items():
-        if not any(span[0] == span_name for span in tr.spans):
-            # a layer this workload does not call gets an empty span, so its
-            # time reads as measured (near zero), never as a constant
-            with tr.span(span_name):
-                pass
         m[metric] = tr.total(span_name)
-    # per-report latency over the checks.<name> spans (the empty ones when
-    # the workload yields no reports)
     latencies = [
         (end - start) * 1000.0
         for name, start, end, _ in tr.spans
         if name.startswith("checks.") and name[len("checks."):] in CHECK_NAMES
     ]
-    m["checks.report_p50_ms"] = statistics.median(latencies)
-    m["checks.report_p99_ms"] = statistics.quantiles(latencies, n=100, method="inclusive")[98]
+    if latencies:
+        m["checks.report_p50_ms"] = statistics.median(latencies)
+        m["checks.report_p99_ms"] = statistics.quantiles(latencies, n=100, method="inclusive")[98]
     tries = m.pop("weighting_tries")
     m["graphs.weighting_yield"] = m["graphs.weightings"] / tries if tries else 0.0
     return {
