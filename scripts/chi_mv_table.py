@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 
 from tautint.apps import CHI_ROUTES, chi, mv_normalization, mv_via_hodge, mv_via_omega
-from tautint.psi import is_stable
+from tautint.psi import stable_types
 
 
 def main() -> None:
@@ -23,19 +23,16 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"{'(g,n)':>8}  {'chi':>14}  {'MV/pi^(6g-6+2n)':>18}  {'normalised MV':>16}")
-    for g in range(args.gmax + 1):
-        for n in range(0, args.dimmax - 3 * g + 4):
-            if not is_stable(g, n) or 3 * g - 3 + n > args.dimmax:
-                continue
-            values = {r: chi(g, n, r).value for r in CHI_ROUTES}
-            assert len(set(values.values())) == 1, (g, n, values)
-            volume = mv_via_omega(g, n).value
-            assert volume == mv_via_hodge(g, n).value, (g, n)
-            try:
-                normalised = str(mv_normalization(g, n) * volume)
-            except ValueError:
-                normalised = "-"
-            print(f"({g},{n})".rjust(8), f"{str(values['harer_zagier']):>14}", f"{str(volume):>18}", f"{normalised:>16}")
+    for g, n in stable_types(args.dimmax, args.gmax):
+        values = {r: chi(g, n, r).value for r in CHI_ROUTES}
+        assert len(set(values.values())) == 1, (g, n, values)
+        volume = mv_via_omega(g, n).value
+        assert volume == mv_via_hodge(g, n).value, (g, n)
+        try:
+            normalised = str(mv_normalization(g, n) * volume)
+        except ValueError:
+            normalised = "-"
+        print(f"({g},{n})".rjust(8), f"{str(values['harer_zagier']):>14}", f"{str(volume):>18}", f"{normalised:>16}")
 
 
 if __name__ == "__main__":

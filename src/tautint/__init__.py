@@ -56,15 +56,11 @@ from .omega import (
 )
 from .polys import (
     EdgeSeries,
-    TautMonomial,
     TautPolynomial,
     edge_local_factor,
     exp_kappa_series,
     psi_geometric,
     substitute_edge,
-    tp_add,
-    tp_mul,
-    tp_scale,
 )
 from .psi import psi_integral
 

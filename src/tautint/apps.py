@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import bernoulli_number
-from .hodge import hodge_monomial, hodge_pair
+from .hodge import hodge_monomial, hodge_pair, lambda_total
 from .omega import OmegaSpec, omega_integral
-from .polys import TautPolynomial
-from .psi import is_stable
+from .polys import compositions, exp_kappa_series
+from .psi import is_stable, stable_types
 from .reports import CheckReport
 
 CHI_ROUTES = ("harer_zagier", "hodge_sum", "omega")
@@ -81,22 +81,11 @@ def chi_via_hodge(g: int, n: int) -> EulerCharResult:
                 continue
             lam = (i,) if i else ()
             sign = (-1) ** starget
-            for exps in _compositions_atleast(starget, ell, 2):
+            for exps in compositions(starget, ell, 2):
                 block += sign * hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
         total += block / factorial(ell)
     value = ((-1) ** dim) * total
     return EulerCharResult(g, n, value, "hodge_sum")
-
-
-def _compositions_atleast(total: int, parts: int, minval: int):
-    """Ordered tuples of `parts` integers >= minval summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minval, total - minval * (parts - 1) + 1):
-        for rest in _compositions_atleast(total - first, parts - 1, minval):
-            yield (first,) + rest
 
 
 def chi_via_omega(g: int, n: int, route: str = "auto") -> EulerCharResult:
@@ -159,7 +148,7 @@ def dyz_identity_check(g: int) -> CheckReport:
             if dim0 - i < ell:
                 continue
             lam = (i,) if i else ()
-            for mu in _compositions_atleast(dim0 - i, ell, 1):
+            for mu in compositions(dim0 - i, ell, 1):
                 block += ((-1) ** i) * hodge_monomial(
                     g, ell, lam, (), tuple(m + 1 for m in mu)
                 )
@@ -221,9 +210,6 @@ def mv_segre_check(g: int, n: int) -> CheckReport:
     """
     _require_stable(g, n)
     dim = 3 * g - 3 + n
-    from .polys import exp_kappa_series
-    from .hodge import lambda_total
-
     kexp = exp_kappa_series({m: Fraction(1, m) for m in range(1, dim + 1)}, n, dim)
     inverse_form = hodge_pair(g, n, lambda_total(Fraction(1), g, dim), kexp)
     direct = mv_via_omega(g, n).value
@@ -239,22 +225,4 @@ def mv_segre_check(g: int, n: int) -> CheckReport:
 
 def chi_table(gmax: int, dimmax: int) -> list[EulerCharResult]:
     """All three chi routes on the stable (g, n) with 3g-3+n <= dimmax."""
-    out = []
-    for g in range(gmax + 1):
-        for n in range(0, dimmax - 3 * g + 4):
-            if not is_stable(g, n) or 3 * g - 3 + n > dimmax:
-                continue
-            for route in CHI_ROUTES:
-                out.append(chi(g, n, route))
-    return out
-
-
-def mv_table(gmax: int, dimmax: int) -> list[MVResult]:
-    out = []
-    for g in range(gmax + 1):
-        for n in range(0, dimmax - 3 * g + 4):
-            if not is_stable(g, n) or 3 * g - 3 + n > dimmax:
-                continue
-            for route in MV_ROUTES:
-                out.append(mv(g, n, route))
-    return out
+    return [chi(g, n, route) for g, n in stable_types(dimmax, gmax) for route in CHI_ROUTES]

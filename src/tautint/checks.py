@@ -9,7 +9,6 @@ record the first differing pairing with both exact values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -20,10 +19,18 @@ from .exact import (
     stirling_generalized_first,
     stirling_generalized_second,
 )
+from .hodge import hodge_pair, lambda_dict_mul
 from .intersect import integrate_monomial
 from .omega import OmegaSpec, omega_integral, omega_pairings, omega_r1_parts
-from .polys import Monomial, TautPolynomial, monomial_degree, psi_geometric
-from .psi import is_stable
+from .polys import (
+    Monomial,
+    TautPolynomial,
+    compositions,
+    exp_kappa_series,
+    monomial_degree,
+    monomial_product,
+)
+from .psi import stable_types
 from .reports import CheckReport
 
 
@@ -43,19 +50,9 @@ def _kappa_parts(maxdeg: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _psi_vectors(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _psi_vectors(n - 1, total - first):
-            yield (first,) + rest
-
-
 def _psi_upto(n: int, maxtotal: int) -> Iterator[tuple[int, ...]]:
-    for total in range(max(maxtotal, -1) + 1):
-        yield from _psi_vectors(n, total)
+    for total in range(maxtotal + 1):
+        yield from compositions(total, n, 0)
 
 
 def pairing_basis(g: int, n: int, include_kappa: bool = True) -> dict[int, list[Monomial]]:
@@ -66,7 +63,7 @@ def pairing_basis(g: int, n: int, include_kappa: bool = True) -> dict[int, list[
     for kap in kparts:
         kdeg = sum(m * e for m, e in kap)
         for rest in range(dim - kdeg + 1):
-            for psi in _psi_vectors(n, rest):
+            for psi in compositions(rest, n, 0):
                 out[kdeg + rest].append((kap, psi))
     for k in out:
         out[k].sort()
@@ -121,10 +118,6 @@ def _compare_pairings(
     )
 
 
-def _one(n: int, dim: int) -> TautPolynomial:
-    return TautPolynomial.one(n, dim)
-
-
 # -- Omega-class property checks --------------------------------------------------
 
 
@@ -135,8 +128,6 @@ def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> Chec
     basis = flat_basis(g, n)
     lhs = omega_pairings(g, n, OmegaSpec(r, s + r, a, x), basis)
     coeffs = {m: (-x) ** m * Fraction(s, r) ** m / m for m in range(1, dim + 1)}
-    from .polys import exp_kappa_series
-
     factor = exp_kappa_series(coeffs, n, dim)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
     return _compare_pairings(
@@ -152,8 +143,6 @@ def check_multi_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], N: i
     lhs = omega_pairings(g, n, OmegaSpec(r, s + N * r, a, x), basis)
     ctx = SymmetricEvalContext(Fraction(s, r), N)
     coeffs = {m: (-x) ** m * power_sum(m, ctx) / m for m in range(1, dim + 1)}
-    from .polys import exp_kappa_series
-
     factor = exp_kappa_series(coeffs, n, dim)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
     return _compare_pairings(
@@ -168,7 +157,8 @@ def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x)
     basis = flat_basis(g, n)
     a2 = a[: i - 1] + (a[i - 1] + r,) + a[i:]
     lhs = omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis)
-    factor = _one(n, dim) + TautPolynomial.psi(i, n, dim).scale(x * Fraction(a[i - 1], r))
+    one, psi_i = TautPolynomial.one(n, dim), TautPolynomial.psi(i, n, dim)
+    factor = one + psi_i.scale(x * Fraction(a[i - 1], r))
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
     return _compare_pairings(
         "shift_a", {"g": g, "n": n, "r": r, "s": s, "a": a, "i": i, "x": x}, lhs, rhs
@@ -184,11 +174,10 @@ def check_multi_shift_a(
     basis = flat_basis(g, n)
     a2 = a[: i - 1] + (a[i - 1] + N * r,) + a[i:]
     lhs = omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis)
-    factor = _one(n, dim)
+    one, psi_i = TautPolynomial.one(n, dim), TautPolynomial.psi(i, n, dim)
+    factor = one
     for t in range(N):
-        factor = factor * (
-            _one(n, dim) + TautPolynomial.psi(i, n, dim).scale(x * (Fraction(a[i - 1], r) + t))
-        )
+        factor = factor * (one + psi_i.scale(x * (Fraction(a[i - 1], r) + t)))
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
     return _compare_pairings(
         "multi_shift_a",
@@ -218,6 +207,16 @@ def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckRe
     return rep
 
 
+def _pulled_back_pairings(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> dict:
+    """Pairings of Omega(r, s; a, s) on Mbar_{g,n+1} with every psi monomial
+    of degree <= dim + 1 whose last exponent is at most 3.  The pullback,
+    string and dilaton checks all read this one batch, so the graph sum over
+    Mbar_{g,n+1} runs once for the three."""
+    dim1 = 3 * g - 2 + n
+    monos = [((), d + (k,)) for k in range(4) for d in _psi_upto(n, dim1 + 1 - k)]
+    return omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos)
+
+
 def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
     """Consequences of Omega(r,s;a,s) = pi^* Omega(r,s;a).
 
@@ -227,17 +226,14 @@ def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> C
     """
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
-    a1 = a + (s,)
     details: list[str] = []
-    total = omega_integral(g, n + 1, OmegaSpec(r, s, a1, x))
+    up = _pulled_back_pairings(g, n, r, s, a, x)
+    total = up[((), (0,) * (n + 1))]
     if total != 0:
         details.append(f"int Omega(..., s) = {total} != 0")
     cases = [
         (k, d) for k in range(0, 3) for d in _psi_upto(n, dim1 - k - 1)
     ]
-    up = omega_pairings(
-        g, n + 1, OmegaSpec(r, s, a1, x), [((), d + (k + 1,)) for k, d in cases]
-    )
     down = omega_pairings(
         g,
         n,
@@ -267,13 +263,10 @@ def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Che
     coefficientwise in the formal leg weights, up to total degree dim+1."""
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
-    a1 = a + (s,)
-    spec1 = OmegaSpec(r, s, a1, x)
-    spec0 = OmegaSpec(r, s, a, x)
     details = []
     ds = list(_psi_upto(n, dim1 + 1))
-    up = omega_pairings(g, n + 1, spec1, [((), d + (0,)) for d in ds if sum(d) <= dim1])
-    down = omega_pairings(g, n, spec0, [((), d) for d in _psi_upto(n, dim1)])
+    up = _pulled_back_pairings(g, n, r, s, a, x)
+    down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in _psi_upto(n, dim1)])
     for d in ds:
         lhs = up[((), d + (0,))] if sum(d) <= dim1 else Fraction(0)
         rhs = Fraction(0)
@@ -296,13 +289,10 @@ def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Ch
     """Dilaton equation: <Omega(a,s) psi_{n+1} prod psi^d> = (2g-2+n) <Omega(a) prod psi^d>."""
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
-    a1 = a + (s,)
-    spec1 = OmegaSpec(r, s, a1, x)
-    spec0 = OmegaSpec(r, s, a, x)
     details = []
     ds = list(_psi_upto(n, dim1))
-    up = omega_pairings(g, n + 1, spec1, [((), d + (1,)) for d in ds])
-    down = omega_pairings(g, n, spec0, [((), d) for d in ds])
+    up = _pulled_back_pairings(g, n, r, s, a, x)
+    down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in ds])
     for d in ds:
         lhs = up[((), d + (1,))]
         rhs = (2 * g - 2 + n) * down[((), d)]
@@ -348,8 +338,11 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
     q, rem = divmod(s, r)  # s = r*q + rem with 0 <= rem < r
     details: list[str] = []
 
-    one = _one(n + 1, dim1)
+    one = TautPolynomial.one(n + 1, dim1)
     psi_last = TautPolynomial.psi(n + 1, n + 1, dim1)
+    # the Stirling probe is compared up to psi^q, which may exceed dim1
+    probe_one = TautPolynomial.one(n + 1, max(dim1, q))
+    probe_psi = TautPolynomial.psi(n + 1, n + 1, max(dim1, q))
     if s >= r:
         T1 = one
         for t in range(1, q + 1):
@@ -359,16 +352,14 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
             details.append(f"product form: {I1}")
         ctx = SymmetricEvalContext(Fraction(rem, r), q)
         coeffs = {m: ((-1) ** m) * power_sum(m, ctx) * x ** m / m for m in range(1, dim1 + 1)}
-        from .polys import exp_kappa_series
-
         T2 = exp_kappa_series(coeffs, n + 1, dim1)
         I2 = omega_integral(g, n + 1, OmegaSpec(r, rem, a + (s,), x), T2)
         if I2 != 0:
             details.append(f"kappa-exponential form: {I2}")
         # Stirling reformulation of the product polynomial at x = 1
-        probe = one
+        probe = probe_one
         for t in range(1, q + 1):
-            probe = probe * (one + psi_last.scale(Fraction(s, r) - t))
+            probe = probe * (probe_one + probe_psi.scale(Fraction(s, r) - t))
         for m in range(q + 1):
             want = stirling_generalized_first(q, m, Fraction(rem, r))
             mono = ((), (0,) * n + (m,))
@@ -386,15 +377,13 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
             details.append(f"inverse-product form: {I1}")
         ctx = SymmetricEvalContext(Fraction(s, r), N)
         coeffs = {m: -((-1) ** m) * power_sum(m, ctx) * x ** m / m for m in range(1, dim1 + 1)}
-        from .polys import exp_kappa_series
-
         T2 = exp_kappa_series(coeffs, n + 1, dim1)
         I2 = omega_integral(g, n + 1, OmegaSpec(r, rem, a + (s,), x), T2)
         if I2 != 0:
             details.append(f"kappa-exponential form: {I2}")
-        probe = one
+        probe = probe_one
         for t in range(0, N):
-            probe = probe * (one + psi_last.scale(Fraction(s, r) + t))
+            probe = probe * (probe_one + probe_psi.scale(Fraction(s, r) + t))
         probe = probe.inverse()
         for m in range(dim1 + 1):
             want = stirling_generalized_second(N, m, Fraction(rem, r))
@@ -421,8 +410,6 @@ def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
     """
     x = Fraction(x)
     dim = 3 * g - 3 + n
-    from .hodge import hodge_pair, lambda_dict_mul
-
     lamA, polyA = omega_r1_parts(g, n, 1 - s, (0,) * n, -x, dim)
     lamB, polyB = omega_r1_parts(g, n, s, (0,) * n, x, dim)
     lam = lambda_dict_mul(lamA, lamB, dim)
@@ -467,7 +454,7 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
     psi1 = ((), (1, 0))
     kap1 = (((1, 1),), (0, 0))
     gram = {
-        (p, q): integrate_monomial(g, n, *_mono_product(p, q)) for p in (psi1, kap1) for q in (psi1, kap1)
+        (p, q): integrate_monomial(g, n, *monomial_product(p, q)) for p in (psi1, kap1) for q in (psi1, kap1)
     }
     det = gram[(psi1, psi1)] * gram[(kap1, kap1)] - gram[(psi1, kap1)] * gram[(kap1, psi1)]
     assert det != 0
@@ -493,8 +480,8 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
             beta = (b2 * gram[(psi1, psi1)] - b1 * gram[(kap1, psi1)]) / det
             # consistency of the reconstruction against the remaining pairing
             other = ((), (0, 1))
-            pred = alpha * integrate_monomial(g, n, *_mono_product(psi1, other)) + beta * integrate_monomial(
-                g, n, *_mono_product(kap1, other)
+            pred = alpha * integrate_monomial(g, n, *monomial_product(psi1, other)) + beta * integrate_monomial(
+                g, n, *monomial_product(kap1, other)
             )
             if pred != pairs[other]:
                 details.append(f"x={x}: degree-1 reconstruction of {name} inconsistent")
@@ -537,13 +524,6 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
     )
 
 
-def _mono_product(p: Monomial, q: Monomial) -> tuple:
-    kd = dict(p[0])
-    for m, e in q[0]:
-        kd[m] = kd.get(m, 0) + e
-    return tuple(sorted(kd.items())), tuple(a + b for a, b in zip(p[1], q[1]))
-
-
 # -- grid runner -------------------------------------------------------------------
 
 
@@ -557,12 +537,7 @@ class CheckGrid:
     x_values: tuple = (Fraction(1), Fraction(-1), Fraction(1, 2))
 
     def spaces(self) -> list[tuple[int, int]]:
-        out = []
-        for g in range(0, self.max_dim // 3 + 2):
-            for n in range(0, self.max_dim + 4):
-                if is_stable(g, n) and 3 * g - 3 + n <= self.max_dim:
-                    out.append((g, n))
-        return sorted(out)
+        return stable_types(self.max_dim)
 
 
 SMALL_GRID = CheckGrid(max_dim=2, max_r=2, s_values=(-2, -1, 0, 1, 2), x_values=(Fraction(1), Fraction(-1)))
@@ -570,19 +545,11 @@ FULL_GRID = CheckGrid()
 
 
 def admissible_a(g: int, n: int, r: int, s: int) -> tuple[int, ...]:
-    """A canonical a-vector in 1..r satisfying the modular constraint."""
+    """A canonical a-vector in 1..r satisfying the modular constraint: every
+    entry r except the first, which takes the residue (2g-2+n)s mod r."""
     if n == 0:
-        if (2 * g - 2) * s % r != 0:
-            return ()
         return ()
-    base = [r] * n
-    need = ((2 * g - 2 + n) * s - sum(base)) % r
-    # adjust the first entry within 1..r when possible, else walk entries
-    for first in range(1, r + 1):
-        cand = [first] + base[1:]
-        if (sum(cand) - (2 * g - 2 + n) * s) % r == 0:
-            return tuple(cand)
-    raise AssertionError("unreachable: some residue always works")
+    return (((2 * g - 2 + n) * s - 1) % r + 1,) + (r,) * (n - 1)
 
 
 def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
@@ -611,7 +578,3 @@ def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
             for x in grid.x_values:
                 yield check_segre_chern(g, n, s, x)
     yield check_counterexample_footnote()
-
-
-def run_suite(grid: CheckGrid = SMALL_GRID) -> list[CheckReport]:
-    return list(iter_suite(grid))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -16,11 +17,13 @@ from fractions import Fraction
 from . import psi
 from .apps import CHI_ROUTES, MV_ROUTES, chi, mv, mv_normalization
 from .checks import FULL_GRID, SMALL_GRID, iter_suite
-from .config import CACHE_ENV_VAR, Config
 from .hodge import hodge_monomial
 from .omega import OmegaSpec, omega_integral
 from .polys import TautPolynomial
-from .psi import is_stable
+from .psi import is_stable, stable_types
+
+DIM_HARD_CAP = 10
+CACHE_ENV_VAR = "TAUTINT_CACHE"
 
 
 def _fmt_rat(v: Fraction, decimal: int | None) -> str:
@@ -136,12 +139,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
-    cells = []
-    for g in range(ns.gmax + 1):
-        for n in range(0, ns.dimmax - 3 * g + 4):
-            if is_stable(g, n) and 3 * g - 3 + n <= ns.dimmax:
-                cells.append((g, n))
-    cells.sort()
+    if ns.dimmax > DIM_HARD_CAP:
+        print(f"error: --dimmax is capped at {DIM_HARD_CAP}", file=sys.stderr)
+        return 2
+    cells = stable_types(ns.dimmax, ns.gmax)
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             blocks = list(pool.map(_chi_cell, cells))
@@ -217,19 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = Config(cache_path=ns.cache, fmt=ns.format)
+    cache_path = os.environ.get(CACHE_ENV_VAR) if ns.cache is None else ns.cache
     if ns.decimal is not None:
         print("warning: --decimal output is a float rendering, not exact", file=sys.stderr)
-    if cfg.cache_path:
-        psi.load_cache(cfg.cache_path)
+    if cache_path:
+        psi.load_cache(cache_path)
     try:
         code = ns.func(ns)
     finally:
-        if cfg.cache_path:
+        if cache_path:
             try:
-                psi.save_cache(cfg.cache_path)
-            except OSError:
-                pass
+                psi.save_cache(cache_path)
+            except OSError as exc:
+                print(f"warning: psi cache not saved to {cache_path}: {exc}", file=sys.stderr)
     return code
 
 

@@ -47,6 +47,16 @@ def bernoulli_poly(m: int, x: Rat) -> Fraction:
     return acc
 
 
+def bernoulli_series(u: Rat, x: Rat, mmax: int) -> dict[int, Fraction]:
+    """{m: (-x)^m B_{m+1}(u) / (m(m+1))} for 1 <= m <= mmax.
+
+    The exponent of the Omega class at residue u: its kappa, leg and edge
+    factors all exponentiate this series (Chiodo's formula).
+    """
+    u, x = Fraction(u), Fraction(x)
+    return {m: (-x) ** m * bernoulli_poly(m + 1, u) / (m * (m + 1)) for m in range(1, mmax + 1)}
+
+
 def binomial_ext(a: Rat, i: int) -> Fraction:
     """C(a, i) = a(a-1)...(a-i+1)/i! for arbitrary rational a, i >= 0."""
     if i < 0:

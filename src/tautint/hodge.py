@@ -20,7 +20,7 @@ from math import comb
 
 from .exact import Rat, bernoulli_number
 from .intersect import _added_point_terms, integrate_monomial
-from .polys import KappaPart, PsiPart, TautPolynomial, monomial_degree
+from .polys import KappaPart, PsiPart, TautPolynomial, monomial_degree, series_inverse, series_mul
 from .psi import is_stable
 
 LambdaPart = tuple[int, ...]  # sorted descending, indices >= 1
@@ -169,19 +169,12 @@ def hodge_integral(g: int, n: int, i: int, p: TautPolynomial) -> Fraction:
 # -- lambda-series helpers -----------------------------------------------------
 
 
+def _lambda_product(a: LambdaPart, b: LambdaPart) -> LambdaPart:
+    return tuple(sorted(a + b, reverse=True))
+
+
 def lambda_dict_mul(a: LambdaDict, b: LambdaDict, maxdeg: int) -> LambdaDict:
-    out: LambdaDict = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            if sum(la) + sum(lb) > maxdeg:
-                continue
-            key = tuple(sorted(la + lb, reverse=True))
-            v = out.get(key, Fraction(0)) + ca * cb
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
+    return series_mul(a, b, maxdeg, sum, _lambda_product)
 
 
 def lambda_total(t: Rat, g: int, maxdeg: int) -> LambdaDict:
@@ -198,18 +191,4 @@ def lambda_total(t: Rat, g: int, maxdeg: int) -> LambdaDict:
 
 def lambda_total_inverse(t: Rat, g: int, maxdeg: int) -> LambdaDict:
     """(sum_i lambda_i t^i)^{-1} as a lambda-polynomial of degree <= maxdeg."""
-    u = lambda_total(t, g, maxdeg)
-    u = {k: -v for k, v in u.items() if k != ()}
-    out: LambdaDict = {(): Fraction(1)}
-    power: LambdaDict = {(): Fraction(1)}
-    for _ in range(maxdeg):
-        power = lambda_dict_mul(power, u, maxdeg)
-        if not power:
-            break
-        for k, v in power.items():
-            nv = out.get(k, Fraction(0)) + v
-            if nv == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nv
-    return out
+    return series_inverse(lambda_total(t, g, maxdeg), (), maxdeg, sum, _lambda_product)

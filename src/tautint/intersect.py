@@ -14,26 +14,18 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .polys import KappaPart, PsiPart, TautPolynomial, monomial_degree
+from .polys import (
+    KappaPart,
+    PsiPart,
+    TautPolynomial,
+    compositions,
+    monomial_degree,
+    series_exp,
+    series_mul,
+    vector_add,
+)
 from .psi import is_stable, psi_integral
 from .reports import CheckReport
-
-UPoly = dict[tuple[int, ...], Fraction]  # exponent vector over the kappa indices
-
-
-def _u_mul(a: UPoly, b: UPoly, maxdeg: int) -> UPoly:
-    out: UPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if sum(e) > maxdeg:
-                continue
-            v = out.get(e, Fraction(0)) + ca * cb
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -45,83 +37,37 @@ def _added_point_terms(kappa: KappaPart) -> tuple[tuple[Fraction, tuple[int, ...
     for any alpha that pulls back along forgetful maps without correction.
     """
     indices = [m for m, _ in kappa]
-    exps = {m: e for m, e in kappa}
-    nvar = len(indices)
-    pcount = sum(exps.values())
+    target = tuple(e for _, e in kappa)
     kdeg = sum(m * e for m, e in kappa)
-    target = tuple(exps[m] for m in indices)
+    pcount = sum(target)
+    one = (0,) * len(kappa)
 
-    # v_k as polynomials in the u_m: 1 - exp(-sum u_m x^m), coefficient of x^k
-    zero = (0,) * nvar
-    series: list[UPoly] = [dict() for _ in range(kdeg + 1)]
-    series[0] = {zero: Fraction(1)}
-    # exp(-U) with U = sum u_m x^m, truncated at x^kdeg and u-degree pcount
-    upow: list[UPoly] = [dict() for _ in range(kdeg + 1)]
-    upow[0] = {zero: Fraction(1)}
-    expo = [dict(upow[0])] + [dict() for _ in range(kdeg)]
-    u_lin: list[UPoly] = [dict() for _ in range(kdeg + 1)]
-    for pos, m in enumerate(indices):
-        if m <= kdeg:
-            e = [0] * nvar
-            e[pos] = 1
-            u_lin[m][tuple(e)] = Fraction(-1)
-    cur: list[UPoly] = [dict(upow[0])] + [dict() for _ in range(kdeg)]
-    for j in range(1, pcount + 1):
-        nxt: list[UPoly] = [dict() for _ in range(kdeg + 1)]
-        for da in range(kdeg + 1):
-            if not cur[da]:
-                continue
-            for db in range(1, kdeg + 1 - da):
-                if not u_lin[db]:
-                    continue
-                mul = _u_mul(cur[da], u_lin[db], pcount)
-                tgt = nxt[da + db]
-                for e, c in mul.items():
-                    v = tgt.get(e, Fraction(0)) + c
-                    if v == 0:
-                        tgt.pop(e, None)
-                    else:
-                        tgt[e] = v
-        cur = nxt
-        inv = Fraction(1, factorial(j))
-        for d in range(kdeg + 1):
-            for e, c in cur[d].items():
-                v = expo[d].get(e, Fraction(0)) + inv * c
-                if v == 0:
-                    expo[d].pop(e, None)
-                else:
-                    expo[d][e] = v
-    v_k: list[UPoly] = [dict() for _ in range(kdeg + 1)]
-    for k in range(1, kdeg + 1):
-        v_k[k] = {e: -c for e, c in expo[k].items()}
+    # v_k as polynomials in the u_m: 1 - exp(-sum u_m x^m), coefficient of x^k.
+    # The target has u-degree pcount, so the series are truncated there; x^k
+    # is read off each key as sum m*e_m.
+    lin = {tuple(int(p == q) for q in range(len(kappa))): Fraction(-1) for p in range(len(kappa))}
+    v_k: list[dict] = [{} for _ in range(kdeg + 1)]
+    for u, c in series_exp(lin, one, pcount, sum, vector_add).items():
+        k = sum(m * e for m, e in zip(indices, u))
+        if 0 < k <= kdeg:
+            v_k[k][u] = -c
 
     fact = 1
-    for e in exps.values():
+    for e in target:
         fact *= factorial(e)
 
     out: list[tuple[Fraction, tuple[int, ...]]] = []
     for ell in range(1, pcount + 1):
-        for mu in _compositions(kdeg, ell):
-            prod: UPoly = {zero: Fraction(1)}
+        for mu in compositions(kdeg, ell, 1):
+            prod = {one: Fraction(1)}
             for k in mu:
-                prod = _u_mul(prod, v_k[k], pcount)
+                prod = series_mul(prod, v_k[k], pcount, sum, vector_add)
                 if not prod:
                     break
             coef = prod.get(target)
             if coef:
                 out.append((coef * fact / factorial(ell), mu))
     return tuple(out)
-
-
-def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def integrate_monomial(g: int, n: int, kappa: KappaPart, psi: PsiPart) -> Fraction:
@@ -200,7 +146,7 @@ def integrate_exp_kappa(g: int, n: int, u: dict[int, Fraction], psi: PsiPart) ->
     if sum(psi) == dim:
         acc += psi_integral(g, psi) if n else (Fraction(1) if dim == 0 else Fraction(0))
     for ell in range(1, kbudget + 1):
-        for mu in _compositions(kbudget, ell):
+        for mu in compositions(kbudget, ell, 1):
             coef = Fraction(1, factorial(ell))
             for k in mu:
                 coef *= v[k]

@@ -1,5 +1,8 @@
 """Truncated polynomial algebra in kappa_m and per-point psi_i classes.
 
+One truncated sparse-series kernel (multiply, exp, inverse) serves the kappa/psi
+polynomials here and the edge, added-point and lambda series elsewhere.
+
 A monomial is a pair (kappa, psi): `kappa` is a tuple of (index, exponent)
 pairs sorted by index, `psi` a tuple of n nonnegative exponents.  Its degree
 is sum(m*e) + sum(psi).  Polynomials store Fraction coefficients in a dict
@@ -13,22 +16,84 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterator, NamedTuple
+from operator import add, itemgetter
+from typing import Callable, Hashable, Iterator
 
-from .exact import Rat, bernoulli_poly
+from .exact import Rat, bernoulli_series
 
 KappaPart = tuple[tuple[int, int], ...]
 PsiPart = tuple[int, ...]
 Monomial = tuple[KappaPart, PsiPart]
 
+# -- the truncated sparse-series kernel ----------------------------------------
+#
+# A series is a dict {key: Fraction} without zero coefficients, truncated
+# above a total degree.  A ring is fixed by two
+# functions on its keys: `degree` and `product`.  Kappa/psi polynomials, the
+# bivariate edge series, the u-series of the added-point expansion and the
+# lambda polynomials are all multiplied and exponentiated here.
 
-class TautMonomial(NamedTuple):
-    kappa: KappaPart
-    psi: PsiPart
+Series = dict[Hashable, Fraction]
+Degree = Callable[[Hashable], int]
+Product = Callable[[Hashable, Hashable], Hashable]
 
-    def degree(self) -> int:
-        return monomial_degree((self.kappa, self.psi))
+
+def series_mul(a: Series, b: Series, trunc: int, degree: Degree, product: Product) -> Series:
+    """a * b with every term of degree above `trunc` dropped."""
+    bs = sorted(((kb, cb, degree(kb)) for kb, cb in b.items()), key=itemgetter(2))
+    out: Series = {}
+    for ka, ca in a.items():
+        room = trunc - degree(ka)
+        for kb, cb, db in bs:
+            if db > room:
+                break
+            key = product(ka, kb)
+            cur = out.get(key)
+            out[key] = ca * cb if cur is None else cur + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def series_exp(a: Series, one: Hashable, trunc: int, degree: Degree, product: Product) -> Series:
+    """exp(a) truncated above `trunc`, for a series without constant term."""
+    out: Series = {one: Fraction(1)}
+    power: Series = {one: Fraction(1)}
+    for k in range(1, trunc + 1):
+        power = {key: c / k for key, c in series_mul(power, a, trunc, degree, product).items()}
+        if not power:
+            break
+        for key, c in power.items():
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+    return {key: c for key, c in out.items() if c}
+
+
+def series_inverse(a: Series, one: Hashable, trunc: int, degree: Degree, product: Product) -> Series:
+    """1/a for a series with constant term 1: the geometric series in u = 1 - a,
+    summed by Horner's rule q <- 1 + u*q."""
+    u = {key: -c for key, c in a.items() if key != one}
+    q: Series = {one: Fraction(1)}
+    for _ in range(trunc):
+        q = {one: Fraction(1), **series_mul(q, u, trunc, degree, product)}
+    return q
+
+
+def vector_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
+def compositions(total: int, parts: int, minval: int) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of `parts` integers >= minval summing to `total`, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(minval, total - minval * (parts - 1) + 1):
+        for rest in compositions(total - first, parts - 1, minval):
+            yield (first,) + rest
+
+
+# -- kappa/psi monomials and polynomials ----------------------------------------
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -36,11 +101,18 @@ def monomial_degree(mono: Monomial) -> int:
     return sum(m * e for m, e in kappa) + sum(psi)
 
 
-def _merge_kappa(a: KappaPart, b: KappaPart) -> KappaPart:
-    d: dict[int, int] = dict(a)
-    for m, e in b:
-        d[m] = d.get(m, 0) + e
-    return tuple(sorted(d.items()))
+def monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    (ka, pa), (kb, pb) = a, b
+    if not kb:
+        kappa = ka
+    elif not ka:
+        kappa = kb
+    else:
+        d: dict[int, int] = dict(ka)
+        for m, e in kb:
+            d[m] = d.get(m, 0) + e
+        kappa = tuple(sorted(d.items()))
+    return kappa, vector_add(pa, pb)
 
 
 class TautPolynomial:
@@ -58,6 +130,12 @@ class TautPolynomial:
             for mono, c in terms.items():
                 self._add_term(mono, c)
 
+    def _like(self, terms: Series) -> TautPolynomial:
+        """Wrap kernel output, already truncated and free of zeros."""
+        out = TautPolynomial(self.n_points, self.trunc)
+        out.terms = terms
+        return out
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -67,10 +145,6 @@ class TautPolynomial:
     @staticmethod
     def one(n_points: int, trunc: int) -> TautPolynomial:
         return TautPolynomial(n_points, trunc, {((), (0,) * n_points): Fraction(1)})
-
-    @staticmethod
-    def const(n_points: int, trunc: int, c: Rat) -> TautPolynomial:
-        return TautPolynomial(n_points, trunc, {((), (0,) * n_points): Fraction(c)})
 
     @staticmethod
     def kappa(m: int, n_points: int, trunc: int) -> TautPolynomial:
@@ -122,33 +196,21 @@ class TautPolynomial:
         c = Fraction(c)
         if c == 0:
             return TautPolynomial.zero(self.n_points, self.trunc)
-        return TautPolynomial(
-            self.n_points, self.trunc, {m: c * v for m, v in self.terms.items()}
-        )
+        return self._like({m: c * v for m, v in self.terms.items()})
+
+    def _mul_terms(self, terms: Series) -> TautPolynomial:
+        return self._like(series_mul(self.terms, terms, self.trunc, monomial_degree, monomial_product))
 
     def __mul__(self, other: TautPolynomial) -> TautPolynomial:
         self._check_compatible(other)
-        out = TautPolynomial(self.n_points, self.trunc)
-        for (ka, pa), ca in self.terms.items():
-            da = sum(m * e for m, e in ka) + sum(pa)
-            for (kb, pb), cb in other.terms.items():
-                if da + sum(m * e for m, e in kb) + sum(pb) > self.trunc:
-                    continue
-                mono = (_merge_kappa(ka, kb), tuple(x + y for x, y in zip(pa, pb)))
-                out._add_term(mono, ca * cb)
-        return out
+        return self._mul_terms(other.terms)
 
     def mul_monomial(self, kappa: KappaPart, psi_powers: dict[int, int], c: Rat = 1) -> TautPolynomial:
         """Multiply by c * prod kappa_m^e * prod psi_i^k (1-based point keys)."""
         extra = [0] * self.n_points
         for i, k in psi_powers.items():
             extra[i - 1] += k
-        out = TautPolynomial(self.n_points, self.trunc)
-        c = Fraction(c)
-        for (ka, pa), ca in self.terms.items():
-            mono = (_merge_kappa(ka, tuple(sorted(kappa))), tuple(x + y for x, y in zip(pa, extra)))
-            out._add_term(mono, ca * c)
-        return out
+        return self._mul_terms({(tuple(sorted(kappa)), tuple(extra)): Fraction(c)})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -166,24 +228,14 @@ class TautPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _unit(self) -> Monomial:
+        return ((), (0,) * self.n_points)
+
     def constant_term(self) -> Fraction:
-        return self.terms.get(((), (0,) * self.n_points), Fraction(0))
-
-    def graded_part(self, k: int) -> TautPolynomial:
-        return TautPolynomial(
-            self.n_points,
-            self.trunc,
-            {m: c for m, c in self.terms.items() if monomial_degree(m) == k},
-        )
-
-    def max_degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
+        return self.terms.get(self._unit(), Fraction(0))
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0])))
-
-    def retruncate(self, trunc: int) -> TautPolynomial:
-        return TautPolynomial(self.n_points, trunc, dict(self.terms))
+        return iter(sorted(self.terms.items()))
 
     # -- series helpers ------------------------------------------------------
 
@@ -191,28 +243,17 @@ class TautPolynomial:
         """exp of a polynomial with zero constant term."""
         if self.constant_term() != 0:
             raise ValueError("exp needs vanishing constant term")
-        out = TautPolynomial.one(self.n_points, self.trunc)
-        power = TautPolynomial.one(self.n_points, self.trunc)
-        for k in range(1, self.trunc + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction(1, factorial(k)))
-        return out
+        return self._like(
+            series_exp(self.terms, self._unit(), self.trunc, monomial_degree, monomial_product)
+        )
 
     def inverse(self) -> TautPolynomial:
-        """Inverse of a polynomial with constant term 1 (Neumann series)."""
+        """Inverse of a polynomial with constant term 1 (geometric series)."""
         if self.constant_term() != 1:
             raise ValueError("inverse needs constant term 1")
-        u = TautPolynomial.one(self.n_points, self.trunc) - self
-        out = TautPolynomial.one(self.n_points, self.trunc)
-        power = TautPolynomial.one(self.n_points, self.trunc)
-        for _ in range(self.trunc):
-            power = power * u
-            if power.is_zero():
-                break
-            out = out + power
-        return out
+        return self._like(
+            series_inverse(self.terms, self._unit(), self.trunc, monomial_degree, monomial_product)
+        )
 
     def render(self) -> str:
         """Canonical text form, e.g. "1 - 3/4*k2 + 1/2*k1*psi2^2"."""
@@ -238,10 +279,6 @@ class TautPolynomial:
         return f"TautPolynomial(n={self.n_points}, trunc={self.trunc}, {self.render()})"
 
 
-def _mono_key(mono: Monomial) -> tuple:
-    return (mono[0], mono[1])
-
-
 def _render_monomial(mono: Monomial) -> str:
     kappa, psi = mono
     frags = [f"k{m}" + (f"^{e}" if e > 1 else "") for m, e in kappa]
@@ -251,18 +288,6 @@ def _render_monomial(mono: Monomial) -> str:
         if e > 0
     ]
     return "*".join(frags) if frags else "1"
-
-
-def tp_add(a: TautPolynomial, b: TautPolynomial) -> TautPolynomial:
-    return a + b
-
-
-def tp_mul(a: TautPolynomial, b: TautPolynomial) -> TautPolynomial:
-    return a * b
-
-
-def tp_scale(a: TautPolynomial, c: Rat) -> TautPolynomial:
-    return a.scale(c)
 
 
 def exp_kappa_series(coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautPolynomial:
@@ -289,15 +314,8 @@ def exp_psi_series(i: int, coeffs: dict[int, Rat], n_points: int, trunc: int) ->
 
 def psi_geometric(i: int, weight: Rat, n_points: int, trunc: int) -> TautPolynomial:
     """sum_{k<=trunc} weight^k psi_i^k, the expansion of 1/(1 - weight*psi_i)."""
-    weight = Fraction(weight)
-    out = TautPolynomial.one(n_points, trunc)
-    wpow = Fraction(1)
-    for k in range(1, trunc + 1):
-        wpow *= weight
-        if wpow == 0:
-            break
-        out = out + TautPolynomial.psi(i, n_points, trunc, power=k).scale(wpow)
-    return out
+    one = TautPolynomial.one(n_points, trunc)
+    return (one - TautPolynomial.psi(i, n_points, trunc).scale(weight)).inverse()
 
 
 # -- bivariate half-edge series ---------------------------------------------
@@ -311,41 +329,6 @@ class EdgeSeries:
 
     trunc: int
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    def as_dict(self) -> BivTerms:
-        return dict(self.terms)
-
-
-def _biv_mul(a: BivTerms, b: BivTerms, trunc: int) -> BivTerms:
-    out: BivTerms = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            if i + k + j + l > trunc:
-                continue
-            key = (i + k, j + l)
-            v = out.get(key, Fraction(0)) + ca * cb
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
-
-
-def _biv_exp(a: BivTerms, trunc: int) -> BivTerms:
-    out: BivTerms = {(0, 0): Fraction(1)}
-    power: BivTerms = {(0, 0): Fraction(1)}
-    for k in range(1, trunc + 1):
-        power = _biv_mul(power, a, trunc)
-        if not power:
-            break
-        inv = Fraction(1, factorial(k))
-        for key, c in power.items():
-            v = out.get(key, Fraction(0)) + inv * c
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
 
 
 class EdgeDivisionError(ArithmeticError):
@@ -362,21 +345,13 @@ def edge_local_factor(w: int, r: int, x: Rat, trunc: int) -> EdgeSeries:
     """
     if not 0 <= w < r:
         raise ValueError("residue must lie in 0..r-1")
-    x = Fraction(x)
     arg: BivTerms = {}
-    for m in range(1, trunc + 2):
-        c = (-x) ** m * bernoulli_poly(m + 1, Fraction(w, r)) / (m * (m + 1))
-        if c == 0:
-            continue
-        arg[(m, 0)] = arg.get((m, 0), Fraction(0)) + c
-        arg[(0, m)] = arg.get((0, m), Fraction(0)) - ((-1) ** m) * c
-    arg = {k: v for k, v in arg.items() if v != 0}
-    expo = _biv_exp({k: -v for k, v in arg.items()}, trunc + 1)
-    num: BivTerms = {}
-    for key, c in expo.items():
-        num[key] = -c
-    num[(0, 0)] = num.get((0, 0), Fraction(0)) + 1
-    num = {k: v for k, v in num.items() if v != 0}
+    for m, c in bernoulli_series(Fraction(w, r), x, trunc + 1).items():
+        if c:
+            arg[(m, 0)] = -c
+            arg[(0, m)] = (-1) ** m * c
+    expo = series_exp(arg, (0, 0), trunc + 1, sum, vector_add)
+    num = {key: -c for key, c in expo.items() if key != (0, 0)}
 
     quot = _divide_by_psi_sum(num)
     quot = {k: v for k, v in quot.items() if sum(k) <= trunc and v != 0}
@@ -404,15 +379,8 @@ def _divide_by_psi_sum(num: BivTerms) -> BivTerms:
 
 def edge_series_remultiply(series: EdgeSeries) -> BivTerms:
     """(psi'+psi'') * series, for the re-multiplication invariant check."""
-    out: BivTerms = {}
-    for (i, j), c in series.terms:
-        for key in ((i + 1, j), (i, j + 1)):
-            v = out.get(key, Fraction(0)) + c
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
+    psi_sum = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    return series_mul(dict(series.terms), psi_sum, series.trunc + 1, sum, vector_add)
 
 
 def substitute_edge(series: EdgeSeries, poly: TautPolynomial, slot_a: int, slot_b: int) -> TautPolynomial:
@@ -423,7 +391,9 @@ def substitute_edge(series: EdgeSeries, poly: TautPolynomial, slot_a: int, slot_
     """
     if slot_a == slot_b:
         raise ValueError("edge slots collide; half-edges must sit at distinct points")
-    out = TautPolynomial.zero(poly.n_points, poly.trunc)
+    terms: dict[Monomial, Fraction] = {}
     for (i, j), c in series.terms:
-        out = out + poly.mul_monomial((), {slot_a: i, slot_b: j}, c)
-    return out
+        psi = [0] * poly.n_points
+        psi[slot_a - 1], psi[slot_b - 1] = i, j
+        terms[((), tuple(psi))] = c
+    return poly._mul_terms(terms)

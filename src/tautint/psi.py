@@ -9,6 +9,7 @@ quadratic recursion cannot reach on its own).
 from __future__ import annotations
 
 import logging
+import os
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,12 @@ _cache_lock = threading.Lock()
 
 def is_stable(g: int, n: int) -> bool:
     return 2 * g - 2 + n > 0
+
+
+def stable_types(dimmax: int, gmax: int | None = None) -> list[tuple[int, int]]:
+    """The stable (g, n) with 3g-3+n <= dimmax (and g <= gmax), sorted."""
+    top = dimmax // 3 + 1 if gmax is None else gmax
+    return [(g, n) for g in range(top + 1) for n in range(dimmax - 3 * g + 4) if is_stable(g, n)]
 
 
 def _dfact(k: int) -> int:
@@ -126,11 +133,25 @@ def clear_cache() -> None:
 
 
 def save_cache(path: str | Path) -> int:
-    """Write the memo table as sorted 'g;d_1,...,d_n;p/q' lines."""
+    """Write the memo table as sorted 'g;d_1,...,d_n;p/q' lines.
+
+    The text goes to a temporary file in the target's directory that is then
+    renamed over the target, so a failed save leaves the old file intact.
+    """
+    path = Path(path)
     lines = [f"# {CACHE_VERSION}"]
     for (g, d), v in sorted(_cache.items()):
         lines.append(f"{g};{','.join(map(str, d))};{v.numerator}/{v.denominator}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return len(_cache)
 
 

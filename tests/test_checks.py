@@ -78,6 +78,15 @@ def test_vanishings():
     assert rep.passed and "degenerate" in rep.expected
 
 
+def test_vanishing_corollary_r1_beyond_dimension():
+    # q = s/r exceeds the dimension of Mbar_{g,n+1}: the Stirling probe must
+    # keep its psi^q coefficient
+    for g, n, r, s in [(0, 3, 1, 3), (0, 3, 1, 4), (0, 4, 1, 4), (1, 1, 1, 4)]:
+        for x in (F(1), F(-1), F(1, 2)):
+            rep = check_vanishing_corollary(g, n, r, s, admissible_a(g, n, r, s), x)
+            assert rep.passed, rep.to_json()
+
+
 def test_segre_chern():
     assert check_segre_chern(1, 1, -1, F(1)).passed  # the chi/MV pair s=-1 vs 2
     assert check_segre_chern(0, 4, 0, F(1)).passed

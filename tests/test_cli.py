@@ -84,3 +84,20 @@ def test_decimal_warns(capsys):
     assert code == 0
     assert "warning" in captured.err
     assert captured.out.strip() == "-0.0833333"
+
+
+def test_unwritable_cache_warns(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "psi.txt"
+    code = main(["chi", "1", "1", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "-1/12"
+    assert captured.err.count("\n") == 1 and "warning" in captured.err
+    assert str(path) in captured.err
+
+
+def test_table_dimmax_capped(capsys):
+    # rejected before any work, so this returns at once
+    code = main(["table", "--dimmax", "11"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "10" in captured.err

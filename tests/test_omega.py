@@ -157,3 +157,26 @@ def test_pairings_cache_consistency():
     once = omega_pairings(1, 2, spec, basis)
     twice = omega_pairings(1, 2, spec, list(reversed(basis)))
     assert once == twice
+
+
+def test_graph_sum_values_do_not_depend_on_cache_state():
+    # these specs agree mod r up to moving markings, so their graph sums share
+    # edge-configuration entries: values computed after the others filled the
+    # shared entries must equal values computed from empty caches
+    from tautint import omega
+
+    specs = [OmegaSpec(3, 1, (1, 3, 2)), OmegaSpec(3, 4, (3, 1, 5)), OmegaSpec(3, -2, (4, 0, 2))]
+    basis = flat_basis(1, 3)
+
+    def clear():
+        omega._pairing_cache.clear()
+        omega._config_cache.clear()
+
+    cold = {}
+    for spec in specs:
+        clear()
+        cold[spec] = omega_pairings(1, 3, spec, basis, route="graph")
+    clear()
+    for spec in specs:
+        assert omega_pairings(1, 3, spec, basis, route="graph") == cold[spec]
+    assert len({tuple(cold[spec].values()) for spec in specs}) == len(specs)

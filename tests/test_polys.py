@@ -174,3 +174,19 @@ def test_substitute_edge():
     assert got == (TautPolynomial.psi(1, n, tr) * TautPolynomial.psi(2, n, tr)).scale(2)
     with pytest.raises(ValueError):
         substitute_edge(s, p, 2, 2)
+
+
+def test_compositions_against_product_filter():
+    import itertools
+
+    from tautint.polys import compositions
+
+    for minval in (0, 1, 2):
+        for parts in range(0, 5):
+            for total in range(0, 9):
+                want = [
+                    c
+                    for c in itertools.product(range(minval, total + 1), repeat=parts)
+                    if sum(c) == total
+                ]
+                assert list(compositions(total, parts, minval)) == want

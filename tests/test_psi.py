@@ -118,3 +118,49 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
         loaded = load_cache(path)
     assert loaded == 1  # only the valid <tau_1>_1 line
     assert psi_integral(1, (1,)) == F(1, 24)
+
+
+def test_failed_save_keeps_previous_cache(tmp_path):
+    # a file-size limit makes the second, larger save fail part-way through
+    # its write; the file written by the first save must survive unchanged
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tautint
+
+    path = tmp_path / "cache.txt"
+    script = f"""
+import resource, signal, sys
+from tautint.psi import psi_integral, save_cache
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+psi_integral(1, (1,))
+save_cache({str(path)!r})
+size = len(open({str(path)!r}, "rb").read())
+psi_integral(3, (3, 3, 3))
+resource.setrlimit(resource.RLIMIT_FSIZE, (size + 50, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save_cache({str(path)!r})
+except OSError:
+    sys.exit(3)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(tautint.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert path.read_text() == "# tautint-psi-cache v1\n1;1;1/24\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+
+def test_stable_types_against_brute_force():
+    from test_acceptance import _stable_range
+
+    from tautint.psi import stable_types
+
+    for dimmax in range(-1, 9):
+        assert stable_types(dimmax) == _stable_range(dimmax)
+        for gmax in range(0, 4):
+            want = [(g, n) for g, n in _stable_range(dimmax) if g <= gmax]
+            assert stable_types(dimmax, gmax) == want
