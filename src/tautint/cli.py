@@ -2,7 +2,9 @@
 
 Exact rationals print as "p/q" (bare "p" when q = 1); a --decimal flag
 renders floats at a stated precision with a warning, since nothing internal
-is ever inexact.  Exit codes: 0 success, 1 a verification failed, 2 usage.
+is ever inexact.  Exit codes: 0 success, 1 a verification failed, 2 usage
+(malformed tokens, an unstable (g, n), 3g-3+n above DIM_HARD_CAP), which is
+reported on one "error:" line before any computation starts.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -24,6 +27,63 @@ from .psi import is_stable, stable_types
 
 DIM_HARD_CAP = 10
 CACHE_ENV_VAR = "TAUTINT_CACHE"
+
+
+def _token(convert, what: str, ok=lambda v: True):
+    """An argparse type: `convert`, refusing values that fail it or `ok`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+
+    return parse
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",")) if text else ()
+
+
+_nonneg_int = _token(int, "an integer >= 0", lambda v: v >= 0)
+_int_list = _token(_ints, "a comma-separated list of integers")
+_exponents = _token(_ints, "a list of integers >= 0", lambda v: min(v, default=0) >= 0)
+_rational = _token(Fraction, "a rational number")
+
+
+_FACTOR = re.compile(r"(psi|k)([1-9][0-9]*)(?:\^([0-9]+))?")
+
+
+def _monomial_expr(expr: str) -> tuple[tuple[str, int, int], ...]:
+    """Parse a monomial like 'psi1^2*k3' into (name, index, power) factors."""
+    factors = []
+    for factor in expr.split("*"):
+        factor = factor.strip()
+        if not factor or factor == "1":
+            continue
+        match = _FACTOR.fullmatch(factor)
+        if match is None:
+            raise argparse.ArgumentTypeError(f"cannot parse factor {factor!r}")
+        name, index, power = match.groups()
+        factors.append((name, int(index), int(power) if power else 1))
+    return tuple(factors)
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _space_error(g: int, n: int) -> str | None:
+    """Why (g, n) is refused, or None: it must be stable and within the cap."""
+    if not is_stable(g, n):
+        return f"unstable (g,n)=({g},{n})"
+    if 3 * g - 3 + n > DIM_HARD_CAP:
+        return f"dimension 3g-3+n = {3 * g - 3 + n} exceeds the cap of {DIM_HARD_CAP}"
+    return None
 
 
 def _fmt_rat(v: Fraction, decimal: int | None) -> str:
@@ -51,9 +111,8 @@ def _chi_cell(args: tuple[int, int]) -> list[tuple[int, int, str, str]]:
 
 
 def cmd_chi(ns: argparse.Namespace) -> int:
-    if not is_stable(ns.g, ns.n):
-        print(f"error: unstable (g,n)=({ns.g},{ns.n})", file=sys.stderr)
-        return 2
+    if err := _space_error(ns.g, ns.n):
+        return _usage_error(err)
     routes = [ns.route] if ns.route else ["harer_zagier"]
     rows = [
         {"g": ns.g, "n": ns.n, "value": _fmt_rat(chi(ns.g, ns.n, r).value, ns.decimal), "route": r}
@@ -64,9 +123,8 @@ def cmd_chi(ns: argparse.Namespace) -> int:
 
 
 def cmd_mv(ns: argparse.Namespace) -> int:
-    if not is_stable(ns.g, ns.n):
-        print(f"error: unstable (g,n)=({ns.g},{ns.n})", file=sys.stderr)
-        return 2
+    if err := _space_error(ns.g, ns.n):
+        return _usage_error(err)
     routes = [ns.route] if ns.route else ["omega"]
     rows = [
         {"g": ns.g, "n": ns.n, "value": _fmt_rat(mv(ns.g, ns.n, r).value, ns.decimal), "route": r}
@@ -81,10 +139,11 @@ def cmd_mv(ns: argparse.Namespace) -> int:
 
 
 def cmd_hodge(ns: argparse.Namespace) -> int:
-    d = tuple(int(t) for t in ns.d.split(",")) if ns.d else (0,) * ns.n
+    if err := _space_error(ns.g, ns.n):
+        return _usage_error(err)
+    d = ns.d or (0,) * ns.n
     if len(d) != ns.n:
-        print("error: need one psi exponent per marked point", file=sys.stderr)
-        return 2
+        return _usage_error("need one psi exponent per marked point")
     lam = (ns.i,) if ns.i else ()
     val = hodge_monomial(ns.g, ns.n, lam, (), d)
     print(_fmt_rat(val, ns.decimal))
@@ -92,39 +151,35 @@ def cmd_hodge(ns: argparse.Namespace) -> int:
 
 
 def cmd_omega(ns: argparse.Namespace) -> int:
-    a = tuple(int(t) for t in ns.a.split(",")) if ns.a else ()
-    if len(a) != ns.n:
-        print("error: need one a_i per marked point", file=sys.stderr)
-        return 2
-    spec = OmegaSpec(ns.r, ns.s, a, Fraction(ns.x))
+    if err := _space_error(ns.g, ns.n):
+        return _usage_error(err)
+    if len(ns.a) != ns.n:
+        return _usage_error("need one a_i per marked point")
+    if ns.route == "closed" and ns.r != 1:
+        return _usage_error("--route closed needs r = 1")
+    if any(name == "psi" and i > ns.n for name, i, _ in ns.test_class):
+        return _usage_error(f"--test-class names a psi beyond the {ns.n} marked points")
     try:
+        spec = OmegaSpec(ns.r, ns.s, ns.a, ns.x)
         spec.validate(ns.g, ns.n)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    T = _parse_test_class(ns.test_class, ns.g, ns.n) if ns.test_class else None
+        return _usage_error(str(exc))
+    T = _test_class(ns.test_class, ns.g, ns.n) if ns.test_class else None
     val = omega_integral(ns.g, ns.n, spec, T, route=ns.route)
     print(_fmt_rat(val, ns.decimal))
     return 0
 
 
-def _parse_test_class(expr: str, g: int, n: int) -> TautPolynomial:
-    """Parse a monomial like 'psi1^2*k3' into a test class."""
+def _test_class(factors: tuple[tuple[str, int, int], ...], g: int, n: int) -> TautPolynomial:
+    """The test class of parsed (name, index, power) factors."""
     dim = 3 * g - 3 + n
     out = TautPolynomial.one(n, dim)
-    for factor in expr.split("*"):
-        factor = factor.strip()
-        if not factor or factor == "1":
-            continue
-        name, _, power = factor.partition("^")
-        e = int(power) if power else 1
-        if name.startswith("psi"):
-            out = out * TautPolynomial.psi(int(name[3:]), n, dim, power=e)
-        elif name.startswith("k"):
-            for _ in range(e):
-                out = out * TautPolynomial.kappa(int(name[1:]), n, dim)
+    for name, index, power in factors:
+        if name == "psi":
+            out = out * TautPolynomial.psi(index, n, dim, power=power)
         else:
-            raise ValueError(f"cannot parse factor {factor!r}")
+            for _ in range(power):
+                out = out * TautPolynomial.kappa(index, n, dim)
     return out
 
 
@@ -164,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument(
         "--decimal",
-        type=int,
+        type=_nonneg_int,
         default=None,
         help="render decimals at this precision (WARNING: output is no longer exact)",
     )
@@ -173,33 +228,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("chi", parents=[common], help="orbifold Euler characteristic of M_{g,n}")
-    c.add_argument("g", type=int)
-    c.add_argument("n", type=int)
+    c.add_argument("g", type=_nonneg_int)
+    c.add_argument("n", type=_nonneg_int)
     c.add_argument("--route", choices=CHI_ROUTES, default=None)
     c.set_defaults(func=cmd_chi)
 
     m = sub.add_parser("mv", parents=[common], help="Masur-Veech volume over pi^{6g-6+2n}")
-    m.add_argument("g", type=int)
-    m.add_argument("n", type=int)
+    m.add_argument("g", type=_nonneg_int)
+    m.add_argument("n", type=_nonneg_int)
     m.add_argument("--route", choices=MV_ROUTES, default=None)
     m.add_argument("--with-normalization", action="store_true")
     m.set_defaults(func=cmd_mv)
 
     h = sub.add_parser("hodge", parents=[common], help="int lambda_i psi_1^{d_1}...psi_n^{d_n}")
-    h.add_argument("g", type=int)
-    h.add_argument("n", type=int)
-    h.add_argument("i", type=int)
-    h.add_argument("d", nargs="?", default="", help="comma-separated psi exponents")
+    h.add_argument("g", type=_nonneg_int)
+    h.add_argument("n", type=_nonneg_int)
+    h.add_argument("i", type=_nonneg_int, help="lambda index (0: no lambda class)")
+    h.add_argument("d", nargs="?", type=_exponents, default=(), help="comma-separated psi powers")
     h.set_defaults(func=cmd_hodge)
 
     o = sub.add_parser("omega", parents=[common], help="int Omega^{[x]}(r,s;a) * T")
-    o.add_argument("g", type=int)
-    o.add_argument("n", type=int)
+    o.add_argument("g", type=_nonneg_int)
+    o.add_argument("n", type=_nonneg_int)
     o.add_argument("r", type=int)
     o.add_argument("s", type=int)
-    o.add_argument("a", nargs="?", default="", help="comma-separated a_i")
-    o.add_argument("-x", default="1", help="formal weight x (rational)")
-    o.add_argument("--test-class", default=None, help="e.g. 'psi1^2*k1'")
+    o.add_argument("a", nargs="?", type=_int_list, default=(), help="comma-separated a_i")
+    o.add_argument("-x", type=_rational, default=Fraction(1), help="formal weight x (rational)")
+    o.add_argument("--test-class", type=_monomial_expr, default=(), help="e.g. 'psi1^2*k1'")
     o.add_argument("--route", choices=("auto", "graph", "graph-raw", "closed"), default="auto")
     o.set_defaults(func=cmd_omega)
 

@@ -8,11 +8,17 @@ m >= 2).  Boundary terms restrict lambda classes to the glued spaces (the
 total Chern class restricts to the product over components, the
 nonseparating side losing one rank), so the recursion closes over tuples
 (g, n, lambda multiset, kappa monomial, psi exponents).
+
+The separating sum is degree-matched, not looped: the dimension of one side
+fixes the exponent split psi'^i (-psi'')^j, lambda splits that put lambda_p
+with p > h on a side of genus h are skipped, and hodge_pair pairs each lambda
+term only with the kappa/psi terms of complementary degree.  Every term left
+out is exactly 0.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -29,20 +35,25 @@ LambdaDict = dict[LambdaPart, Fraction]
 
 def hodge_monomial(g: int, n: int, lambdas, kappa: KappaPart = (), psi: PsiPart = ()) -> Fraction:
     """int_{Mbar_{g,n}} prod lambda_a * prod kappa_m^e * prod psi_i^{d_i}."""
-    lambdas = tuple(sorted(lambdas, reverse=True))
     psi = tuple(psi)
     if len(psi) != n:
         raise ValueError("psi exponent vector must have length n")
     if any(a < 1 for a in lambdas):
         raise ValueError("lambda indices start at 1")
-    return _hodge_core(g, n, lambdas, tuple(sorted(kappa)), tuple(sorted(psi, reverse=True)))
+    return _hodge_core(g, n, _desc(lambdas), tuple(sorted(kappa)), _desc(psi))
+
+
+def _desc(t) -> tuple[int, ...]:
+    return tuple(sorted(t, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiPart) -> Fraction:
+    """hodge_monomial on canonical keys: lambdas and psi sorted descending,
+    kappa sorted."""
     if not is_stable(g, n):
         raise ValueError(f"unstable moduli space (g={g}, n={n})")
-    if any(a > g for a in lambdas):
+    if lambdas and lambdas[0] > g:
         return Fraction(0)
     dim = 3 * g - 3 + n
     if sum(lambdas) + monomial_degree((kappa, psi)) != dim:
@@ -52,8 +63,8 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
     if kappa:
         acc = Fraction(0)
         for coef, mu in _added_point_terms(kappa):
-            acc += coef * hodge_monomial(
-                g, n + len(mu), lambdas, (), psi + tuple(m + 1 for m in mu)
+            acc += coef * _hodge_core(
+                g, n + len(mu), lambdas, (), _desc(psi + tuple(m + 1 for m in mu))
             )
         return acc
 
@@ -65,17 +76,17 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
         if bval == 0:
             continue
         coef = Fraction((-1) ** (m - 1), k) * bval / (m + 1)
-        sub = rest if m == k else rest + (k - m,)
+        sub = rest if m == k else _desc(rest + (k - m,))
 
-        term = hodge_monomial(g, n, sub, ((m, 1),), psi)
+        term = _hodge_core(g, n, sub, ((m, 1),), psi)
         seen_bump: set[int] = set()
         for i in range(n):
             if psi[i] in seen_bump:
                 continue  # symmetric in equal exponents
             seen_bump.add(psi[i])
             mult = psi.count(psi[i])
-            bumped = psi[:i] + (psi[i] + m,) + psi[i + 1 :]
-            term -= mult * hodge_monomial(g, n, sub, (), bumped)
+            bumped = _desc(psi[:i] + (psi[i] + m,) + psi[i + 1 :])
+            term -= mult * _hodge_core(g, n, sub, (), bumped)
         term += Fraction(1, 2) * _boundary_terms(g, n, sub, psi, m)
         acc += coef * term
     return acc
@@ -83,37 +94,42 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
 
 def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -> Fraction:
     """Pushforward part of p_m: sum_{i+j=m-1} psi'^i (-psi'')^j over the
-    one-edge degenerations (nonseparating plus all ordered separating splits)."""
+    one-edge degenerations (nonseparating plus all ordered separating splits),
+    degree-matched as the module docstring says."""
     acc = Fraction(0)
-    if g >= 1 and is_stable(g - 1, n + 2):
+    if g >= 1 and is_stable(g - 1, n + 2) and not (lambdas and lambdas[0] > g - 1):
         for i in range(m):
             j = m - 1 - i
-            acc += ((-1) ** j) * hodge_monomial(g - 1, n + 2, lambdas, (), psi + (i, j))
+            acc += ((-1) ** j) * _hodge_core(g - 1, n + 2, lambdas, (), _desc(psi + (i, j)))
     for g1 in range(g + 1):
         g2 = g - g1
-        for left, right, ways in _psi_splits(psi):
-            if not (is_stable(g1, len(left) + 1) and is_stable(g2, len(right) + 1)):
+        for left, right, ways, left_deg in _psi_splits(psi):
+            n1, n2 = len(left) + 1, len(right) + 1
+            if not (is_stable(g1, n1) and is_stable(g2, n2)):
                 continue
-            for lam1, lam2 in _lambda_splits(lambdas):
-                if sum(lam1) > 3 * g1 - 2 + len(left) or sum(lam2) > 3 * g2 - 2 + len(right):
+            # i = dim(Mbar_{g1,n1}) - |lambda1| - |psi_left|
+            room = 3 * g1 - 3 + n1 - left_deg
+            for lam1, lam2, lam1_deg in _lambda_splits(lambdas):
+                i = room - lam1_deg
+                j = m - 1 - i
+                if i < 0 or j < 0:
                     continue
-                for i in range(m):
-                    j = m - 1 - i
-                    acc += (
-                        ways
-                        * ((-1) ** j)
-                        * hodge_monomial(g1, len(left) + 1, lam1, (), left + (i,))
-                        * hodge_monomial(g2, len(right) + 1, lam2, (), right + (j,))
-                    )
+                if (lam1 and lam1[0] > g1) or (lam2 and lam2[0] > g2):
+                    continue
+                a = _hodge_core(g1, n1, lam1, (), _desc(left + (i,)))
+                if a:
+                    b = _hodge_core(g2, n2, lam2, (), _desc(right + (j,)))
+                    acc += ways * ((-1) ** j) * a * b
     return acc
 
 
 @lru_cache(maxsize=None)
-def _psi_splits(psi: PsiPart) -> tuple[tuple[PsiPart, PsiPart, int], ...]:
+def _psi_splits(psi: PsiPart) -> tuple[tuple[PsiPart, PsiPart, int, int], ...]:
     """Ways to send the marked points to the two sides of a separating node,
-    grouped by the resulting exponent multisets with their multiplicities."""
+    grouped by the resulting exponent multisets: (left, right, multiplicity,
+    degree of left)."""
     counts = sorted(Counter(psi).items())
-    out: list[tuple[PsiPart, PsiPart, int]] = []
+    out: list[tuple[PsiPart, PsiPart, int, int]] = []
     ranges = [range(c + 1) for _, c in counts]
     for picks in iproduct(*ranges):
         ways = 1
@@ -123,38 +139,44 @@ def _psi_splits(psi: PsiPart) -> tuple[tuple[PsiPart, PsiPart, int], ...]:
             ways *= comb(c, take)
             left += [val] * take
             right += [val] * (c - take)
-        out.append(
-            (tuple(sorted(left, reverse=True)), tuple(sorted(right, reverse=True)), ways)
-        )
+        out.append((_desc(left), _desc(right), ways, sum(left)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _lambda_splits(lambdas: LambdaPart) -> tuple[tuple[LambdaPart, LambdaPart], ...]:
-    """All ways to write each lambda_a as lambda_p (x) lambda_q with p+q=a."""
+def _lambda_splits(lambdas: LambdaPart) -> tuple[tuple[LambdaPart, LambdaPart, int], ...]:
+    """All ways to write each lambda_a as lambda_p (x) lambda_q with p+q=a:
+    (left, right, degree of left)."""
     if not lambdas:
-        return (((), ()),)
+        return (((), (), 0),)
     head, tail = lambdas[0], lambdas[1:]
     out = []
-    for l1, l2 in _lambda_splits(tail):
+    for l1, l2, d1 in _lambda_splits(tail):
         for p in range(head + 1):
             q = head - p
-            n1 = tuple(sorted(l1 + ((p,) if p else ()), reverse=True))
-            n2 = tuple(sorted(l2 + ((q,) if q else ()), reverse=True))
-            out.append((n1, n2))
+            n1 = _desc(l1 + ((p,) if p else ()))
+            n2 = _desc(l2 + ((q,) if q else ()))
+            out.append((n1, n2, d1 + p))
     return tuple(out)
 
 
 def hodge_pair(g: int, n: int, lam: LambdaDict, p: TautPolynomial) -> Fraction:
     """Pair a lambda-polynomial (dict lambda-tuple -> coeff) with a kappa/psi
-    polynomial: sum of hodge_monomial over all products of terms."""
+    polynomial: sum of hodge_monomial over the products of terms whose
+    degrees add up to the dimension (all others integrate to 0)."""
     if p.n_points != n:
         raise ValueError("polynomial has wrong number of marked points")
+    if not is_stable(g, n):
+        raise ValueError(f"unstable moduli space (g={g}, n={n})")
+    by_degree: dict[int, list] = defaultdict(list)
+    for mono, c in p.terms.items():
+        by_degree[monomial_degree(mono)].append((mono, c))
+    dim = 3 * g - 3 + n
     acc = Fraction(0)
     for ltuple, lc in lam.items():
         if lc == 0:
             continue
-        for (kappa, psi), c in p.terms.items():
+        for (kappa, psi), c in by_degree.get(dim - sum(ltuple), ()):
             acc += lc * c * hodge_monomial(g, n, ltuple, kappa, psi)
     return acc
 

@@ -245,6 +245,8 @@ def omega_pairings(
     spec.validate(g, n)
     if route == "auto":
         route = "closed" if spec.r == 1 else "graph"
+    elif route == "closed" and spec.r != 1:
+        raise ValueError(f"the closed route needs r = 1, not r = {spec.r}")
     monomials = [
         (tuple(sorted(kap)), tuple(psi)) for kap, psi in monomials
     ]

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the
 package: series-inversion Bernoulli numbers, brute-force stable-graph
-enumeration with half-edge automorphism counting, and direct product/series
-expansions for the symmetric-function and Stirling layers.
+enumeration with half-edge automorphism counting, direct product/series
+expansions for the symmetric-function and Stirling layers, and the Hodge
+boundary sum over every degeneration and split with no term skipped.
 
 Nothing here shares code paths with the package internals.
 """
@@ -166,3 +167,42 @@ def _brute_aut(genera, legs, edges) -> int:
         if ok:
             count += 1
     return count
+
+
+# -- unpruned Hodge boundary sum ----------------------------------------------------
+
+
+def _stable(g: int, n: int) -> bool:
+    return 2 * g - 2 + n > 0
+
+
+def boundary_sum_unpruned(integral, g: int, n: int, lambdas, psi, m: int) -> Fraction:
+    """sum_{i+j=m-1} psi'^i (-psi'')^j over the one-edge degenerations of
+    Mbar_{g,n}, every term evaluated: the nonseparating node, then each
+    genus g1 of the first side, each subset of the marked points sent to it
+    and each split of every lambda_a as lambda_p (x) lambda_{a-p}.
+    `integral(g, n, lambdas, psi)` gives the integrals on the pieces."""
+    psi = tuple(psi)
+    acc = Fraction(0)
+    if g >= 1 and _stable(g - 1, n + 2):
+        for i in range(m):
+            j = m - 1 - i
+            acc += (-1) ** j * integral(g - 1, n + 2, tuple(lambdas), psi + (i, j))
+    for g1 in range(g + 1):
+        g2 = g - g1
+        for sides in product((0, 1), repeat=n):
+            left = tuple(d for d, side in zip(psi, sides) if side == 0)
+            right = tuple(d for d, side in zip(psi, sides) if side == 1)
+            if not (_stable(g1, len(left) + 1) and _stable(g2, len(right) + 1)):
+                continue
+            for ps in product(*(range(a + 1) for a in lambdas)):
+                lam1 = tuple(p for p in ps if p)
+                lam2 = tuple(a - p for a, p in zip(lambdas, ps) if a != p)
+                for i in range(m):
+                    j = m - 1 - i
+                    acc += (
+                        (-1) ** j
+                        * integral(g1, len(left) + 1, lam1, left + (i,))
+                        * integral(g2, len(right) + 1, lam2, right + (j,))
+                    )
+    return acc

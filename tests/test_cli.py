@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tautint.cli import main
+from tautint.cli import DIM_HARD_CAP, main
+from tautint.psi import stable_types
 
 
 def run_cli(args, capsys):
@@ -101,3 +104,123 @@ def test_table_dimmax_capped(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "10" in captured.err
+
+
+def run_usage(args, capsys):
+    """Exit code and stderr of a call that may stop in the argument parser."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hodge", "0", "2", "0"],  # unstable
+        ["omega", "1", "1", "0", "0", "0"],  # r < 1
+        ["omega", "1", "1", "1", "0", "0", "-x", "abc"],
+        ["omega", "1", "1", "1", "0", "0", "-x", "1/0"],
+        ["omega", "1", "1", "1", "0", "0", "--test-class", "q1"],
+        ["omega", "1", "1", "1", "0", "0", "--test-class", "psi2"],  # only one point
+        ["omega", "1", "1", "2", "0", "0", "--route", "closed"],  # closed form is r = 1 only
+        ["hodge", "1", "1", "1", "-1"],  # negative psi exponent
+        ["hodge", "1", "1", "-1"],  # negative lambda index
+        ["hodge", "1", "1", "1.5"],  # non-integer lambda index
+        ["chi", "-1", "5"],  # negative genus
+    ],
+)
+def test_bad_input_is_a_usage_error(args, capsys):
+    code, err = run_usage(args, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chi", "12", "0", "--route", "omega"],
+        ["mv", "4", "4"],
+        ["hodge", "5", "0", "1"],
+        ["omega", "3", "8", "1", "0", "0,0,0,0,0,0,0,0"],
+    ],
+)
+def test_dimension_cap_applies_to_every_subcommand(args, capsys):
+    # rejected before any work, so these return at once
+    code, err = run_usage(args, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and str(DIM_HARD_CAP) in err
+
+
+# -- every subcommand on drawn tokens: exit 0, 1 or 2 and never a traceback ------
+# Stable draws have dimension <= 3 or lie above the cap, so no draw runs long.
+
+VALID = [(str(g), str(n)) for g, n in stable_types(3)]
+UNSTABLE = [("0", "0"), ("0", "1"), ("0", "2"), ("1", "0")]
+OVER_CAP = [("4", "0"), ("2", "8"), ("0", "14"), ("12", "0")]
+NEGATIVE = [("-1", "5"), ("0", "-3"), ("-2", "-2")]
+NON_NUMERIC = ["abc", "1.5", "x1", "", "1/2"]
+
+
+def _tokens(valid, bad_numbers):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(bad_numbers + NON_NUMERIC))
+
+
+spaces = st.one_of(
+    st.sampled_from(VALID),
+    st.sampled_from(VALID),
+    st.sampled_from(UNSTABLE),
+    st.sampled_from(OVER_CAP),
+    st.sampled_from(NEGATIVE),
+    st.tuples(st.sampled_from(NON_NUMERIC), st.sampled_from(["1", "2"])),
+).map(list)
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(["chi", "mv", "hodge", "omega"]))
+    g, n = draw(spaces)
+    argv = [cmd, g, n]
+    npts = int(n) if n.isdigit() else 1
+    lists = st.one_of(
+        st.lists(st.integers(0, 1), min_size=npts, max_size=npts),
+        st.lists(st.integers(-1, 2), min_size=npts, max_size=npts),
+        st.lists(st.integers(0, 2), max_size=4),
+    ).map(lambda v: ",".join(map(str, v)))
+    if cmd == "chi":
+        routes = ("harer_zagier", "hodge_sum", "omega")
+        argv += draw(st.sampled_from([[]] + [["--route", r] for r in routes]))
+    elif cmd == "mv":
+        argv += draw(st.sampled_from([[], ["--route", "omega"], ["--route", "hodge_sum"]]))
+    elif cmd == "hodge":
+        argv.append(draw(_tokens(["0", "1", "2"], ["-1", "-7"])))
+        d = st.one_of(lists, st.sampled_from(NON_NUMERIC)).map(lambda t: [t])
+        argv += draw(st.one_of(st.just([]), d))
+    else:
+        argv.append(draw(_tokens(["1", "1", "2"], ["0", "-1"])))
+        argv.append(draw(_tokens(["0", "1", "-1"], [])))
+        argv.append(draw(st.one_of(lists, lists, st.sampled_from(NON_NUMERIC))))
+        if draw(st.booleans()):
+            argv += ["-x", draw(st.sampled_from(["1", "-1", "1/2", "0", "abc", "1/0"]))]
+        if draw(st.booleans()):
+            classes = ["psi1", "k1", "psi1^2*k1", "1", "q1", "psi9", "k0", "psi1^-1"]
+            argv += ["--test-class", draw(st.sampled_from(classes))]
+        if draw(st.booleans()):
+            argv += ["--route", draw(st.sampled_from(["auto", "graph", "graph-raw", "closed"]))]
+    if draw(st.booleans()):
+        argv += ["--decimal", draw(st.sampled_from(["4", "0", "-2", "abc"]))]
+    return argv
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=argvs())
+def test_cli_exit_codes_on_drawn_argv(argv, capsys):
+    code, err = run_usage(argv, capsys)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.count("error:") == 1, (argv, err)

@@ -1,5 +1,10 @@
 from fractions import Fraction as F
+from math import factorial
 
+from oracles import boundary_sum_unpruned
+
+from tautint import hodge
+from tautint.apps import chi_via_omega
 from tautint.hodge import (
     hodge_monomial,
     hodge_pair,
@@ -7,8 +12,8 @@ from tautint.hodge import (
     lambda_total,
     lambda_total_inverse,
 )
-from tautint.polys import TautPolynomial, exp_kappa_series
-from tautint.psi import is_stable
+from tautint.polys import TautPolynomial, compositions, exp_kappa_series
+from tautint.psi import is_stable, stable_types
 
 
 def test_calibration_values():
@@ -72,3 +77,45 @@ def test_kappa_with_lambda():
 def test_hodge_psi_dilaton_consistency():
     # int lambda_1 psi_1 over Mbar_{1,2} = (2g-2+n)|_{(1,1)} * int lambda_1
     assert hodge_monomial(1, 2, (1,), (), (1, 0)) == hodge_monomial(1, 1, (1,), (), (0,))
+
+
+def test_pruned_boundary_sum_matches_unpruned_oracle(monkeypatch):
+    # every boundary sum reached by chi through the r = 1 closed form,
+    # recomputed term by term with nothing skipped; dimension 7 reaches
+    # genus 3, where lambda_3 brings in p_3 (m = 3)
+    from tautint.omega import _pairing_cache
+
+    reached = set()
+    pruned = hodge._boundary_terms
+
+    def record(g, n, lambdas, psi, m):
+        reached.add((g, n, lambdas, psi, m))
+        return pruned(g, n, lambdas, psi, m)
+
+    monkeypatch.setattr(hodge, "_boundary_terms", record)
+    hodge._hodge_core.cache_clear()
+    _pairing_cache.clear()
+    for g, n in stable_types(7):
+        chi_via_omega(g, n)
+    monkeypatch.undo()
+
+    def integral(g, n, lambdas, psi):
+        return hodge_monomial(g, n, lambdas, (), psi)
+
+    assert {m for *_, m in reached} == {1, 3}
+    for g, n, lambdas, psi, m in sorted(reached):
+        want = boundary_sum_unpruned(integral, g, n, lambdas, psi, m)
+        assert pruned(g, n, lambdas, psi, m) == want, (g, n, lambdas, psi, m)
+
+
+def test_lambda_g_formula():
+    # int lambda_g prod psi_i^{d_i} = binom(2g-3+n; d_1..d_n) * b_g
+    b = {1: F(1, 24), 2: F(7, 5760), 3: F(31, 967680)}
+    for g, bg in b.items():
+        for n in range(1, 5):
+            total = 2 * g - 3 + n
+            for d in compositions(total, n, 0):
+                multinomial = factorial(total)
+                for di in d:
+                    multinomial //= factorial(di)
+                assert hodge_monomial(g, n, (g,), (), d) == multinomial * bg, (g, d)

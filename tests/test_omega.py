@@ -40,6 +40,8 @@ def test_constraint_validation():
         omega_integral(1, 1, OmegaSpec(2, 0, (1,)))
     with pytest.raises(ValueError):
         omega_integral(1, 1, OmegaSpec(0, 0, (0,)))
+    with pytest.raises(ValueError):  # the closed form is the r = 1 class only
+        omega_integral(1, 1, OmegaSpec(2, 0, (0,)), route="closed")
 
 
 def test_closed_vs_graph_routes():
