@@ -42,6 +42,7 @@ from .graphs import (
     automorphism_order,
     enumerate_stable_graphs,
     enumerate_weightings,
+    graph_orbits,
 )
 from .hodge import hodge_integral, hodge_monomial, hodge_pair
 from .intersect import forgetful_pullback_check, integrate_mixed, integrate_monomial

@@ -49,6 +49,7 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 _nonneg_int = _token(int, "an integer >= 0", lambda v: v >= 0)
+_pos_int = _token(int, "an integer >= 1", lambda v: v >= 1)
 _int_list = _token(_ints, "a comma-separated list of integers")
 _exponents = _token(_ints, "a list of integers >= 0", lambda v: min(v, default=0) >= 0)
 _rational = _token(Fraction, "a rational number")
@@ -263,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("table", parents=[common], help="chi by all three routes over a (g,n) range")
-    t.add_argument("--gmax", type=int, default=3)
-    t.add_argument("--dimmax", type=int, default=4)
-    t.add_argument("--jobs", type=int, default=1)
+    t.add_argument("--gmax", type=_nonneg_int, default=3)
+    t.add_argument("--dimmax", type=_nonneg_int, default=4)
+    t.add_argument("--jobs", type=_pos_int, default=1)
     t.set_defaults(func=cmd_table)
 
     return p

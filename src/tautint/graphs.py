@@ -2,21 +2,26 @@
 orders, and mod-r half-edge weightings.
 
 A graph stores vertex genera, the vertex carrying each labelled leg, and a
-tuple of edges (a, b) with a <= b; self-loops appear as (v, v).  Markings are
-labelled and never permuted by automorphisms.  Enumeration proceeds by
-repeated elementary degenerations (vertex splitting and genus reduction)
-starting from the smooth graph, with canonical relabelling for isomorph
-rejection; completeness follows because contracting any edge of a stable
-graph yields a stable graph with one edge fewer.
+tuple of edges (a, b) with a <= b; self-loops appear as (v, v).  The markings
+carry colours, and markings of equal colour may be permuted: `graph_orbits`
+lists one labelled representative per class of graphs up to isomorphism and
+such permutations, with the order |Aut_col| of its automorphism group when
+legs of equal colour may be permuted.  With all colours distinct the markings
+are fixed, which gives `enumerate_stable_graphs` and `automorphism_order`.
+Enumeration proceeds by repeated elementary degenerations (vertex splitting
+and genus reduction) starting from the smooth graph, with canonical
+relabelling for isomorph rejection; completeness follows because contracting
+any edge of a stable graph yields a stable graph with one edge fewer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
-from math import factorial
+from math import factorial, prod
 
 from .psi import is_stable
 
@@ -78,19 +83,41 @@ class StableGraph:
         return (self.n_edges, self.serialize()) < (other.n_edges, other.serialize())
 
 
-def _relabeled(genera, legs, edges, perm) -> tuple:
-    """Apply vertex relabelling old -> perm[old] and normalise."""
+def colour_pattern(colours: Sequence[Hashable]) -> tuple[int, ...]:
+    """Each marking's colour renamed to the rank of its first occurrence, so
+    that colourings inducing one partition of the markings give one pattern:
+    (5, 2, 5) -> (0, 1, 0)."""
+    first: dict[Hashable, int] = {}
+    return tuple(first.setdefault(c, len(first)) for c in colours)
+
+
+@lru_cache(maxsize=None)
+def colour_classes(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The 0-based markings of each colour that two or more markings share."""
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(pattern):
+        classes.setdefault(c, []).append(i)
+    return tuple(tuple(idx) for idx in classes.values() if len(idx) > 1)
+
+
+def _relabeled(genera, legs, edges, perm, classes) -> tuple:
+    """Apply vertex relabelling old -> perm[old] and normalise.  Within each
+    colour class the markings take their vertices in ascending order: the
+    least of the labellings that permute markings of equal colour."""
     ng = [0] * len(genera)
     for v, g in enumerate(genera):
         ng[perm[v]] = g
-    nl = tuple(perm[v] for v in legs)
+    nl = [perm[v] for v in legs]
+    for cls in classes:
+        for i, w in zip(cls, sorted(nl[i] for i in cls)):
+            nl[i] = w
     ne = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-    return (tuple(ng), nl, ne)
+    return (tuple(ng), tuple(nl), ne)
 
 
-def _refine_colors(genera, legs, edges) -> list[tuple]:
+def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
     nv = len(genera)
-    legsets = [tuple(sorted(i for i, v in enumerate(legs) if v == w)) for w in range(nv)]
+    legsets = [tuple(sorted(pattern[i] for i, v in enumerate(legs) if v == w)) for w in range(nv)]
     adj: list[Counter] = [Counter() for _ in range(nv)]
     loops = [0] * nv
     for a, b in edges:
@@ -116,11 +143,12 @@ def _refine_colors(genera, legs, edges) -> list[tuple]:
         colors = new
 
 
-def canonical_form(genera, legs, edges) -> tuple:
+def canonical_form(genera, legs, edges, pattern) -> tuple:
     """Lexicographically minimal (genera, legs, edges) over vertex relabellings
-    compatible with the refinement classes."""
+    compatible with the refinement classes and permutations of markings of
+    equal colour; `pattern[i]` is the colour of marking i+1."""
     nv = len(genera)
-    colors = _refine_colors(genera, legs, edges)
+    colors = _refine_colors(genera, legs, edges, pattern)
     order = sorted(range(nv), key=lambda v: (colors[v], v))
     classes: list[list[int]] = []
     for v in order:
@@ -128,6 +156,7 @@ def canonical_form(genera, legs, edges) -> tuple:
             classes[-1].append(v)
         else:
             classes.append([v])
+    leg_classes = colour_classes(pattern)
     best: tuple | None = None
     for perms in iproduct(*(permutations(cls) for cls in classes)):
         perm = [0] * nv
@@ -136,79 +165,99 @@ def canonical_form(genera, legs, edges) -> tuple:
             for v in chunk:
                 perm[v] = pos
                 pos += 1
-        cand = _relabeled(genera, legs, edges, perm)
+        cand = _relabeled(genera, legs, edges, perm, leg_classes)
         if best is None or cand < best:
             best = cand
     assert best is not None
     return best
 
 
-def _degenerations(G: StableGraph):
-    """One-edge degenerations: genus drops and vertex splittings."""
+def _degenerations(G: StableGraph, pattern: tuple[int, ...]):
+    """One-edge degenerations: genus drops and vertex splittings.  Legs of one
+    colour at a vertex are interchangeable, so a splitting only chooses how
+    many of them stay (the first ones in marking order)."""
     for v, gv in enumerate(G.genera):
         if gv >= 1:
             genera = list(G.genera)
             genera[v] = gv - 1
             yield (tuple(genera), G.legs, G.edges + ((v, v),))
+    w = G.n_vertices
     for v, gv in enumerate(G.genera):
-        stubs = [("leg", i) for i in G.legs_at(v)] + [
-            ("half", e, side) for e, side in G.half_edges_at(v)
-        ]
-        k = len(stubs)
-        w = G.n_vertices
+        groups: dict[int, list[int]] = {}
+        for i in G.legs_at(v):
+            groups.setdefault(pattern[i - 1], []).append(i - 1)
+        halves = G.half_edges_at(v)
+        k = sum(map(len, groups.values())) + len(halves)
         for g1 in range(gv + 1):
             g2 = gv - g1
-            for mask in range(1 << k):
-                size1 = bin(mask).count("1")
-                if not (is_stable(g1, size1 + 1) and is_stable(g2, k - size1 + 1)):
-                    continue
-                genera = list(G.genera) + [g2]
-                genera[v] = g1
-                legs = list(G.legs)
-                moves: dict[tuple[int, int], int] = {}
-                for t, stub in enumerate(stubs):
-                    target = v if mask >> t & 1 else w
-                    if stub[0] == "leg":
-                        legs[stub[1] - 1] = target
-                    else:
-                        moves[(stub[1], stub[2])] = target
-                edges = []
-                for e, (a, b) in enumerate(G.edges):
-                    na = moves.get((e, 0), a)
-                    nb = moves.get((e, 1), b)
-                    edges.append(tuple(sorted((na, nb))))
-                edges.append(tuple(sorted((v, w))))
-                yield (tuple(genera), tuple(legs), tuple(sorted(edges)))
+            for kept in iproduct(*(range(len(grp) + 1) for grp in groups.values())):
+                for mask in range(1 << len(halves)):
+                    size1 = sum(kept) + bin(mask).count("1")
+                    if not (is_stable(g1, size1 + 1) and is_stable(g2, k - size1 + 1)):
+                        continue
+                    genera = list(G.genera) + [g2]
+                    genera[v] = g1
+                    legs = list(G.legs)
+                    for grp, m in zip(groups.values(), kept):
+                        for i in grp[m:]:
+                            legs[i] = w
+                    moves = {half: w for t, half in enumerate(halves) if not mask >> t & 1}
+                    edges = [
+                        tuple(sorted((moves.get((e, 0), a), moves.get((e, 1), b))))
+                        for e, (a, b) in enumerate(G.edges)
+                    ]
+                    edges.append((v, w))
+                    yield (tuple(genera), tuple(legs), tuple(sorted(edges)))
+
+
+def graph_orbits(
+    g: int, n: int, colours: Sequence[Hashable]
+) -> tuple[tuple[StableGraph, int], ...]:
+    """One labelled representative of each class of stable graphs of type
+    (g, n) up to isomorphism and permutations of markings of equal colour,
+    with its |Aut_col|, sorted by (edge count, serialisation).  `colours[i]`
+    is the colour of marking i+1; results are cached by the partition of the
+    markings that the colours induce."""
+    if len(colours) != n:
+        raise ValueError(f"{len(colours)} colours for {n} markings")
+    return _graph_orbits(g, n, colour_pattern(colours))
 
 
 @lru_cache(maxsize=None)
-def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
-    """All isomorphism classes of stable graphs of type (g, n), sorted by
-    (edge count, serialisation)."""
+def _graph_orbits(g: int, n: int, pattern: tuple[int, ...]):
     if not is_stable(g, n):
         raise ValueError(f"unstable type (g={g}, n={n})")
-    if g == 0 and n >= 8:
+    labelled = len(set(pattern)) == n
+    if g == 0 and n >= 8 and labelled:
         # labelled legs make genus-0 trees rigid; build each class exactly
         # once by recursively partitioning the legs (rooting at leg 1), so no
         # isomorph rejection or canonical relabelling is needed
         forms = set(_genus0_forms(n))
     else:
-        smooth = canonical_form((g,), (0,) * n, ())
+        smooth = canonical_form((g,), (0,) * n, (), pattern)
         forms = {smooth}
         frontier = [smooth]
         while frontier:
             nxt = []
             for form in frontier:
-                G = StableGraph(*form)
-                for child in _degenerations(G):
-                    c = canonical_form(*child)
+                for child in _degenerations(StableGraph(*form), pattern):
+                    c = canonical_form(*child, pattern)
                     if c not in forms:
                         forms.add(c)
                         nxt.append(c)
             frontier = nxt
     graphs = [StableGraph(*form) for form in forms]
     graphs.sort(key=lambda G: (G.n_edges, G.serialize()))
-    return tuple(graphs)
+    if labelled:  # share the cache entries of automorphism_order(G)
+        return tuple((G, automorphism_order(G)) for G in graphs)
+    return tuple((G, automorphism_order(G, pattern)) for G in graphs)
+
+
+@lru_cache(maxsize=None)
+def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
+    """All isomorphism classes of stable graphs of type (g, n) with fixed
+    markings, sorted by (edge count, serialisation)."""
+    return tuple(G for G, _ in graph_orbits(g, n, range(n)))
 
 
 def _set_partitions(items: tuple[int, ...]):
@@ -270,12 +319,15 @@ def _genus0_forms(n: int):
 
 
 @lru_cache(maxsize=None)
-def automorphism_order(G: StableGraph) -> int:
-    """Order of the automorphism group fixing legs pointwise.
+def automorphism_order(G: StableGraph, pattern: tuple[int, ...] | None = None) -> int:
+    """Order of the automorphism group when legs of equal colour may be
+    permuted; `pattern[i]` is the colour of marking i+1, and by default all
+    colours differ, so the legs are fixed pointwise.
 
-    Vertex permutations must preserve genus, leg sets and adjacency counts;
-    on top of those, parallel edges permute freely and each self-loop may
-    swap its two half-edges.
+    Vertex permutations must preserve genus, the multiset of leg colours and
+    adjacency counts; on top of those, the legs of one colour at a vertex
+    permute freely, as do parallel edges, and each self-loop may swap its two
+    half-edges.
     """
     nv = G.n_vertices
     loops = Counter()
@@ -286,13 +338,16 @@ def automorphism_order(G: StableGraph) -> int:
         else:
             pairs[(a, b)] += 1
 
-    key = [(G.genera[v], tuple(G.legs_at(v))) for v in range(nv)]
+    colours = range(G.n_legs) if pattern is None else pattern
+    leg_colours: list[list[int]] = [[] for _ in range(nv)]
+    for c, v in zip(colours, G.legs):
+        leg_colours[v].append(c)
+    key = [(G.genera[v], tuple(sorted(leg_colours[v]))) for v in range(nv)]
     classes: dict[tuple, list[int]] = {}
     for v in range(nv):
         classes.setdefault(key[v], []).append(v)
-    # legged vertices cannot move (legs are labelled and fixed pointwise)
-    movable = [vs for k, vs in sorted(classes.items()) if not k[1] and len(vs) > 1]
-    fixed = [v for k, vs in classes.items() if k[1] or len(vs) == 1 for v in vs]
+    movable = [vs for k, vs in sorted(classes.items()) if len(vs) > 1]
+    fixed = [vs[0] for vs in classes.values() if len(vs) == 1]
 
     def preserves(perm: dict[int, int]) -> bool:
         img: Counter = Counter()
@@ -310,7 +365,9 @@ def automorphism_order(G: StableGraph) -> int:
                 perm[v] = w
         if preserves(perm):
             count += 1
-    order = max(count, 1)
+    order = count
+    if pattern is not None:  # the legs of one colour at a vertex permute freely
+        order *= prod(factorial(m) for m in Counter(zip(G.legs, pattern)).values())
     for mult in pairs.values():
         order *= factorial(mult)
     for mult in loops.values():

@@ -6,7 +6,13 @@ class T:
 * the stable-graph sum: per graph and admissible mod-r weighting, a vertex
   kappa-exponential, per-leg psi-exponentials (with the true integers a_i,
   not their residues), and per-edge series obtained as the exact quotient of
-  1 - exp(...) by psi' + psi'', all weighted by r^{2g-1-h1(Gamma)}/|Aut|;
+  1 - exp(...) by psi' + psi'', all weighted by r^{2g-1-h1(Gamma)}/|Aut|.
+  The class is symmetric under the group H of permutations of markings with
+  equal a_i, so the sum visits one graph G0 per H-orbit of stable graphs
+  and, for a monomial d, sums its terms over the H-orbit of the psi vector
+  of d with weight |Stab_H(d)|/|Aut_col(G0)|, where Aut_col lets legs of
+  equal a_i be permuted (Mbar_{0,8} with all a_i equal: 32 graphs, not
+  39208);
 
 * for r = 1 the pushforward is trivial and the class factors in closed form
   as Lambda(x)^{-1} * exp(kappa series) * per-leg psi series, evaluated by
@@ -22,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, factorial, prod
 
 from .exact import Rat, bernoulli_series, interpolate_polynomial
-from .graphs import StableGraph, automorphism_order, enumerate_stable_graphs, enumerate_weightings
+from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
 from .hodge import LambdaDict, hodge_pair, lambda_total, lambda_total_inverse
 from .intersect import integrate_monomial
 from .polys import (
@@ -86,7 +93,7 @@ def _leg_factor(r: int, ai: int, x: Rat, n_local: int, point: int, trunc: int) -
 def _graph_plan(G: StableGraph):
     """What every graph-sum pass reads of one graph.  Local marked points per
     vertex are its legs first, then its half-edges.  Returns (dims, n_local,
-    legs, rigid, edges, prefactor exponent, |Aut|): per vertex its dimension,
+    legs, rigid, edges, prefactor exponent): per vertex its dimension,
     local point count and the 0-based markings of its legs in local order; the
     bitmask of markings at vertices of dimension 0, which carry no psi; per
     edge its end vertices and the positions of its halves among the half-edges
@@ -106,17 +113,23 @@ def _graph_plan(G: StableGraph):
     dims = tuple(G.vertex_dims())
     rigid = sum(1 << i for lv, d in zip(legs, dims) if d == 0 for i in lv)
     exp_pref = 2 * G.genus() - 1 - G.h1()
-    return dims, tuple(n_local), tuple(legs), rigid, edges, exp_pref, automorphism_order(G)
+    return dims, tuple(n_local), tuple(legs), rigid, edges, exp_pref
 
 
 @lru_cache(maxsize=None)
-def _vertex_base(r: int, s: int, x: Rat, n_local: int, trunc: int, leg_items: tuple) -> TautPolynomial:
-    """kappa-exponential times the leg factors of one vertex; `leg_items` is
-    the tuple of (local point, a_i) pairs.  Shared across graphs and specs."""
+def _vertex_base(
+    r: int, s: int, x: Rat, n_local: int, trunc: int, leg_items: tuple
+) -> dict[int, tuple[tuple[Monomial, Fraction], ...]]:
+    """kappa-exponential times the leg factors of one vertex, its terms
+    bucketed by degree; `leg_items` is the tuple of (local point, a_i) pairs.
+    Shared across graphs and specs."""
     P = _vertex_kexp(r, s, x, n_local, trunc)
     for point, ai in leg_items:
         P = P * _leg_factor(r, ai, x, n_local, point, trunc)
-    return P
+    buckets: dict[int, list] = {}
+    for mono, c in P.terms.items():
+        buckets.setdefault(monomial_degree(mono), []).append((mono, c))
+    return {deg: tuple(terms) for deg, terms in buckets.items()}
 
 
 @lru_cache(maxsize=None)
@@ -131,14 +144,13 @@ def _vertex_integral(
     kap: KappaPart,
     extra: tuple[int, ...],
 ) -> Fraction:
-    """Integral of the vertex base times an extra kappa/psi monomial."""
-    base = _vertex_base(r, s, x, n_local, trunc, leg_items)
-    target = 3 * gv - 3 + n_local
+    """Integral of the vertex base times an extra kappa/psi monomial: only
+    the base terms of the complementary degree contribute."""
     off = sum(m * e for m, e in kap) + sum(extra)
+    bucket = _vertex_base(r, s, x, n_local, trunc, leg_items).get(3 * gv - 3 + n_local - off, ())
     acc = Fraction(0)
-    for mono, c in base.terms.items():
-        if monomial_degree(mono) + off == target:
-            acc += c * integrate_monomial(gv, n_local, *monomial_product(mono, (kap, extra)))
+    for mono, c in bucket:
+        acc += c * integrate_monomial(gv, n_local, *monomial_product(mono, (kap, extra)))
     return acc
 
 
@@ -164,7 +176,7 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
     coefficients do, so their sum collapses per config.  The result sees the
     legs only through each vertex's count and residue sum, so graphs of one
     shape share it."""
-    dims, n_local, legs, _, edges, _, _ = _graph_plan(G)
+    dims, n_local, legs, _, edges, _ = _graph_plan(G)
     zero_cfg = tuple((0,) * (k - len(lv)) for k, lv in zip(n_local, legs))
     configs: dict[tuple, Fraction] = {}
     for w in enumerate_weightings(G, r, s, a):
@@ -260,7 +272,8 @@ def omega_pairings(
             for mono, val in base.items()
         }
     # the class is symmetric under permutations of markings with equal a_i
-    canon = {mono: _sym_canonical(mono, spec.a) for mono in monomials}
+    classes = colour_classes(colour_pattern(spec.a))
+    canon = {mono: _sym_canonical(mono, classes) for mono in monomials}
     key = (g, n, spec, "graph" if route == "graph-raw" and spec.x == 1 else route)
     cache = _pairing_cache.setdefault(key, {})
     missing = sorted(set(m for m in canon.values() if m not in cache))
@@ -278,18 +291,14 @@ def omega_pairings(
     return {m: cache[canon[m]] for m in monomials}
 
 
-def _sym_canonical(mono: Monomial, a: tuple[int, ...]) -> Monomial:
-    """Sort psi exponents within groups of markings carrying the same a_i."""
+def _sym_canonical(mono: Monomial, classes) -> Monomial:
+    """Sort psi exponents, largest first, within each class of markings
+    carrying the same a_i."""
     kap, psi = mono
-    groups: dict[int, list[int]] = {}
-    for i, ai in enumerate(a):
-        groups.setdefault(ai, []).append(i)
     out = list(psi)
-    for idxs in groups.values():
-        if len(idxs) > 1:
-            vals = sorted((psi[i] for i in idxs), reverse=True)
-            for i, v in zip(idxs, vals):
-                out[i] = v
+    for cls in classes:
+        for i, v in zip(cls, sorted((psi[i] for i in cls), reverse=True)):
+            out[i] = v
     return (kap, tuple(out))
 
 
@@ -308,50 +317,85 @@ def omega_integral(
     return sum((c * pair[mono] for mono, c in T.terms.items()), Fraction(0))
 
 
+def _distinct_perms(vals: tuple[int, ...]):
+    """The distinct orderings of a tuple with repeated entries."""
+    if not vals:
+        yield ()
+        return
+    for v in sorted(set(vals)):
+        i = vals.index(v)
+        for tail in _distinct_perms(vals[:i] + vals[i + 1 :]):
+            yield (v,) + tail
+
+
+def _psi_orbit(psi: tuple[int, ...], classes) -> list[tuple[int, ...]]:
+    """The distinct psi vectors obtained by permuting the exponents within
+    each class of markings."""
+    orbit = []
+    for choice in product(*(_distinct_perms(tuple(psi[i] for i in cls)) for cls in classes)):
+        vec = list(psi)
+        for cls, vals in zip(classes, choice):
+            for i, v in zip(cls, vals):
+                vec[i] = v
+        orbit.append(tuple(vec))
+    return orbit
+
+
 def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial, Fraction]:
+    """The stable-graph sum over one representative G0 per orbit of stable
+    graphs under H, the permutations of markings with equal a_i.  Omega is
+    H-invariant, so the labelled graphs of the orbit of G0, each weighted by
+    1/|Aut|, add up to
+
+        |Stab_H(d)| / |Aut_col(G0)| * sum over d' in Hd of contrib(G0, d'),
+
+    where Hd is the orbit of the psi vector of d (kappa does not move) and
+    contrib is the term of one graph without its 1/|Aut|.  With all a_i
+    distinct H is trivial and this is the sum over labelled graphs."""
     dim = 3 * g - 3 + n
-    r, s, x = spec.r, spec.s, spec.x
+    r, s, x, a = spec.r, spec.s, spec.x, spec.a
+    classes = colour_classes(colour_pattern(a))
+    h_order = prod(factorial(len(cls)) for cls in classes)
     result = {mono: Fraction(0) for mono in monomials}
     # a term supported on a graph with E edges has class degree >= E, so a
     # graph with E edges meets only the monomials of degree <= dim - E; the
     # psi support (a bitmask of markings) rules out a graph at once when it
     # puts a psi on a marking at a vertex of dimension 0
-    degs = [monomial_degree(m) for m in monomials]
-    supports = [sum(1 << i for i, d in enumerate(psi) if d) for _, psi in monomials]
-    monos_upto = [
-        [(m, sup) for m, d, sup in zip(monomials, degs, supports) if d <= room]
-        for room in range(dim + 1)
-    ]
+    monos_upto: list[list] = [[] for _ in range(dim + 1)]
+    for mono in monomials:
+        orbit = _psi_orbit(mono[1], classes)
+        entry = (
+            mono,
+            h_order // len(orbit),
+            [(psi, sum(1 << i for i, d in enumerate(psi) if d)) for psi in orbit],
+        )
+        for room in range(monomial_degree(mono), dim + 1):
+            monos_upto[room].append(entry)
     # per-pass memos keyed by small integers and tuples only (x is fixed here);
     # vertex values are kept as (numerator, denominator) so that the products
     # and sums below run on plain integers, reduced once per graph and monomial
     vertex_vals: dict[tuple, tuple[int, int]] = {}
     kappa_dists: dict[tuple[KappaPart, int], list] = {}
-    a = spec.a
     s_res, a_res = s % r, tuple(ai % r for ai in a)
     shapes = _config_cache.setdefault((r, s_res, x, dim), {})
-    for G in enumerate_stable_graphs(g, n):
+    for G, aut_col in graph_orbits(g, n, a):
         if G.n_edges > dim or not monos_upto[dim - G.n_edges]:
             continue
-        dims, n_local, legs, rigid, _, exp_pref, aut = _graph_plan(G)
+        dims, n_local, legs, rigid, _, exp_pref = _graph_plan(G)
         nv = len(dims)
-        pref_num, pref_den = (r ** exp_pref, aut) if exp_pref >= 0 else (1, aut * r ** -exp_pref)
-        # per vertex: genus, local point count and the a_i of its legs
-        vtypes = [
-            (gv, nl, tuple(map(a.__getitem__, lv))) for gv, nl, lv in zip(G.genera, n_local, legs)
-        ]
+        pref_num, pref_den = (
+            (r ** exp_pref, aut_col) if exp_pref >= 0 else (1, aut_col * r ** -exp_pref)
+        )
+        vtypes = tuple(zip(G.genera, n_local))
+        leg_a = [tuple(map(a.__getitem__, lv)) for lv in legs]
         leg_res = tuple(sum(map(a_res.__getitem__, lv)) % r for lv in legs)
         shape = (G.genera, G.edges, n_local, leg_res)
         config_list = shapes.get(shape)
         if config_list is None:
             config_list = shapes[shape] = _edge_configs(G, r, s_res, a_res, x, dim)
         vrange = range(nv)
-        for mono, sup in monos_upto[dim - G.n_edges]:
-            if sup & rigid:
-                continue
-            kap, psi = mono
-            leg_psi = [tuple(map(psi.__getitem__, lv)) for lv in legs]
-            legdeg = [sum(lp) for lp in leg_psi]
+        for mono, stab, orbit in monos_upto[dim - G.n_edges]:
+            kap = mono[0]
             dists = kappa_dists.get((kap, nv))
             if dists is None:
                 dists = kappa_dists[(kap, nv)] = [
@@ -359,32 +403,44 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
                     for mult, parts in _kappa_distributions(kap, nv)
                 ]
             num, den = 0, 1
-            for cfg, cnum, cden, hsum in config_list:
-                for mult, parts, kdeg in dists:
-                    pnum, pden = cnum * mult, cden
-                    for v in vrange:
-                        if hsum[v] + legdeg[v] + kdeg[v] > dims[v]:
-                            break
-                        key = (vtypes[v], parts[v], leg_psi[v], cfg[v])
-                        vv = vertex_vals.get(key)
-                        if vv is None:
-                            gv, nl, leg_a = vtypes[v]
-                            leg_items = tuple(enumerate(leg_a, start=1))
-                            val = _vertex_integral(
-                                r, s, x, gv, nl, dims[v], leg_items, parts[v], leg_psi[v] + cfg[v]
-                            )
-                            vertex_vals[key] = vv = (val.numerator, val.denominator)
-                        if not vv[0]:
-                            break
-                        pnum *= vv[0]
-                        pden *= vv[1]
-                    else:
-                        if pden == den:
-                            num += pnum
+            for psi, sup in orbit:
+                if sup & rigid:
+                    continue
+                # the vertex base is symmetric in its legs: a vertex value
+                # depends on the legs only through their (a_i, psi) pairs
+                vlegs = [
+                    tuple(sorted(zip(la, map(psi.__getitem__, lv)))) for la, lv in zip(leg_a, legs)
+                ]
+                legdeg = [sum(map(psi.__getitem__, lv)) for lv in legs]
+                for cfg, cnum, cden, hsum in config_list:
+                    for mult, parts, kdeg in dists:
+                        pnum, pden = cnum * mult, cden
+                        for v in vrange:
+                            if hsum[v] + legdeg[v] + kdeg[v] > dims[v]:
+                                break
+                            key = (vtypes[v], vlegs[v], parts[v], cfg[v])
+                            vv = vertex_vals.get(key)
+                            if vv is None:
+                                gv, nl = vtypes[v]
+                                leg_items = tuple(
+                                    (k, ai) for k, (ai, _) in enumerate(vlegs[v], start=1)
+                                )
+                                extra = tuple(d for _, d in vlegs[v]) + cfg[v]
+                                val = _vertex_integral(
+                                    r, s, x, gv, nl, dims[v], leg_items, parts[v], extra
+                                )
+                                vertex_vals[key] = vv = (val.numerator, val.denominator)
+                            if not vv[0]:
+                                break
+                            pnum *= vv[0]
+                            pden *= vv[1]
                         else:
-                            num, den = num * pden + pnum * den, den * pden
+                            if pden == den:
+                                num += pnum
+                            else:
+                                num, den = num * pden + pnum * den, den * pden
             if num:
-                result[mono] += Fraction(pref_num * num, pref_den * den)
+                result[mono] += Fraction(pref_num * stab * num, pref_den * den)
     return result
 
 

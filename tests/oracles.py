@@ -10,6 +10,7 @@ Nothing here shares code paths with the package internals.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
@@ -91,9 +92,11 @@ def _is_connected(nv: int, edges) -> bool:
     return len(seen) == nv
 
 
+@lru_cache(maxsize=None)
 def brute_stable_graphs(g: int, n: int) -> dict[tuple, int]:
     """All isomorphism classes as orbit-minimal labelled tuples, mapped to
-    their automorphism order (counted over half-edge bijections)."""
+    their automorphism order (counted over half-edge bijections).  Cached,
+    since (1, 4) takes tens of seconds; callers must not modify the dict."""
     dim = 3 * g - 3 + n
     found: dict[tuple, int] = {}
     for nv in range(1, dim + 2):

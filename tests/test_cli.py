@@ -129,6 +129,10 @@ def run_usage(args, capsys):
         ["hodge", "1", "1", "-1"],  # negative lambda index
         ["hodge", "1", "1", "1.5"],  # non-integer lambda index
         ["chi", "-1", "5"],  # negative genus
+        ["table", "--dimmax", "-1"],
+        ["table", "--gmax", "-1"],
+        ["table", "--jobs", "0"],
+        ["table", "--jobs", "-2"],
     ],
 )
 def test_bad_input_is_a_usage_error(args, capsys):

@@ -1,12 +1,19 @@
+from fractions import Fraction
+from itertools import permutations, product
+from math import factorial, prod
+
 import pytest
 
 from tautint.graphs import (
     StableGraph,
     WeightingConstraintError,
     automorphism_order,
+    colour_pattern,
     enumerate_stable_graphs,
     enumerate_weightings,
+    graph_orbits,
 )
+from tautint.psi import stable_types
 
 from oracles import brute_stable_graphs
 
@@ -32,8 +39,6 @@ def test_counts_and_aut_against_bruteforce(g, n):
     mine = enumerate_stable_graphs(g, n)
     assert len(mine) == len(oracle)
     # match by the oracle's own orbit representatives
-    from itertools import permutations
-
     orep = {}
     for G in mine:
         rep = min(
@@ -116,3 +121,81 @@ def test_weighting_global_constraint_error():
     G = enumerate_stable_graphs(1, 1)[0]
     with pytest.raises(WeightingConstraintError):
         enumerate_weightings(G, 2, 0, (1,))
+
+
+# -- orbits under permutations of markings of equal colour ----------------------
+
+
+def _colour_patterns(n):
+    """All equal, one odd marking out, two pairs, all distinct."""
+    pats = [(0,) * n, (1,) + (0,) * (n - 1), (0, 0, 1, 1) + tuple(range(2, n - 2)), tuple(range(n))]
+    return sorted({colour_pattern(p[:n]) for p in pats})
+
+
+def _orbit_key(genera, legs, edges, pattern):
+    """Least relabelling, the markings of each colour taking their vertices in
+    ascending order, over the vertex permutations that list the vertices by
+    genus, half-edge count and leg colours (isomorphisms preserve these)."""
+    nv = len(genera)
+    colours_at = [tuple(sorted(c for c, w in zip(pattern, legs) if w == v)) for v in range(nv)]
+    inv = [(genera[v], sum(e.count(v) for e in edges), colours_at[v]) for v in range(nv)]
+    blocks: dict[tuple, list[int]] = {}
+    for v in sorted(range(nv), key=inv.__getitem__):
+        blocks.setdefault(inv[v], []).append(v)
+    best = None
+    for choice in product(*(permutations(b) for b in blocks.values())):
+        order = [v for chunk in choice for v in chunk]
+        perm = [0] * nv
+        for pos, v in enumerate(order):
+            perm[v] = pos
+        ng, nl, ne = _relabel(genera, legs, edges, perm)
+        nl = list(nl)
+        for c in set(pattern):
+            idx = [i for i, p in enumerate(pattern) if p == c]
+            for i, v in zip(idx, sorted(nl[i] for i in idx)):
+                nl[i] = v
+        cand = (ng, tuple(nl), ne)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _labelled_classes(g, n):
+    """Labelled classes with |Aut|: the brute-force oracle where its search
+    finishes in seconds, else (0, 7), whose labelled count the tree series of
+    the acceptance test pins and whose trees have no automorphisms."""
+    if (g, n) == (0, 7):
+        graphs = enumerate_stable_graphs(0, 7)
+        return {(G.genera, G.legs, G.edges): automorphism_order(G) for G in graphs}
+    return brute_stable_graphs(g, n)
+
+
+@pytest.mark.parametrize("g,n", stable_types(4))
+def test_graph_orbits_against_labelled_classes(g, n):
+    labelled = _labelled_classes(g, n)
+    for pattern in _colour_patterns(n):
+        h_order = prod(factorial(pattern.count(c)) for c in set(pattern))
+        # the H-orbit of each labelled class and its size; |Aut_col| is
+        # |Stab_H| * |Aut| = |H| * |Aut| / (orbit size)
+        members: dict[tuple, list[int]] = {}
+        for rep, aut in labelled.items():
+            members.setdefault(_orbit_key(*rep, pattern), []).append(aut)
+        want = {key: h_order * auts[0] // len(auts) for key, auts in members.items()}
+        orbits = graph_orbits(g, n, pattern)
+        got = {_orbit_key(G.genera, G.legs, G.edges, pattern): aut for G, aut in orbits}
+        assert len(orbits) == len(got) == len(want), pattern
+        assert got == want, pattern
+        mass = sum(Fraction(h_order, aut) for _, aut in orbits)
+        assert mass == sum(Fraction(1, aut) for aut in labelled.values()), pattern
+        if h_order == 1:  # all colours distinct: the labelled enumeration
+            graphs = enumerate_stable_graphs(g, n)
+            assert orbits == tuple((G, automorphism_order(G)) for G in graphs)
+
+
+def test_orbit_counts_and_pattern_cache():
+    assert len(graph_orbits(0, 8, (1,) * 8)) == 32
+    assert len(graph_orbits(2, 3, (1, 2, 2))) == 365
+    assert graph_orbits(0, 5, (7, 7, 3, 3, 3)) is graph_orbits(0, 5, "aabbb")
+    assert graph_orbits(1, 3, "zyx") is graph_orbits(1, 3, range(3))
+    with pytest.raises(ValueError):
+        graph_orbits(0, 4, (1, 1, 1))

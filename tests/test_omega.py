@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -182,3 +183,73 @@ def test_graph_sum_values_do_not_depend_on_cache_state():
     for spec in specs:
         assert omega_pairings(1, 3, spec, basis, route="graph") == cold[spec]
     assert len({tuple(cold[spec].values()) for spec in specs}) == len(specs)
+
+
+# Exact pairings recorded with the sum over every labelled stable graph,
+# before the graph sum ran over orbits of markings with equal a_i: a sha256
+# digest of the whole batch and a few values written out.  Equal a_i give a
+# nontrivial marking symmetry; on Mbar_{1,4} and Mbar_{1,3} markings with
+# different a_i share a residue mod r, which must not be mistaken for one.
+REPEATED_A_CASES = [
+    (
+        0, 6, OmegaSpec(2, 3, (1,) * 6), "graph",
+        "2b44f7434f18cac6cd2076dd8d8854859a2e1f7ffa634466cfe01efed8f27236",
+        {
+            ((), (0, 0, 0, 0, 0, 0)): F(-15, 16),
+            ((), (1, 1, 0, 0, 0, 0)): F(-3),
+            (((1, 1),), (1, 0, 0, 0, 0, 0)): F(-13, 2),
+            ((), (2, 1, 0, 0, 0, 0)): F(3, 2),
+        },
+    ),
+    (
+        1, 4, OmegaSpec(3, 1, (1, 1, 4, -2)), "graph",
+        "2da129d4199fe27b838c43fb25f85d3b7521ff4c7ff5436a03ff77644f6b20a8",
+        {
+            ((), (1, 1, 0, 0)): F(5, 12),
+            (((1, 1),), (0, 0, 1, 1)): F(11, 6),
+            (((2, 1),), (1, 0, 0, 0)): F(13, 9),
+            ((), (0, 0, 0, 0)): F(25, 486),
+        },
+    ),
+    (
+        2, 2, OmegaSpec(2, 1, (1, 1)), "graph",
+        "d68b85f818d560bbb02302e74faef567d27835775450515b95d8cdc6b33142e6",
+        {
+            ((), (1, 1)): F(7, 3840),
+            (((1, 1),), (1, 1)): F(-17, 960),
+            (((1, 2),), (0, 1)): F(-221, 5760),
+        },
+    ),
+    (
+        1, 3, OmegaSpec(2, 1, (1, 1, 3), F(1, 2)), "graph-raw",
+        "11baa85021f607eb8c2a874d8772bf4eb27ea618a67b85b202dffec499f19faf",
+        {
+            ((), (1, 1, 0)): F(1, 48),
+            ((), (0, 1, 1)): F(1, 48),
+            (((1, 1),), (0, 0, 0)): F(-1, 128),
+        },
+    ),
+]
+
+
+def _pairing_digest(values):
+    h = hashlib.sha256()
+    for mono in sorted(values):
+        v = values[mono]
+        h.update(f"{mono!r}={v.numerator}/{v.denominator}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "g,n,spec,route,digest,samples",
+    REPEATED_A_CASES,
+    ids=["M06-r2", "M14-r3", "M22-r2", "M13-r2-raw"],
+)
+def test_orbit_sum_matches_labelled_sum(g, n, spec, route, digest, samples):
+    from tautint import omega
+
+    omega._pairing_cache.clear()
+    values = omega_pairings(g, n, spec, flat_basis(g, n), route=route)
+    for mono, want in samples.items():
+        assert values[mono] == want, mono
+    assert _pairing_digest(values) == digest
