@@ -198,7 +198,7 @@ def mv_normalization(g: int, n: int) -> Fraction:
     """2^{2g+1} (4g-4+n)!/(6g-7+2n)!: the labelling/measure constant that is
     deliberately NOT baked into the reported values."""
     if 4 * g - 4 + n < 0 or 6 * g - 7 + 2 * n < 0:
-        raise ValueError("normalisation constant undefined for this (g, n)")
+        raise ValueError(f"normalisation constant undefined for (g,n)=({g},{n})")
     return Fraction(2 ** (2 * g + 1) * factorial(4 * g - 4 + n), factorial(6 * g - 7 + 2 * n))
 
 

@@ -405,13 +405,14 @@ def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
     """For r = 1: Omega^{[-x]}(1, 1-s; 0) * Omega^{[x]}(1, s; 0) pairs like 1.
 
     Both factors are used in their closed forms Lambda(+-x)^{-1} * exp(kappa
-    series); the lambda parts multiply out to arbitrary lambda monomials, so
-    no total-Chern-class relation is assumed.
+    series), with the inverse series rather than the linear Lambda(-+x); the
+    lambda parts multiply out to arbitrary lambda monomials, so no
+    total-Chern-class relation is assumed.
     """
     x = Fraction(x)
     dim = 3 * g - 3 + n
-    lamA, polyA = omega_r1_parts(g, n, 1 - s, (0,) * n, -x, dim)
-    lamB, polyB = omega_r1_parts(g, n, s, (0,) * n, x, dim)
+    lamA, polyA = omega_r1_parts(g, n, 1 - s, (0,) * n, -x, dim, mumford_linear=False)
+    lamB, polyB = omega_r1_parts(g, n, s, (0,) * n, x, dim, mumford_linear=False)
     lam = lambda_dict_mul(lamA, lamB, dim)
     poly = polyA * polyB
     details = []

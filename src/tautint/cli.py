@@ -3,8 +3,9 @@
 Exact rationals print as "p/q" (bare "p" when q = 1); a --decimal flag
 renders floats at a stated precision with a warning, since nothing internal
 is ever inexact.  Exit codes: 0 success, 1 a verification failed, 2 usage
-(malformed tokens, an unstable (g, n), 3g-3+n above DIM_HARD_CAP), which is
-reported on one "error:" line before any computation starts.
+(malformed tokens, an unstable (g, n), 3g-3+n above DIM_HARD_CAP, an
+unreadable --cache file), which is reported on one "error:" line before any
+computation starts.
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ def cmd_chi(ns: argparse.Namespace) -> int:
 def cmd_mv(ns: argparse.Namespace) -> int:
     if err := _space_error(ns.g, ns.n):
         return _usage_error(err)
+    if ns.with_normalization:
+        try:
+            norm = mv_normalization(ns.g, ns.n)
+        except ValueError as exc:
+            return _usage_error(str(exc))
     routes = [ns.route] if ns.route else ["omega"]
     rows = [
         {"g": ns.g, "n": ns.n, "value": _fmt_rat(mv(ns.g, ns.n, r).value, ns.decimal), "route": r}
@@ -133,7 +139,7 @@ def cmd_mv(ns: argparse.Namespace) -> int:
     ]
     if ns.with_normalization:
         rows.append(
-            {"g": ns.g, "n": ns.n, "value": _fmt_rat(mv_normalization(ns.g, ns.n), ns.decimal), "route": "normalization_constant"}
+            {"g": ns.g, "n": ns.n, "value": _fmt_rat(norm, ns.decimal), "route": "normalization_constant"}
         )
     print(_emit(rows, ns.format, ns.decimal))
     return 0
@@ -278,7 +284,10 @@ def main(argv: list[str] | None = None) -> int:
     if ns.decimal is not None:
         print("warning: --decimal output is a float rendering, not exact", file=sys.stderr)
     if cache_path:
-        psi.load_cache(cache_path)
+        try:
+            psi.load_cache(cache_path)
+        except (OSError, UnicodeDecodeError) as exc:
+            return _usage_error(f"cannot read psi cache {cache_path}: {exc}")
     try:
         code = ns.func(ns)
     finally:

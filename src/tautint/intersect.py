@@ -9,10 +9,11 @@ occur, and the same expansion applies (there are no psi classes to transport).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 
 from .polys import (
     KappaPart,
@@ -35,6 +36,13 @@ def _added_point_terms(kappa: KappaPart) -> tuple[tuple[Fraction, tuple[int, ...
     Yields pairs (coefficient, mu) such that
     int kappa-monomial * alpha = sum coefficient * int_{g,n+len(mu)} alpha * prod psi^{mu_j+1}
     for any alpha that pulls back along forgetful maps without correction.
+
+    The sum over ordered compositions mu of the kappa degree has the
+    commutative summand prod_j v_{mu_j}, and both consumers integrate psi
+    monomials symmetric in the added points, so one term is kept per
+    partition (mu non-increasing), its coefficient times the number of
+    orderings ell!/prod_k mult_k!.  The partitions are walked depth first, so
+    partitions with a common prefix share its product of v-series.
     """
     indices = [m for m, _ in kappa]
     target = tuple(e for _, e in kappa)
@@ -52,21 +60,23 @@ def _added_point_terms(kappa: KappaPart) -> tuple[tuple[Fraction, tuple[int, ...
         if 0 < k <= kdeg:
             v_k[k][u] = -c
 
-    fact = 1
-    for e in target:
-        fact *= factorial(e)
-
+    fact = prod(factorial(e) for e in target)
     out: list[tuple[Fraction, tuple[int, ...]]] = []
-    for ell in range(1, pcount + 1):
-        for mu in compositions(kdeg, ell, 1):
-            prod = {one: Fraction(1)}
-            for k in mu:
-                prod = series_mul(prod, v_k[k], pcount, sum, vector_add)
-                if not prod:
-                    break
-            coef = prod.get(target)
+
+    def extend(mu: tuple[int, ...], series: dict, left: int) -> None:
+        if not left:
+            coef = series.get(target)
             if coef:
-                out.append((coef * fact / factorial(ell), mu))
+                orderings = prod(factorial(c) for c in Counter(mu).values())
+                out.append((coef * fact / orderings, mu))
+            return
+        for k in range(min(left, mu[-1] if mu else left), 0, -1):
+            if v_k[k]:
+                nxt = series_mul(series, v_k[k], pcount, sum, vector_add)
+                if nxt:
+                    extend(mu + (k,), nxt, left - k)
+
+    extend((), {one: Fraction(1)}, kdeg)
     return tuple(out)
 
 

@@ -15,8 +15,10 @@ class T:
   39208);
 
 * for r = 1 the pushforward is trivial and the class factors in closed form
-  as Lambda(x)^{-1} * exp(kappa series) * per-leg psi series, evaluated by
-  the Hodge integral engine.
+  as Lambda(-x) * exp(kappa series) * per-leg psi series, evaluated by the
+  Hodge integral engine.  Mumford's formula first gives the lambda part as
+  Lambda(x)^{-1}; Mumford's relation c(E) c(E^dual) = 1 turns it into the
+  linear Lambda(-x) = sum_i lambda_i (-x)^i.
 
 The two routes are asserted equal on small (g, n) in the test suite; the
 closed form is the default for r = 1 since strata counts grow rapidly with
@@ -448,12 +450,15 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
 
 
 def omega_r1_parts(
-    g: int, n: int, s: int, a: tuple[int, ...], x: Rat, trunc: int, mumford_linear: bool = False
+    g: int, n: int, s: int, a: tuple[int, ...], x: Rat, trunc: int, mumford_linear: bool = True
 ) -> tuple[LambdaDict, TautPolynomial]:
-    """Omega^{[x]}(1, s; a) = Lambda(x)^{-1} * exp(kappa series) * leg series.
+    """Omega^{[x]}(1, s; a) = Lambda(-x) * exp(kappa series) * leg series.
 
-    Lambda(x)^{-1} equals Lambda(-x) by Mumford's relation; `mumford_linear`
-    selects that linear-in-lambda form (both are exercised by the tests).
+    The lambda part is Lambda(x)^{-1}, which equals Lambda(-x) =
+    sum_i lambda_i (-x)^i by Mumford's relation c(E) c(E^dual) = 1: g+1 terms,
+    each a single lambda_i.  `mumford_linear=False` gives the inverse series
+    instead, whose terms are arbitrary lambda monomials; it assumes no
+    total-Chern-class relation (both forms are exercised by the tests).
     """
     x = Fraction(x)
     lam = lambda_total(-x, g, trunc) if mumford_linear else lambda_total_inverse(x, g, trunc)
@@ -485,7 +490,7 @@ class R1ClosedForm:
         return hodge_pair(self.g, self.n, self.lam, P)
 
 
-def omega_closed_form_r1(g: int, n: int, s: int, x: Rat, mumford_linear: bool = False) -> R1ClosedForm:
+def omega_closed_form_r1(g: int, n: int, s: int, x: Rat, mumford_linear: bool = True) -> R1ClosedForm:
     """Closed-form integrand of Omega^{[x]}(1, s; 0,...,0).
 
     At (s, x) = (-1, 1) this is the total-Chern-dual form

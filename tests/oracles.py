@@ -209,3 +209,66 @@ def boundary_sum_unpruned(integral, g: int, n: int, lambdas, psi, m: int) -> Fra
                         * integral(g2, len(right) + 1, lam2, right + (j,))
                     )
     return acc
+
+
+# -- kappa classes by added points, one term per ordered composition -------------
+
+
+def _compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _u_mul(a: dict, b: dict, cap: tuple) -> dict:
+    """Product of polynomials in u (exponent tuple -> coeff), dropping every
+    key that exceeds `cap` in some entry (it cannot divide the target)."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(p + q for p, q in zip(ka, kb))
+            if all(k <= c for k, c in zip(key, cap)):
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def added_point_terms_by_compositions(kappa) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """(coefficient, mu) with int kappa-monomial * alpha = sum coefficient *
+    int alpha * prod psi^{mu_j+1} on len(mu) added points, one term per
+    ordered composition mu of the kappa degree: the coefficient of
+    prod u_m^{e_m} in prod_j v_{mu_j}, times prod e_m! / len(mu)!, where
+    1 - sum_k v_k x^k = exp(-sum_m u_m x^m)."""
+    indices = [m for m, _ in kappa]
+    target = tuple(e for _, e in kappa)
+    kdeg = sum(m * e for m, e in kappa)
+    one = (0,) * len(kappa)
+    # exp(-sum u_m x^m) term by term, keyed by u-exponents (x-degree follows)
+    lin = {tuple(int(p == q) for q in range(len(kappa))): Fraction(-1) for p in range(len(kappa))}
+    expo = {one: Fraction(1)}
+    power = {one: Fraction(1)}
+    for j in range(1, sum(target) + 1):
+        power = _u_mul(power, lin, target)
+        for key, c in power.items():
+            expo[key] = expo.get(key, Fraction(0)) + c / factorial(j)
+    v = {k: {} for k in range(1, kdeg + 1)}
+    for key, c in expo.items():
+        k = sum(m * e for m, e in zip(indices, key))
+        if 1 <= k <= kdeg:
+            v[k][key] = -c
+    fact = 1
+    for e in target:
+        fact *= factorial(e)
+    out = []
+    for ell in range(1, kdeg + 1):
+        for mu in _compositions(kdeg, ell):
+            prod = {one: Fraction(1)}
+            for k in mu:
+                prod = _u_mul(prod, v[k], target)
+            coef = prod.get(target, Fraction(0))
+            if coef:
+                out.append((coef * fact / factorial(ell), mu))
+    return out

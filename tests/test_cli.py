@@ -98,6 +98,16 @@ def test_unwritable_cache_warns(tmp_path, capsys):
     assert str(path) in captured.err
 
 
+def test_unreadable_cache_is_a_usage_error(tmp_path, capsys):
+    # a directory cannot be read as a cache file; a missing file is tolerated
+    code = main(["chi", "1", "1", "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert str(tmp_path) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_dimmax_capped(capsys):
     # rejected before any work, so this returns at once
     code = main(["table", "--dimmax", "11"])
@@ -133,6 +143,7 @@ def run_usage(args, capsys):
         ["table", "--gmax", "-1"],
         ["table", "--jobs", "0"],
         ["table", "--jobs", "-2"],
+        ["mv", "0", "3", "--with-normalization"],  # 4g-4+n < 0: no constant
     ],
 )
 def test_bad_input_is_a_usage_error(args, capsys):

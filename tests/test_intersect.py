@@ -1,16 +1,21 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from math import factorial, prod
 
 import pytest
+from oracles import added_point_terms_by_compositions
 
+from tautint.exact import interpolate_polynomial
 from tautint.intersect import (
+    _added_point_terms,
     forgetful_pullback_check,
     integrate_exp_kappa,
     integrate_mixed,
     integrate_monomial,
 )
-from tautint.polys import TautPolynomial, exp_kappa_series
+from tautint.polys import TautPolynomial, compositions, exp_kappa_series
 from tautint.psi import is_stable
 
 
@@ -84,3 +89,67 @@ def test_mixed_validates_shape():
     p = TautPolynomial.one(2, 1)
     with pytest.raises(ValueError):
         integrate_mixed(1, 2, p)  # trunc must be 3g-3+n = 2
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for k in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - k, k):
+            yield (k,) + rest
+
+
+def _kappa_monomials(maxdeg):
+    return [
+        tuple(sorted(Counter(p).items()))
+        for d in range(1, maxdeg + 1)
+        for p in _partitions(d, d)
+    ]
+
+
+def test_added_point_terms_are_compositions_grouped_by_partition():
+    # one term per partition carries the sum of the terms of its orderings
+    monomials = _kappa_monomials(8)
+    assert len(monomials) == 66
+    for kappa in monomials:
+        want: dict = {}
+        for coef, mu in added_point_terms_by_compositions(kappa):
+            key = tuple(sorted(mu, reverse=True))
+            want[key] = want.get(key, F(0)) + coef
+        got = _added_point_terms(kappa)
+        assert all(list(mu) == sorted(mu, reverse=True) for _, mu in got), kappa
+        assert len({mu for _, mu in got}) == len(got), kappa
+        assert dict((mu, c) for c, mu in got) == {mu: c for mu, c in want.items() if c}, kappa
+
+
+def _u_coefficient(f, degrees, exps, fixed=()):
+    """Coefficient of prod u_j^{exps_j} in the polynomial f(u_1, ...), whose
+    degree in u_j is at most degrees[j], by nested interpolation."""
+    if not degrees:
+        return f(fixed)
+    points = [
+        (F(t), _u_coefficient(f, degrees[1:], exps[1:], fixed + (F(t),)))
+        for t in range(degrees[0] + 1)
+    ]
+    coeffs = interpolate_polynomial(points)
+    return coeffs[exps[0]] if exps[0] < len(coeffs) else F(0)
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 3), (2, 1), (2, 2)])
+def test_integrate_monomial_is_a_coefficient_of_integrate_exp_kappa(g, n):
+    # int prod kappa_m^{e_m} psi^d is prod e_m! times the coefficient of
+    # prod u_m^{e_m} in int psi^d exp(sum u_m kappa_m)
+    dim = 3 * g - 3 + n
+    for kappa in _kappa_monomials(dim):
+        if len(kappa) > 2:
+            continue
+        psi = next(compositions(dim - sum(m * e for m, e in kappa), n, 0))
+        indices = [m for m, _ in kappa]
+        coef = _u_coefficient(
+            lambda u: integrate_exp_kappa(g, n, dict(zip(indices, u)), psi),
+            [dim // m for m in indices],
+            [e for _, e in kappa],
+        )
+        want = coef * prod(factorial(e) for _, e in kappa)
+        assert integrate_monomial(g, n, kappa, psi) == want, (g, n, kappa, psi)

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tautint.checks import flat_basis
+from tautint.checks import admissible_a, flat_basis
 from tautint.exact import interpolate_polynomial
-from tautint.hodge import hodge_monomial
+from tautint.hodge import hodge_monomial, hodge_pair
 from tautint.omega import (
     OmegaConstraintError,
     OmegaSpec,
@@ -15,9 +15,10 @@ from tautint.omega import (
     omega_closed_form_r1,
     omega_integral,
     omega_pairings,
+    omega_r1_parts,
 )
 from tautint.polys import TautPolynomial, monomial_degree
-from tautint.psi import is_stable
+from tautint.psi import is_stable, stable_types
 
 CHI_SPEC = lambda n: OmegaSpec(1, -1, (0,) * n, F(1))
 
@@ -93,9 +94,26 @@ def test_omega_closed_form_r1_object():
     # degree-1 data: -lambda_1 - kappa_1
     assert cf11.lam[(1,)] == F(-1)
     assert cf11.poly.terms[(((1, 1),), (0,))] == F(-1)
-    # linear (Mumford) form agrees
-    assert omega_closed_form_r1(1, 2, -1, F(1), mumford_linear=True).integral() == F(1, 12)
+    # the default linear (Mumford) form and the inverse series agree
     assert omega_closed_form_r1(1, 2, -1, F(1)).integral() == F(1, 12)
+    assert omega_closed_form_r1(1, 2, -1, F(1), mumford_linear=False).integral() == F(1, 12)
+
+
+@pytest.mark.parametrize("g,n", stable_types(5))
+def test_closed_route_pairs_like_the_inverse_lambda_series(g, n):
+    # the closed route pairs Lambda(-x); the inverse series Lambda(x)^{-1}
+    # assumes no total-Chern-class relation, so equal pairings over the
+    # basis are Mumford's relation at work
+    dim = 3 * g - 3 + n
+    basis = flat_basis(g, n)
+    for s in (-1, 0, 2):
+        a = admissible_a(g, n, 1, s)
+        for x in (F(1), F(-1, 2)):
+            got = omega_pairings(g, n, OmegaSpec(1, s, a, x), basis, route="closed")
+            lam, P = omega_r1_parts(g, n, s, a, x, dim, mumford_linear=False)
+            for kap, psi in basis:
+                Pm = P.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
+                assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, x, kap, psi)
 
 
 def test_hodge_expand_graph_route_matches_engine():
