@@ -12,6 +12,8 @@ Enumeration proceeds by repeated elementary degenerations (vertex splitting
 and genus reduction) starting from the smooth graph, with canonical
 relabelling for isomorph rejection; completeness follows because contracting
 any edge of a stable graph yields a stable graph with one edge fewer.
+`enumerate_weightings` tries every residue on the h1 edges outside a BFS
+spanning tree and forces the tree edges, so it builds exactly r^h1 weightings.
 """
 
 from __future__ import annotations
@@ -134,11 +136,9 @@ def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
             (rank[v], tuple(sorted((rank[w], m) for w, m in adj[v].items())))
             for v in range(nv)
         ]
-        if len(set(new)) == len(set(colors)) and all(
-            (rank[v] == rank[w]) == (new[v] == new[w])
-            for v in range(nv)
-            for w in range(nv)
-        ):
+        # new refines the old colouring (it starts with the rank), so an
+        # equal class count means an equal partition
+        if len(set(new)) == len(set(colors)):
             return [new[v] for v in range(nv)]
         colors = new
 
@@ -388,7 +388,8 @@ class Weighting:
 
 
 def enumerate_weightings(G: StableGraph, r: int, s: int, a: tuple[int, ...]) -> list[Weighting]:
-    """All admissible mod-r half-edge decorations.
+    """All admissible mod-r half-edge decorations, r^h1 of them, sorted by
+    their residue tuples.
 
     Legs are pinned to a_i mod r; the halves of each edge sum to 0 mod r; at
     each vertex the local decorations sum to (2g_v - 2 + n_v) s mod r.
@@ -403,62 +404,38 @@ def enumerate_weightings(G: StableGraph, r: int, s: int, a: tuple[int, ...]) -> 
         raise WeightingConstraintError(
             f"sum(a) != (2g-2+n)s mod r for g={g}, n={n}, r={r}, s={s}, a={a}"
         )
-    ne = G.n_edges
-    leg_part = []
-    targets = []
-    for v in range(G.n_vertices):
-        nv = G.valence(v)
-        leg_part.append(sum(a[i - 1] for i in G.legs_at(v)) % r)
-        targets.append(((2 * G.genera[v] - 2 + nv) * s) % r)
-    incidence = [G.half_edges_at(v) for v in range(G.n_vertices)]
-
-    if G.h1() == 0 and ne:
-        # on a tree the residues are forced: peel leaves, each step fixing
-        # the single undetermined half-edge of some vertex
-        residues: list[int | None] = [None] * ne
-        remaining = [list(inc) for inc in incidence]
-        acc = list(leg_part)
-        order = list(range(G.n_vertices))
-        progress = True
-        while progress:
-            progress = False
-            for v in order:
-                und = [h for h in remaining[v] if residues[h[0]] is None]
-                if len(und) == 1:
-                    e, side = und[0]
-                    need = (targets[v] - acc[v]) % r
-                    residues[e] = need if side == 0 else (r - need) % r
-                    progress = True
-                    for w in range(G.n_vertices):
-                        for e2, side2 in remaining[w]:
-                            if e2 == e:
-                                acc[w] = (
-                                    acc[w] + (residues[e] if side2 == 0 else (r - residues[e]) % r)
-                                ) % r
-                    remaining = [
-                        [h for h in inc if h[0] != e] for inc in remaining
-                    ]
-        assert all(w is not None for w in residues), "tree peeling must terminate"
-        cand = Weighting(r, tuple(residues))  # type: ignore[arg-type]
-        for v in range(G.n_vertices):
-            tot = leg_part[v]
-            for e, side in incidence[v]:
-                tot += cand.residue(e, side)
-            if tot % r != targets[v]:
-                return []
-        return [cand]
-
-    out = []
-    for residues in iproduct(range(r), repeat=ne):
-        cand = Weighting(r, residues)
-        ok = True
-        for v in range(G.n_vertices):
-            tot = leg_part[v]
-            for e, side in incidence[v]:
-                tot += cand.residue(e, side)
-            if tot % r != targets[v]:
-                ok = False
-                break
-        if ok:
-            out.append(cand)
-    return out
+    # acc[v]: the a_i of the legs at v minus its target, plus the residues fixed
+    # so far on its half-edges; a weighting is admissible when every acc[v] is
+    # 0 mod r.  A BFS spanning tree leaves h1 free edges (loops included); their
+    # residues are tried, then the tree edges are forced, peeling from the
+    # leaves.  The root then balances by the global congruence.
+    nv, edges = G.n_vertices, G.edges
+    acc0 = [
+        sum(a[i - 1] for i in G.legs_at(v)) - (2 * G.genera[v] - 2 + G.valence(v)) * s
+        for v in range(nv)
+    ]
+    parent_edge: dict[int, int] = {0: -1}
+    order = [0]
+    for v in order:
+        for e, _ in G.half_edges_at(v):
+            w = edges[e][0] + edges[e][1] - v
+            if w not in parent_edge:
+                parent_edge[w] = e
+                order.append(w)
+    free = sorted(set(range(len(edges))) - set(parent_edge.values()))
+    found = []
+    for choice in iproduct(range(r), repeat=len(free)):
+        residues = [0] * len(edges)
+        acc = list(acc0)
+        for e, w in zip(free, choice):
+            residues[e] = w
+            acc[edges[e][0]] += w
+            acc[edges[e][1]] -= w
+        for v in reversed(order[1:]):
+            e = parent_edge[v]
+            need = -acc[v] % r  # the residue of the half-edge of e at v
+            head, tail = edges[e]
+            residues[e] = need if v == head else -need % r
+            acc[tail if v == head else head] -= need
+        found.append(tuple(residues))
+    return [Weighting(r, res) for res in sorted(found)]

@@ -12,7 +12,10 @@ class T:
   and, for a monomial d, sums its terms over the H-orbit of the psi vector
   of d with weight |Stab_H(d)|/|Aut_col(G0)|, where Aut_col lets legs of
   equal a_i be permuted (Mbar_{0,8} with all a_i equal: 32 graphs, not
-  39208);
+  39208).  Per graph shape the edge series are multiplied out over the r^h1
+  weightings in integers over one common denominator, and the half-edge
+  exponent configurations are merged up to order at each vertex and grouped
+  by per-vertex degree, so a monomial tests each degree group once;
 
 * for r = 1 the pushforward is trivial and the class factors in closed form
   as Lambda(-x) * exp(kappa series) * per-leg psi series, evaluated by the
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
+from operator import le
 
 from .exact import Rat, bernoulli_series, interpolate_polynomial
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
@@ -157,12 +161,22 @@ def _vertex_integral(
 
 
 @lru_cache(maxsize=None)
+def _edge_denominator(r: int, x: Rat, trunc: int) -> int:
+    """A common denominator of the edge series at every residue mod r."""
+    series = [edge_local_factor(w, r, x, trunc) for w in range(r)]
+    return lcm(*(q.denominator for es in series for _, q in es.terms))
+
+
+@lru_cache(maxsize=None)
 def _filtered_edge_terms(w: int, r: int, x: Rat, trunc: int, cap_a: int, cap_b: int, same: bool):
-    """Edge series terms surviving the per-side capacity bounds."""
-    series = edge_local_factor(w, r, x, trunc)
-    if same:
-        return tuple(((i, j), q) for (i, j), q in series.terms if i + j <= cap_a)
-    return tuple(((i, j), q) for (i, j), q in series.terms if i <= cap_a and j <= cap_b)
+    """Edge series terms surviving the per-side capacity bounds, as integer
+    numerators over `_edge_denominator(r, x, trunc)`."""
+    den = _edge_denominator(r, x, trunc)
+    return tuple(
+        ((i, j), q.numerator * (den // q.denominator))
+        for (i, j), q in edge_local_factor(w, r, x, trunc).terms
+        if (i + j <= cap_a if same else i <= cap_a and j <= cap_b)
+    )
 
 
 # edge configurations per graph shape: {(r, s mod r, x, dim): {shape: configs}}
@@ -171,21 +185,24 @@ _config_cache: dict[tuple, dict[tuple, tuple]] = {}
 
 def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, dim: int) -> tuple:
     """Half-edge exponent configurations of G with their edge-series
-    coefficients summed over its weightings (s and a taken mod r), as (config,
-    numerator, denominator, per-vertex degree) with the coefficient nonzero.
-    A config holds one exponent vector per vertex over its half-edges.  The
-    per-vertex integrals do not depend on the weighting, only the edge
-    coefficients do, so their sum collapses per config.  The result sees the
-    legs only through each vertex's count and residue sum, so graphs of one
-    shape share it."""
+    coefficients summed over its weightings (s and a taken mod r), grouped by
+    per-vertex degree: a tuple of (degrees, ((config, numerator, denominator),
+    ...)) with every coefficient nonzero.  A config holds one exponent vector
+    per vertex over its half-edges, sorted: the vertex integrand puts factors
+    on leg points only, so it is symmetric in the half-edge points and the
+    per-vertex integrals do not see their order.  Nor do they depend on the
+    weighting, only the edge coefficients do, so their sum collapses per
+    config.  The edge products run on integer numerators over a common
+    denominator.  The result sees the legs only through each vertex's count
+    and residue sum, so graphs of one shape share it."""
     dims, n_local, legs, _, edges, _ = _graph_plan(G)
     zero_cfg = tuple((0,) * (k - len(lv)) for k, lv in zip(n_local, legs))
-    configs: dict[tuple, Fraction] = {}
+    configs: dict[tuple, int] = {}
     for w in enumerate_weightings(G, r, s, a):
-        partial = {zero_cfg: Fraction(1)}
+        partial = {zero_cfg: 1}
         for (va, vb, pa, pb), res in zip(edges, w.residues):
             terms = _filtered_edge_terms(res, r, x, dim, dims[va], dims[vb], va == vb)
-            nxt: dict[tuple, Fraction] = {}
+            nxt: dict[tuple, int] = {}
             for cfg, c in partial.items():
                 for (i, j), q in terms:
                     if va == vb:
@@ -206,19 +223,20 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
                         ncfg[va] = tuple(veca)
                         ncfg[vb] = tuple(vecb)
                         ncfg = tuple(ncfg)
-                    cur = nxt.get(ncfg)
-                    nxt[ncfg] = c * q if cur is None else cur + c * q
+                    nxt[ncfg] = nxt.get(ncfg, 0) + c * q
             partial = nxt
             if not partial:
                 break
         for cfg, c in partial.items():
-            cur = configs.get(cfg)
-            configs[cfg] = c if cur is None else cur + c
-    return tuple(
-        (cfg, c.numerator, c.denominator, tuple(sum(vec) for vec in cfg))
-        for cfg, c in configs.items()
-        if c
-    )
+            key = tuple(map(tuple, map(sorted, cfg)))
+            configs[key] = configs.get(key, 0) + c
+    den = _edge_denominator(r, x, dim) ** len(edges)
+    groups: dict[tuple[int, ...], list] = {}
+    for cfg, c in configs.items():
+        if c:
+            q = Fraction(c, den)
+            groups.setdefault(tuple(map(sum, cfg)), []).append((cfg, q.numerator, q.denominator))
+    return tuple((hsum, tuple(group)) for hsum, group in groups.items())
 
 
 def _kappa_distributions(kappa: KappaPart, nv: int):
@@ -392,9 +410,9 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
         leg_a = [tuple(map(a.__getitem__, lv)) for lv in legs]
         leg_res = tuple(sum(map(a_res.__getitem__, lv)) % r for lv in legs)
         shape = (G.genera, G.edges, n_local, leg_res)
-        config_list = shapes.get(shape)
-        if config_list is None:
-            config_list = shapes[shape] = _edge_configs(G, r, s_res, a_res, x, dim)
+        config_groups = shapes.get(shape)
+        if config_groups is None:
+            config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, x, dim)
         vrange = range(nv)
         for mono, stab, orbit in monos_upto[dim - G.n_edges]:
             kap = mono[0]
@@ -414,33 +432,35 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
                     tuple(sorted(zip(la, map(psi.__getitem__, lv)))) for la, lv in zip(leg_a, legs)
                 ]
                 legdeg = [sum(map(psi.__getitem__, lv)) for lv in legs]
-                for cfg, cnum, cden, hsum in config_list:
-                    for mult, parts, kdeg in dists:
-                        pnum, pden = cnum * mult, cden
-                        for v in vrange:
-                            if hsum[v] + legdeg[v] + kdeg[v] > dims[v]:
-                                break
-                            key = (vtypes[v], vlegs[v], parts[v], cfg[v])
-                            vv = vertex_vals.get(key)
-                            if vv is None:
-                                gv, nl = vtypes[v]
-                                leg_items = tuple(
-                                    (k, ai) for k, (ai, _) in enumerate(vlegs[v], start=1)
-                                )
-                                extra = tuple(d for _, d in vlegs[v]) + cfg[v]
-                                val = _vertex_integral(
-                                    r, s, x, gv, nl, dims[v], leg_items, parts[v], extra
-                                )
-                                vertex_vals[key] = vv = (val.numerator, val.denominator)
-                            if not vv[0]:
-                                break
-                            pnum *= vv[0]
-                            pden *= vv[1]
-                        else:
-                            if pden == den:
-                                num += pnum
+                for mult, parts, kdeg in dists:
+                    room = [d - ld - kd for d, ld, kd in zip(dims, legdeg, kdeg)]
+                    for hsum, group in config_groups:
+                        if not all(map(le, hsum, room)):
+                            continue
+                        for cfg, cnum, cden in group:
+                            pnum, pden = cnum * mult, cden
+                            for v in vrange:
+                                key = (vtypes[v], vlegs[v], parts[v], cfg[v])
+                                vv = vertex_vals.get(key)
+                                if vv is None:
+                                    gv, nl = vtypes[v]
+                                    leg_items = tuple(
+                                        (k, ai) for k, (ai, _) in enumerate(vlegs[v], start=1)
+                                    )
+                                    extra = tuple(d for _, d in vlegs[v]) + cfg[v]
+                                    val = _vertex_integral(
+                                        r, s, x, gv, nl, dims[v], leg_items, parts[v], extra
+                                    )
+                                    vertex_vals[key] = vv = (val.numerator, val.denominator)
+                                if not vv[0]:
+                                    break
+                                pnum *= vv[0]
+                                pden *= vv[1]
                             else:
-                                num, den = num * pden + pnum * den, den * pden
+                                if pden == den:
+                                    num += pnum
+                                else:
+                                    num, den = num * pden + pnum * den, den * pden
             if num:
                 result[mono] += Fraction(pref_num * stab * num, pref_den * den)
     return result

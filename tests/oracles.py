@@ -1,6 +1,7 @@
 """Independent reference implementations used only to cross-check the
 package: series-inversion Bernoulli numbers, brute-force stable-graph
-enumeration with half-edge automorphism counting, direct product/series
+enumeration with half-edge automorphism counting, mod-r weightings by
+filtering every residue tuple, direct product/series
 expansions for the symmetric-function and Stirling layers, and the Hodge
 boundary sum over every degeneration and split with no term skipped.
 
@@ -170,6 +171,49 @@ def _brute_aut(genera, legs, edges) -> int:
         if ok:
             count += 1
     return count
+
+
+# -- brute-force mod-r weightings ---------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _residue_tuples_by_sums(G, r: int) -> dict[int, list[int]]:
+    """All r^E side-0 residue tuples of G, as their indices in lexicographic
+    order (base-r numbers), grouped by the half-edge residue sums mod r at
+    the vertices (the base-r digits of the key), one edge at a time.  One
+    graph is kept: callers loop over (s, a) with G and r fixed."""
+    groups = {0: [0]}
+    for p, q in G.edges:
+        nxt: dict[int, list[int]] = {}
+        for key, idx in groups.items():
+            for w in range(r):
+                k = key
+                for v, res in ((p, w), (q, -w % r)):
+                    d = k // r**v % r
+                    k += ((d + res) % r - d) * r**v
+                nxt.setdefault(k, []).extend([i * r + w for i in idx])
+        groups = nxt
+    return groups
+
+
+def brute_weightings(G, r: int, s: int, a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Residue tuples of the admissible mod-r weightings of G, sorted: every
+    one of the r^E tuples is tested against the vertex congruences
+    sum of local decorations = (2g_v - 2 + n_v) s mod r."""
+    need = []
+    for v, gv in enumerate(G.genera):
+        legs = [i for i, w in enumerate(G.legs) if w == v]
+        halves = sum((p == v) + (q == v) for p, q in G.edges)
+        need.append(((2 * gv - 2 + len(legs) + halves) * s - sum(a[i] for i in legs)) % r)
+    key = sum(d * r**v for v, d in enumerate(need))
+    out = []
+    for i in sorted(_residue_tuples_by_sums(G, r).get(key, [])):
+        digits = []
+        for _ in G.edges:
+            i, w = divmod(i, r)
+            digits.append(w)
+        out.append(tuple(reversed(digits)))
+    return out
 
 
 # -- unpruned Hodge boundary sum ----------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
@@ -15,7 +16,7 @@ from tautint.graphs import (
 )
 from tautint.psi import stable_types
 
-from oracles import brute_stable_graphs
+from oracles import brute_stable_graphs, brute_weightings
 
 
 def test_small_counts():
@@ -115,6 +116,21 @@ def test_weighting_count_is_r_pow_h1():
                 if a is None:
                     continue
                 assert len(enumerate_weightings(G, r, s, a)) == r ** G.h1()
+
+
+def test_weightings_match_residue_filter():
+    # spanning-tree weightings against the filter over all r^E residue tuples
+    rng = random.Random(6)
+    for g, n in [(1, 2), (2, 1), (2, 2), (1, 4), (3, 1), (2, 3), (0, 6)]:
+        # one random admissible a-vector per (r, s), with entries beyond 0..r-1
+        samples = []
+        for r, s in product(range(1, 6), range(-1, 3)):
+            head = [rng.randrange(-r, 2 * r) for _ in range(n - 1)]
+            samples.append((r, s, (*head, (2 * g - 2 + n) * s - sum(head))))
+        for G in enumerate_stable_graphs(g, n):
+            for r, s, a in samples:
+                got = [w.residues for w in enumerate_weightings(G, r, s, a)]
+                assert got == brute_weightings(G, r, s, a), (G, r, s, a)
 
 
 def test_weighting_global_constraint_error():

@@ -271,3 +271,35 @@ def test_orbit_sum_matches_labelled_sum(g, n, spec, route, digest, samples):
     for mono, want in samples.items():
         assert values[mono] == want, mono
     assert _pairing_digest(values) == digest
+
+
+# Digests of graph-sum batches recorded before the edge configurations were
+# merged over sorted half-edge exponents: Mbar_{2,3} at r = 7 with distinct
+# a_i (84 psi monomials), Mbar_{2,3} at r = 3 with a repeated a_i and kappa
+# monomials, and a literal x = 1/2 sum on Mbar_{2,2}, whose graphs carry two
+# or more half-edges next to a leg at one vertex.
+PINNED_BATCHES = [
+    (
+        2, 3, OmegaSpec(7, 0, (1, 2, 4)), "graph", False,
+        "05645631499edc2b9844995c8e6e4846fb0d15df5c6d553399d94d61fe5c3fbf",
+    ),
+    (
+        2, 3, OmegaSpec(3, 1, (2, 3, 3)), "graph", True,
+        "55cc1c6d4e17227af23696c5425527b6ed85ab4ee37cee5f338b7b3f2627bd26",
+    ),
+    (
+        2, 2, OmegaSpec(3, 1, (1, 3), F(1, 2)), "graph-raw", True,
+        "ead93f2ea82155395773039d10045c9ea0a30db3d658969f1319c751b2fb6f92",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "g,n,spec,route,kappa,digest", PINNED_BATCHES, ids=["M23-r7", "M23-r3", "M22-r3-raw"]
+)
+def test_graph_sum_digests_pinned(g, n, spec, route, kappa, digest):
+    from tautint import omega
+
+    omega._pairing_cache.clear()
+    values = omega_pairings(g, n, spec, flat_basis(g, n, include_kappa=kappa), route=route)
+    assert _pairing_digest(values) == digest
