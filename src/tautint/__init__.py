@@ -60,8 +60,6 @@ from .polys import (
     TautPolynomial,
     edge_local_factor,
     exp_kappa_series,
-    psi_geometric,
-    substitute_edge,
 )
 from .psi import psi_integral
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exact import (
@@ -50,9 +51,10 @@ def _kappa_parts(maxdeg: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _psi_upto(n: int, maxtotal: int) -> Iterator[tuple[int, ...]]:
-    for total in range(maxtotal + 1):
-        yield from compositions(total, n, 0)
+@lru_cache(maxsize=None)
+def _psi_upto(n: int, maxtotal: int) -> tuple[tuple[int, ...], ...]:
+    """The psi exponent vectors on n points of total degree <= maxtotal."""
+    return tuple(psi for total in range(maxtotal + 1) for psi in compositions(total, n, 0))
 
 
 def pairing_basis(g: int, n: int, include_kappa: bool = True) -> dict[int, list[Monomial]]:
@@ -81,21 +83,22 @@ def flat_basis(g: int, n: int, include_kappa: bool = True) -> list[Monomial]:
 def _pair_with_factor(
     g: int, n: int, spec: OmegaSpec, factor: TautPolynomial, monos: Iterable[Monomial]
 ) -> dict[Monomial, Fraction]:
-    """int Omega_spec * factor * mono for each basis monomial."""
-    dim = 3 * g - 3 + n
-    needed: set[Monomial] = set()
+    """int Omega_spec * factor * mono for each basis monomial.
+
+    Each product factor * mono is formed from the factor's terms of degree
+    <= factor.trunc - deg(mono), as `factor.mul_monomial` would truncate it,
+    and one `omega_pairings` batch covers every monomial the products reach."""
+    terms = [(m, c, monomial_degree(m)) for m, c in factor.terms.items()]
     prods: dict[Monomial, list[tuple[Monomial, Fraction]]] = {}
     for mono in monos:
-        kap, psi = mono
-        shifted = factor.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
-        terms = list(shifted.terms.items())
-        prods[mono] = terms
-        needed.update(m for m, _ in terms)
-    pair = omega_pairings(g, n, spec, sorted(needed)) if needed else {}
-    out = {}
-    for mono, terms in prods.items():
-        out[mono] = sum((c * pair[m] for m, c in terms), Fraction(0))
-    return out
+        room = factor.trunc - monomial_degree(mono)
+        prods[mono] = [(monomial_product(m, mono), c) for m, c, d in terms if d <= room]
+    needed = {m for prod_terms in prods.values() for m, _ in prod_terms}
+    pair = omega_pairings(g, n, spec, needed) if needed else {}
+    return {
+        mono: sum((c * pair[m] for m, c in prod_terms), Fraction(0))
+        for mono, prod_terms in prods.items()
+    }
 
 
 def _compare_pairings(
@@ -264,7 +267,7 @@ def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Che
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
     details = []
-    ds = list(_psi_upto(n, dim1 + 1))
+    ds = _psi_upto(n, dim1 + 1)
     up = _pulled_back_pairings(g, n, r, s, a, x)
     down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in _psi_upto(n, dim1)])
     for d in ds:
@@ -290,7 +293,7 @@ def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Ch
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
     details = []
-    ds = list(_psi_upto(n, dim1))
+    ds = _psi_upto(n, dim1)
     up = _pulled_back_pairings(g, n, r, s, a, x)
     down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in ds])
     for d in ds:

@@ -273,29 +273,34 @@ def omega_pairings(
     grading [deg k].Omega^{[x]} = x^k [deg k].Omega^{[1]} -- itself a tested
     invariant), "graph-raw" (stable-graph sum evaluated literally at the
     given x), or "auto" (closed when r = 1, graph otherwise).
+
+    Values are memoised in `_pairing_cache`, one entry per canonical
+    monomial (psi exponents sorted within each class of markings of equal
+    a_i, which Omega cannot tell apart): per x on the closed and graph-raw
+    routes, and at x = 1 only on the graph route, whose x != 1 values are
+    scaled from that entry on every call and never stored.
     """
     spec.validate(g, n)
     if route == "auto":
         route = "closed" if spec.r == 1 else "graph"
+    elif route not in ("closed", "graph", "graph-raw"):
+        raise ValueError(f"unknown route {route!r}")
     elif route == "closed" and spec.r != 1:
         raise ValueError(f"the closed route needs r = 1, not r = {spec.r}")
-    monomials = [
-        (tuple(sorted(kap)), tuple(psi)) for kap, psi in monomials
-    ]
     dim = 3 * g - 3 + n
-    if route == "graph" and spec.x != 1:
-        base = omega_pairings(g, n, OmegaSpec(spec.r, spec.s, spec.a, 1), monomials, "graph")
-        return {
-            mono: (spec.x ** (dim - monomial_degree(mono))) * val
-            if monomial_degree(mono) <= dim
-            else Fraction(0)
-            for mono, val in base.items()
-        }
+    x = spec.x
+    scaled = route == "graph" and x != 1
+    if scaled:
+        spec = OmegaSpec(spec.r, spec.s, spec.a)
+    elif route == "graph-raw" and x == 1:
+        route = "graph"
+    cache = _pairing_cache.setdefault((g, n, spec, route), {})
     # the class is symmetric under permutations of markings with equal a_i
     classes = colour_classes(colour_pattern(spec.a))
-    canon = {mono: _sym_canonical(mono, classes) for mono in monomials}
-    key = (g, n, spec, "graph" if route == "graph-raw" and spec.x == 1 else route)
-    cache = _pairing_cache.setdefault(key, {})
+    canon: dict[Monomial, Monomial] = {}
+    for kap, psi in monomials:
+        mono = (tuple(sorted(kap)), tuple(psi))
+        canon[mono] = (mono[0], _sym_canonical(mono[1], classes)) if classes else mono
     missing = sorted(set(m for m in canon.values() if m not in cache))
     if missing:
         if route == "closed":
@@ -303,23 +308,27 @@ def omega_pairings(
             for kap, psi in missing:
                 Pm = P.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
                 cache[(kap, psi)] = hodge_pair(g, n, lam, Pm)
-        elif route in ("graph", "graph-raw"):
-            for mono, val in _pairings_graph(g, n, spec, missing).items():
-                cache[mono] = val
         else:
-            raise ValueError(f"unknown route {route!r}")
-    return {m: cache[canon[m]] for m in monomials}
+            cache.update(_pairings_graph(g, n, spec, missing))
+    if not scaled:
+        return {m: cache[c] for m, c in canon.items()}
+    powers = [x ** k for k in range(dim + 1)]
+    out = {}
+    for m, c in canon.items():
+        deg = monomial_degree(m)
+        out[m] = powers[dim - deg] * cache[c] if deg <= dim else Fraction(0)
+    return out
 
 
-def _sym_canonical(mono: Monomial, classes) -> Monomial:
+@lru_cache(maxsize=None)
+def _sym_canonical(psi: tuple[int, ...], classes) -> tuple[int, ...]:
     """Sort psi exponents, largest first, within each class of markings
     carrying the same a_i."""
-    kap, psi = mono
     out = list(psi)
     for cls in classes:
         for i, v in zip(cls, sorted((psi[i] for i in cls), reverse=True)):
             out[i] = v
-    return (kap, tuple(out))
+    return tuple(out)
 
 
 def omega_integral(

@@ -312,12 +312,6 @@ def exp_psi_series(i: int, coeffs: dict[int, Rat], n_points: int, trunc: int) ->
     return lin.exp()
 
 
-def psi_geometric(i: int, weight: Rat, n_points: int, trunc: int) -> TautPolynomial:
-    """sum_{k<=trunc} weight^k psi_i^k, the expansion of 1/(1 - weight*psi_i)."""
-    one = TautPolynomial.one(n_points, trunc)
-    return (one - TautPolynomial.psi(i, n_points, trunc).scale(weight)).inverse()
-
-
 # -- bivariate half-edge series ---------------------------------------------
 
 BivTerms = dict[tuple[int, int], Fraction]
@@ -375,25 +369,3 @@ def _divide_by_psi_sum(num: BivTerms) -> BivTerms:
         if rem != 0:
             raise EdgeDivisionError("numerator not divisible by psi' + psi''")
     return q
-
-
-def edge_series_remultiply(series: EdgeSeries) -> BivTerms:
-    """(psi'+psi'') * series, for the re-multiplication invariant check."""
-    psi_sum = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    return series_mul(dict(series.terms), psi_sum, series.trunc + 1, sum, vector_add)
-
-
-def substitute_edge(series: EdgeSeries, poly: TautPolynomial, slot_a: int, slot_b: int) -> TautPolynomial:
-    """Multiply `poly` by series(psi_{slot_a}, psi_{slot_b}) on one vertex.
-
-    The two slots must be distinct local points (a self-loop provides two
-    distinct half-edge points on the same vertex).
-    """
-    if slot_a == slot_b:
-        raise ValueError("edge slots collide; half-edges must sit at distinct points")
-    terms: dict[Monomial, Fraction] = {}
-    for (i, j), c in series.terms:
-        psi = [0] * poly.n_points
-        psi[slot_a - 1], psi[slot_b - 1] = i, j
-        terms[((), tuple(psi))] = c
-    return poly._mul_terms(terms)

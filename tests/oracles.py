@@ -5,7 +5,10 @@ filtering every residue tuple, direct product/series
 expansions for the symmetric-function and Stirling layers, and the Hodge
 boundary sum over every degeneration and split with no term skipped.
 
-Nothing here shares code paths with the package internals.
+Nothing here shares code paths with the package internals, except the
+polynomial helpers at the end: small constructions on the public
+`tautint.polys` API that the polynomial tests exercise and the package
+itself does not need.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
+
+from tautint.polys import EdgeSeries, TautPolynomial, series_mul, vector_add
 
 
 def bernoulli_by_series(maxm: int) -> list[Fraction]:
@@ -316,3 +321,36 @@ def added_point_terms_by_compositions(kappa) -> list[tuple[Fraction, tuple[int, 
             if coef:
                 out.append((coef * fact / factorial(ell), mu))
     return out
+
+
+# -- polynomial helpers on the public tautint.polys API -------------------------
+
+
+def psi_geometric(i: int, weight: Fraction, n_points: int, trunc: int) -> TautPolynomial:
+    """sum_{k<=trunc} weight^k psi_i^k, the expansion of 1/(1 - weight*psi_i)."""
+    one = TautPolynomial.one(n_points, trunc)
+    return (one - TautPolynomial.psi(i, n_points, trunc).scale(weight)).inverse()
+
+
+def edge_series_remultiply(series: EdgeSeries) -> dict[tuple[int, int], Fraction]:
+    """(psi'+psi'') * series, for the re-multiplication invariant check."""
+    psi_sum = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    return series_mul(dict(series.terms), psi_sum, series.trunc + 1, sum, vector_add)
+
+
+def substitute_edge(
+    series: EdgeSeries, poly: TautPolynomial, slot_a: int, slot_b: int
+) -> TautPolynomial:
+    """Multiply `poly` by series(psi_{slot_a}, psi_{slot_b}) on one vertex.
+
+    The two slots must be distinct local points (a self-loop provides two
+    distinct half-edge points on the same vertex).
+    """
+    if slot_a == slot_b:
+        raise ValueError("edge slots collide; half-edges must sit at distinct points")
+    terms: dict = {}
+    for (i, j), c in series.terms:
+        psi = [0] * poly.n_points
+        psi[slot_a - 1], psi[slot_b - 1] = i, j
+        terms[((), tuple(psi))] = c
+    return poly * TautPolynomial(poly.n_points, poly.trunc, terms)

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
 
+from tautint import omega
 from tautint.checks import (
+    SMALL_GRID,
     CheckGrid,
     admissible_a,
     check_counterexample_footnote,
@@ -113,3 +115,16 @@ def test_iter_suite_smallest():
     assert reports, "suite must produce reports"
     bad = [r for r in reports if not r.passed]
     assert not bad, bad[0].to_json() if bad else None
+
+
+def test_suite_memo_holds_canonical_entries_only():
+    # one pairing memo entry per canonical monomial: the graph route keeps
+    # x = 1 values only and scales other x on each call, and monomials that
+    # differ by moving markings of equal a_i share one entry; storing scaled
+    # values or non-canonical aliases would raise these counts
+    omega._pairing_cache.clear()
+    omega._config_cache.clear()
+    reports = list(iter_suite(SMALL_GRID))
+    assert len(reports) == 1061 and all(rep.passed for rep in reports)
+    assert len(omega._pairing_cache) == 464
+    assert sum(map(len, omega._pairing_cache.values())) == 3157

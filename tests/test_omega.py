@@ -86,6 +86,34 @@ def test_x_grading_invariant():
                 assert raw[mono] == x ** k * base[mono], (g, n, r, s, mono, x)
 
 
+def test_pairings_accept_any_monomial_form():
+    # a batch may come as any iterable, with kappa pairs in any order and psi
+    # as any sequence; the values are keyed by the normalised monomials.  On
+    # the graph routes a = (1, 1, 2) lets psi_1 and psi_2 trade places.
+    from tautint import omega
+
+    cases = [
+        (OmegaSpec(2, 0, (1, 1, 2), F(1, 2)), "graph"),
+        (OmegaSpec(2, 0, (1, 1, 2), F(1, 2)), "graph-raw"),
+        (OmegaSpec(1, 0, (0, 1, 2), F(1, 2)), "closed"),
+    ]
+    basis = flat_basis(1, 3)
+    assert any(len(kap) > 1 for kap, _ in basis)
+    forms = [
+        lambda: (m for m in basis),
+        lambda: tuple(basis),
+        lambda: [(tuple(reversed(kap)), list(psi)) for kap, psi in basis],
+    ]
+    for spec, route in cases:
+        omega._pairing_cache.clear()
+        want = omega_pairings(1, 3, spec, list(basis), route)
+        assert list(want) == basis
+        for form in forms:
+            omega._pairing_cache.clear()
+            assert omega_pairings(1, 3, spec, form(), route) == want, (spec, route)
+            assert omega_pairings(1, 3, spec, form(), route) == want, (spec, route)
+
+
 def test_omega_closed_form_r1_object():
     cf = omega_closed_form_r1(0, 3, -1, F(1))
     assert cf.integral() == F(1)

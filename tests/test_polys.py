@@ -3,16 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import edge_series_remultiply, psi_geometric, substitute_edge
 from tautint.exact import bernoulli_poly
-from tautint.polys import (
-    EdgeSeries,
-    TautPolynomial,
-    edge_local_factor,
-    edge_series_remultiply,
-    exp_kappa_series,
-    psi_geometric,
-    substitute_edge,
-)
+from tautint.polys import EdgeSeries, TautPolynomial, edge_local_factor, exp_kappa_series
 
 
 def P1(n=2, trunc=3):
