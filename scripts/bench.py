@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
 """Record a benchmark snapshot of a checkout as BENCH_<short-commit>.json.
 
-For each perfbench workload this runs `perfbench/run.py --seed 0` with
-`--trace 0` (end-to-end medians) and with `--trace 1` (per-layer metrics) and
-keeps the final JSON line of each.  It then times the frontier graph-sum batch,
-the 84 psi pairings of Omega(7, 0; 1, 2, 4) on Mbar_{2,3}, in a fresh
-interpreter: once cold, and once warm, by repeating the call in the same
-process (a warm time far from zero means a memo has stopped working).  The
-file also records nproc, the Python version, the commit and
+For each perfbench workload this runs `perfbench/run.py --seed 0` three times
+with `--trace 0` (end-to-end medians), keeping the final JSON line of every
+run and the median of each metric over the three, and once with `--trace 1`
+(per-layer metrics).  It then times, each in a fresh interpreter with its
+value checked:
+
+- the frontier graph-sum batch, the 84 psi pairings of Omega(7, 0; 1, 2, 4)
+  on Mbar_{2,3}: once cold, and once warm, by repeating the call in the same
+  process (a warm time far from zero means a memo has stopped working);
+- the chi/MV frontier beyond dimension 10: chi by the hodge_sum route on
+  (6,0), MV by the hodge_sum route on (6,0) and chi by the omega route on
+  (5,2), each cold.
+
+The file also records nproc, the Python version, the commit and
 `wc -l src/tautint/*.py`.
 
     python3 scripts/bench.py [--checkout DIR] [--out DIR]
@@ -24,11 +31,13 @@ import glob
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
+TRACE0_RUNS = 3
 
 FRONTIER = """
 import hashlib, json, resource, time
@@ -54,6 +63,32 @@ print(json.dumps({
     "digest": h.hexdigest(),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
+"""
+
+
+# (name, expression, expected value): chi against Harer-Zagier, MV against
+# the value both MV routes give
+CHI_MV_FRONTIER = (
+    ("chi hodge_sum (6,0)", "chi_via_hodge(6, 0)", "chi_harer_zagier(6, 0).value"),
+    ("mv hodge_sum (6,0)", "mv_via_hodge(6, 0)", "Fraction(51582017261473, 229323571200)"),
+    ("chi omega (5,2)", "chi_via_omega(5, 2)", "chi_harer_zagier(5, 2).value"),
+)
+
+CHI_MV_CASE = """
+import json, resource, time
+from fractions import Fraction
+from tautint.apps import chi_harer_zagier, chi_via_hodge, chi_via_omega, mv_via_hodge
+
+t0 = time.perf_counter()
+value = ({expr}).value
+t1 = time.perf_counter()
+print(json.dumps({{
+    "name": {name!r},
+    "cold_s": t1 - t0,
+    "value": str(value),
+    "correct": value == {expected},
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}}))
 """
 
 
@@ -102,22 +137,40 @@ def main(argv: list[str] | None = None) -> int:
         "perfbench": {},
     }
     for workload in WORKLOADS:
-        for trace in (0, 1):
-            cmd = [
-                sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-                "--trace", str(trace),
-            ]
-            print(f"{workload} --trace {trace}", flush=True)
-            record["perfbench"][f"{workload}/trace{trace}"] = last_json_line(cmd, checkout, env)
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace"]
+        runs = []
+        for k in range(TRACE0_RUNS):
+            print(f"{workload} --trace 0 ({k + 1}/{TRACE0_RUNS})", flush=True)
+            runs.append(last_json_line(cmd + ["0"], checkout, env))
+        record["perfbench"][f"{workload}/trace0"] = {
+            "runs": runs,
+            "correct": all(run["correct"] for run in runs),
+            "median": {
+                name: statistics.median(run["metrics"][name]["value"] for run in runs)
+                for name in runs[0]["metrics"]
+            },
+        }
+        print(f"{workload} --trace 1", flush=True)
+        record["perfbench"][f"{workload}/trace1"] = last_json_line(cmd + ["1"], checkout, env)
+    src_env = {**env, "PYTHONPATH": str(checkout / "src")}
     print("frontier batch", flush=True)
-    record["frontier"] = last_json_line(
-        [sys.executable, "-c", FRONTIER], checkout, {**env, "PYTHONPATH": str(checkout / "src")}
-    )
+    record["frontier"] = last_json_line([sys.executable, "-c", FRONTIER], checkout, src_env)
+    record["frontier_chi_mv"] = []
+    for name, expr, expected in CHI_MV_FRONTIER:
+        print(name, flush=True)
+        code = CHI_MV_CASE.format(name=name, expr=expr, expected=expected)
+        record["frontier_chi_mv"].append(last_json_line([sys.executable, "-c", code], checkout, src_env))
 
     out_dir = (args.out or checkout).resolve()
     path = out_dir / f"BENCH_{commit}{'-dirty' if dirty else ''}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
+    checks = [record["perfbench"][f"{w}/trace0"]["correct"] for w in WORKLOADS]
+    checks += [record["perfbench"][f"{w}/trace1"]["correct"] for w in WORKLOADS]
+    checks += [case["correct"] for case in record["frontier_chi_mv"]]
+    if not all(checks):
+        print("a benchmarked value is wrong", file=sys.stderr)
+        return 1
     return 0
 
 

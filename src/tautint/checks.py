@@ -57,24 +57,29 @@ def _psi_upto(n: int, maxtotal: int) -> tuple[tuple[int, ...], ...]:
     return tuple(psi for total in range(maxtotal + 1) for psi in compositions(total, n, 0))
 
 
-def pairing_basis(g: int, n: int, include_kappa: bool = True) -> dict[int, list[Monomial]]:
-    """All kappa/psi monomials of each degree 0..dim, keyed by degree."""
+@lru_cache(maxsize=None)
+def _basis_by_degree(g: int, n: int, include_kappa: bool) -> tuple[tuple[Monomial, ...], ...]:
+    """The sorted kappa/psi monomials of each degree 0..dim, indexed by degree."""
     dim = 3 * g - 3 + n
-    out: dict[int, list[Monomial]] = {k: [] for k in range(dim + 1)}
+    out: list[list[Monomial]] = [[] for _ in range(dim + 1)]
     kparts = _kappa_parts(dim) if include_kappa else [()]
     for kap in kparts:
         kdeg = sum(m * e for m, e in kap)
         for rest in range(dim - kdeg + 1):
             for psi in compositions(rest, n, 0):
                 out[kdeg + rest].append((kap, psi))
-    for k in out:
-        out[k].sort()
-    return out
+    return tuple(tuple(sorted(ms)) for ms in out)
+
+
+def pairing_basis(g: int, n: int, include_kappa: bool = True) -> dict[int, list[Monomial]]:
+    """All kappa/psi monomials of each degree 0..dim, keyed by degree (a fresh
+    copy of a memoised table)."""
+    return {k: list(ms) for k, ms in enumerate(_basis_by_degree(g, n, include_kappa))}
 
 
 def flat_basis(g: int, n: int, include_kappa: bool = True) -> list[Monomial]:
-    basis = pairing_basis(g, n, include_kappa)
-    return [m for k in sorted(basis) for m in basis[k]]
+    """pairing_basis in one list, by increasing degree."""
+    return [m for ms in _basis_by_degree(g, n, include_kappa) for m in ms]
 
 
 # -- helpers ----------------------------------------------------------------------

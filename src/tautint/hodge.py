@@ -1,6 +1,11 @@
 """Hodge integrals: lambda-class monomials paired with kappa/psi classes.
 
-The largest lambda index is peeled off with Newton's identity
+lambda classes pull back along the maps forgetting a point (Faber-
+Pandharipande), so once kappa classes are traded for added points, the
+string and dilaton equations remove every point with psi^0 or psi^1 exactly
+as for pure psi integrals, down to n = 0.  (kappa classes do not pull back,
+so neither equation is used while a kappa factor remains.)  On what is
+left, the largest lambda index is peeled off with Newton's identity
 k*c_k = sum_m (-1)^{m-1} c_{k-m} p_m applied to the Hodge bundle, whose power
 sums p_m = m! ch_m expand into kappa_m, psi^m and boundary pushforwards with
 Bernoulli-number coefficients (odd Bernoulli vanishing kills every even
@@ -9,8 +14,10 @@ total Chern class restricts to the product over components, the
 nonseparating side losing one rank), so the recursion closes over tuples
 (g, n, lambda multiset, kappa monomial, psi exponents).
 
-The separating sum is degree-matched, not looped: the dimension of one side
-fixes the exponent split psi'^i (-psi'')^j, lambda splits that put lambda_p
+The separating sum is degree-matched, not looped: the marked points go to
+the two sides by exponent multiset with binomial weights (the splits the DVV
+recursion uses), the dimension of one side fixes the exponent split
+psi'^i (-psi'')^j, lambda splits that put lambda_p
 with p > h on a side of genus h are skipped, and hodge_pair pairs each lambda
 term only with the kappa/psi terms of complementary degree.  Every term left
 out is exactly 0.
@@ -18,16 +25,14 @@ out is exactly 0.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
-from math import comb
 
 from .exact import Rat, bernoulli_number
 from .intersect import _added_point_terms, integrate_monomial
 from .polys import KappaPart, PsiPart, TautPolynomial, monomial_degree, series_inverse, series_mul
-from .psi import is_stable
+from .psi import is_stable, multiset_splits, runs
 
 LambdaPart = tuple[int, ...]  # sorted descending, indices >= 1
 LambdaDict = dict[LambdaPart, Fraction]
@@ -68,6 +73,20 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
             )
         return acc
 
+    # lambda classes pull back along the map forgetting a point, so the
+    # string and dilaton equations hold as for pure psi integrals
+    if psi and psi[-1] == 0 and is_stable(g, n - 1):
+        rest = psi[:-1]
+        acc = Fraction(0)
+        for i, e, c in runs(rest):
+            if e >= 1:
+                j = i + c - 1
+                acc += c * _hodge_core(g, n - 1, lambdas, (), rest[:j] + (e - 1,) + rest[j + 1 :])
+        return acc
+    if 1 in psi and is_stable(g, n - 1):
+        i = psi.index(1)
+        return (2 * g - 3 + n) * _hodge_core(g, n - 1, lambdas, (), psi[:i] + psi[i + 1 :])
+
     k = lambdas[0]
     rest = lambdas[1:]
     acc = Fraction(0)
@@ -79,14 +98,8 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
         sub = rest if m == k else _desc(rest + (k - m,))
 
         term = _hodge_core(g, n, sub, ((m, 1),), psi)
-        seen_bump: set[int] = set()
-        for i in range(n):
-            if psi[i] in seen_bump:
-                continue  # symmetric in equal exponents
-            seen_bump.add(psi[i])
-            mult = psi.count(psi[i])
-            bumped = _desc(psi[:i] + (psi[i] + m,) + psi[i + 1 :])
-            term -= mult * _hodge_core(g, n, sub, (), bumped)
+        for i, e, c in runs(psi):  # symmetric in equal exponents
+            term -= c * _hodge_core(g, n, sub, (), _desc(psi[:i] + (e + m,) + psi[i + 1 :]))
         term += Fraction(1, 2) * _boundary_terms(g, n, sub, psi, m)
         acc += coef * term
     return acc
@@ -103,7 +116,7 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
             acc += ((-1) ** j) * _hodge_core(g - 1, n + 2, lambdas, (), _desc(psi + (i, j)))
     for g1 in range(g + 1):
         g2 = g - g1
-        for left, right, ways, left_deg in _psi_splits(psi):
+        for left, right, ways, left_deg in multiset_splits(psi):
             n1, n2 = len(left) + 1, len(right) + 1
             if not (is_stable(g1, n1) and is_stable(g2, n2)):
                 continue
@@ -121,26 +134,6 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
                     b = _hodge_core(g2, n2, lam2, (), _desc(right + (j,)))
                     acc += ways * ((-1) ** j) * a * b
     return acc
-
-
-@lru_cache(maxsize=None)
-def _psi_splits(psi: PsiPart) -> tuple[tuple[PsiPart, PsiPart, int, int], ...]:
-    """Ways to send the marked points to the two sides of a separating node,
-    grouped by the resulting exponent multisets: (left, right, multiplicity,
-    degree of left)."""
-    counts = sorted(Counter(psi).items())
-    out: list[tuple[PsiPart, PsiPart, int, int]] = []
-    ranges = [range(c + 1) for _, c in counts]
-    for picks in iproduct(*ranges):
-        ways = 1
-        left: list[int] = []
-        right: list[int] = []
-        for (val, c), take in zip(counts, picks):
-            ways *= comb(c, take)
-            left += [val] * take
-            right += [val] * (c - take)
-        out.append((_desc(left), _desc(right), ways, sum(left)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

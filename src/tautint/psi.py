@@ -4,6 +4,13 @@
 string and dilaton fast paths, seeded by <tau_0^3>_0 = 1 and by the genus-one
 value <tau_1>_{1,1} = 1/24 (the central term of the L_0 constraint, which the
 quadratic recursion cannot reach on its own).
+
+The recursion works on exponent multisets.  The string sum and the linear
+DVV term visit each distinct exponent once, times its multiplicity, and the
+quadratic term runs over sub-multisets of the remaining exponents, the split
+taking t_k of the c_k points with the k-th exponent weighted by
+prod_k comb(c_k, t_k), instead of over all 2^m subsets.  The genus of each
+side of a split is fixed by its dimension.
 """
 
 from __future__ import annotations
@@ -12,8 +19,11 @@ import logging
 import os
 import threading
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as iproduct
+from math import comb
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -68,54 +78,93 @@ def psi_integral(g: int, d: Iterable[int]) -> Fraction:
     return val
 
 
+def runs(t: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+    """(first index, value, multiplicity) of each run of equal entries of a
+    sorted tuple."""
+    i = 0
+    while i < len(t):
+        j = i + 1
+        while j < len(t) and t[j] == t[i]:
+            j += 1
+        yield i, t[i], j - i
+        i = j
+
+
+Split = tuple[tuple[int, ...], tuple[int, ...], int, int]
+
+
+@lru_cache(maxsize=None)
+def multiset_splits(d: tuple[int, ...]) -> tuple[Split, ...]:
+    """The ways to send marked points with exponents d (sorted descending) to
+    two sides, grouped by the resulting exponent multisets: (left, right,
+    multiplicity, degree of left), both sides sorted descending.  The
+    multiplicity is prod_k comb(c_k, t_k) when t_k of the c_k points of the
+    k-th distinct exponent go left."""
+    out: list[Split] = []
+    groups = [(v, c) for _, v, c in runs(d)]
+    for picks in iproduct(*(range(c + 1) for _, c in groups)):
+        ways = 1
+        left: tuple[int, ...] = ()
+        right: tuple[int, ...] = ()
+        for (v, c), t in zip(groups, picks):
+            ways *= comb(c, t)
+            left += (v,) * t
+            right += (v,) * (c - t)
+        out.append((left, right, ways, sum(left)))
+    return tuple(out)
+
+
 def _compute(g: int, d: tuple[int, ...]) -> Fraction:
+    """<tau_d>_g for d sorted descending and of total degree 3g-3+n.  Equal
+    exponents are handled once per run, times its multiplicity."""
     n = len(d)
     if (g, n) == (0, 3):
         return Fraction(1)
     if (g, n) == (1, 1):
         return Fraction(1, 24)  # seeded: L_0 central term
 
-    if 0 in d and is_stable(g, n - 1):
-        rest = list(d)
-        rest.remove(0)
+    if d[-1] == 0 and is_stable(g, n - 1):
+        # string: lower the last copy of each exponent >= 1, keeping the order
+        rest = d[:-1]
         acc = Fraction(0)
-        for j, dj in enumerate(rest):
-            if dj >= 1:
-                acc += psi_integral(g, rest[:j] + [dj - 1] + rest[j + 1 :])
+        for i, v, c in runs(rest):
+            if v >= 1:
+                j = i + c - 1
+                acc += c * psi_integral(g, rest[:j] + (v - 1,) + rest[j + 1 :])
         return acc
 
     if 1 in d and is_stable(g, n - 1):
-        rest = list(d)
-        rest.remove(1)
-        return (2 * g - 3 + n) * psi_integral(g, rest)
+        i = d.index(1)
+        return (2 * g - 3 + n) * psi_integral(g, d[:i] + d[i + 1 :])
 
     # all exponents >= 2: DVV on the largest one
     d1 = d[0]
     rest = d[1:]
     acc = Fraction(0)
-    for j, dj in enumerate(rest):
-        others = rest[:j] + rest[j + 1 :]
-        acc += Fraction(_dfact(2 * (d1 + dj) - 1), _dfact(2 * dj - 1)) * psi_integral(
+    for i, dj, c in runs(rest):
+        others = rest[:i] + rest[i + 1 :]
+        acc += Fraction(c * _dfact(2 * (d1 + dj) - 1), _dfact(2 * dj - 1)) * psi_integral(
             g, (d1 + dj - 1,) + others
         )
+    splits = multiset_splits(rest)
     quad = Fraction(0)
     for a in range(d1 - 1):
         b = d1 - 2 - a
-        w = Fraction(_dfact(2 * a + 1) * _dfact(2 * b + 1))
+        w = _dfact(2 * a + 1) * _dfact(2 * b + 1)
         if g >= 1 and is_stable(g - 1, n + 1):
             quad += w * psi_integral(g - 1, (a, b) + rest)
-        m = len(rest)
-        for mask in range(1 << m):
-            left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-            right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-            for g1 in range(g + 1):
-                g2 = g - g1
-                if is_stable(g1, len(left) + 1) and is_stable(g2, len(right) + 1):
-                    quad += (
-                        w
-                        * psi_integral(g1, (a,) + left)
-                        * psi_integral(g2, (b,) + right)
-                    )
+        for left, right, ways, left_deg in splits:
+            # the genus of the left side is fixed by its dimension
+            g1, r = divmod(a + left_deg - len(left) + 2, 3)
+            if r or not 0 <= g1 <= g:
+                continue
+            if is_stable(g1, len(left) + 1) and is_stable(g - g1, len(right) + 1):
+                quad += (
+                    w
+                    * ways
+                    * psi_integral(g1, (a,) + left)
+                    * psi_integral(g - g1, (b,) + right)
+                )
     acc += quad / 2
     return acc / _dfact(2 * d1 + 1)
 

@@ -2,8 +2,9 @@
 package: series-inversion Bernoulli numbers, brute-force stable-graph
 enumeration with half-edge automorphism counting, mod-r weightings by
 filtering every residue tuple, direct product/series
-expansions for the symmetric-function and Stirling layers, and the Hodge
-boundary sum over every degeneration and split with no term skipped.
+expansions for the symmetric-function and Stirling layers, the Hodge
+boundary sum over every degeneration and split with no term skipped, and
+the sorted exponent vectors that the pinned-value digests run over.
 
 Nothing here shares code paths with the package internals, except the
 polynomial helpers at the end: small constructions on the public
@@ -321,6 +322,23 @@ def added_point_terms_by_compositions(kappa) -> list[tuple[Fraction, tuple[int, 
             if coef:
                 out.append((coef * fact / factorial(ell), mu))
     return out
+
+
+# -- grids for pinned-value digests -------------------------------------------------
+
+
+def descending_vectors(total: int, parts: int, maxpart: int):
+    """Non-increasing tuples of `parts` integers in [0, maxpart] summing to
+    `total`, largest first entry first."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, maxpart), -1, -1):
+        if first * parts < total:
+            break
+        for rest in descending_vectors(total - first, parts - 1, first):
+            yield (first,) + rest
 
 
 # -- polynomial helpers on the public tautint.polys API -------------------------

@@ -53,6 +53,18 @@ def test_three_routes_small():
         assert chi_via_omega(g, n).value == hz, (g, n)
 
 
+def test_frontier_routes_exact():
+    # dimension 12, the cap of chi and mv: both chi routes through Hodge
+    # integrals equal Harer-Zagier and the two MV routes agree (the value was
+    # recorded with both routes before the Hodge string/dilaton equations)
+    hz = chi_harer_zagier(5, 0).value
+    assert hz == F(1, 1056)
+    assert chi_via_hodge(5, 0).value == hz
+    assert chi_via_omega(5, 0).value == hz
+    mvv = mv_via_hodge(5, 0).value
+    assert mvv == mv_via_omega(5, 0).value == F(7607231, 1310720)
+
+
 def test_chi_omega_graph_route_small():
     for (g, n) in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 0)]:
         assert chi_via_omega(g, n, route="graph").value == HZ_VALUES[(g, n)]

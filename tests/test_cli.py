@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tautint.cli import DIM_HARD_CAP, main
+from tautint.cli import DIM_HARD_CAP, GRAPH_DIM_CAP, main
 from tautint.psi import stable_types
 
 
@@ -110,10 +110,10 @@ def test_unreadable_cache_is_a_usage_error(tmp_path, capsys):
 
 def test_table_dimmax_capped(capsys):
     # rejected before any work, so this returns at once
-    code = main(["table", "--dimmax", "11"])
+    code = main(["table", "--dimmax", str(GRAPH_DIM_CAP + 1)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.count("\n") == 1 and "10" in captured.err
+    assert captured.err.count("\n") == 1 and str(GRAPH_DIM_CAP) in captured.err
 
 
 def run_usage(args, capsys):
@@ -156,25 +156,36 @@ def test_bad_input_is_a_usage_error(args, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["chi", "12", "0", "--route", "omega"],
-        ["mv", "4", "4"],
-        ["hodge", "5", "0", "1"],
-        ["omega", "3", "8", "1", "0", "0,0,0,0,0,0,0,0"],
+        ["chi", "5", "1", "--route", "omega"],  # dimension 13
+        ["mv", "4", "4"],  # 13
+        ["hodge", "5", "1", "1"],  # 13
+        ["omega", "3", "5", "1", "0", "0,0,0,0,0"],  # 11
     ],
 )
 def test_dimension_cap_applies_to_every_subcommand(args, capsys):
-    # rejected before any work, so these return at once
+    # rejected before any work, so these return at once; each lies just
+    # above its subcommand's cap
+    cap = GRAPH_DIM_CAP if args[0] == "omega" else DIM_HARD_CAP
+    assert 3 * int(args[1]) - 3 + int(args[2]) == cap + 1
     code, err = run_usage(args, capsys)
     assert code == 2
-    assert err.count("\n") == 1 and str(DIM_HARD_CAP) in err
+    assert err.count("\n") == 1 and f"cap of {cap}" in err
+
+
+def test_dimension_cap_admits_its_own_dimension(capsys):
+    # dimension 12 runs for chi and hodge (both answers are immediate)
+    for args, want in ((["chi", "5", "0"], "1/1056"), (["hodge", "5", "0", "1"], "0")):
+        code, out = run_cli(args, capsys)
+        assert code == 0 and out.strip() == want
 
 
 # -- every subcommand on drawn tokens: exit 0, 1 or 2 and never a traceback ------
-# Stable draws have dimension <= 3 or lie above the cap, so no draw runs long.
+# Stable draws have dimension <= 3 or lie above every cap (dimension >= 13),
+# so no draw runs long.
 
 VALID = [(str(g), str(n)) for g, n in stable_types(3)]
 UNSTABLE = [("0", "0"), ("0", "1"), ("0", "2"), ("1", "0")]
-OVER_CAP = [("4", "0"), ("2", "8"), ("0", "14"), ("12", "0")]
+OVER_CAP = [("5", "1"), ("2", "10"), ("0", "16"), ("12", "0")]
 NEGATIVE = [("-1", "5"), ("0", "-3"), ("-2", "-2")]
 NON_NUMERIC = ["abc", "1.5", "x1", "", "1/2"]
 

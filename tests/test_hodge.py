@@ -1,7 +1,8 @@
+import hashlib
 from fractions import Fraction as F
 from math import factorial
 
-from oracles import boundary_sum_unpruned
+from oracles import boundary_sum_unpruned, descending_vectors
 
 from tautint import hodge
 from tautint.apps import chi_via_omega
@@ -63,6 +64,41 @@ def test_lambda_inverse_matches_linear_dual():
             for kap, psi in flat_basis(g, n):
                 P = TautPolynomial.from_monomial(n, dim, kap, psi)
                 assert hodge_pair(g, n, inv, P) == hodge_pair(g, n, lin, P)
+
+
+def test_dilaton_onto_no_marked_points():
+    # int_{2,1} lambda_2 lambda_1 psi_1 = (2g-2) int_{Mbar_2} lambda_2 lambda_1
+    assert hodge_monomial(2, 1, (2, 1), (), (1,)) == F(1, 2880)
+    assert hodge_monomial(2, 1, (2, 1), (), (1,)) == 2 * hodge_monomial(2, 0, (2, 1), (), ())
+
+
+def test_hodge_digest_pinned():
+    # every lambda multiset with parts <= g, kappa_1^0 or kappa_1^1 and sorted
+    # psi exponents of complementary degree on each stable (g, n) with
+    # 3g-3+n <= 7, n = 0 included, recomputed from empty memos; the digest
+    # was recorded before the string and dilaton equations were applied to
+    # lambda classes
+    from tautint.psi import clear_cache
+
+    hodge._hodge_core.cache_clear()
+    clear_cache()
+    h = hashlib.sha256()
+    count = 0
+    for g, n in stable_types(7):
+        dim = 3 * g - 3 + n
+        for deg in range(dim + 1):
+            for parts in range(1 if deg else 0, deg + 1):
+                for lam in descending_vectors(deg, parts, g):
+                    if not all(lam):
+                        continue
+                    for kappa in ((), ((1, 1),)):
+                        rest = dim - deg - len(kappa)
+                        for psi in descending_vectors(rest, n, rest) if rest >= 0 else ():
+                            v = hodge_monomial(g, n, lam, kappa, psi)
+                            h.update(f"{g};{n};{lam};{kappa};{psi}={v}\n".encode())
+                            count += 1
+    assert count == 561
+    assert h.hexdigest() == "bc0af90f4e0a6e3d1525f68a56595673dd147ab4de782fc7f6399100375ff63e"
 
 
 def test_kappa_with_lambda():

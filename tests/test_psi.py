@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from oracles import descending_vectors
 
-from tautint.psi import clear_cache, load_cache, psi_integral, save_cache
+from tautint.psi import clear_cache, load_cache, psi_integral, save_cache, stable_types
 
 # classical values; the genus >= 2 ones match the standard tables
 KNOWN = {
@@ -34,6 +36,25 @@ def test_dimension_gate_and_symmetry():
     assert psi_integral(1, (2,)) == 0
     assert psi_integral(0, (1, 1, 1, 0)) == 0
     assert psi_integral(2, (3, 2)) == psi_integral(2, (2, 3))
+
+
+def test_psi_digest_pinned():
+    # every sorted exponent vector with 3g-3+n <= 10, recomputed from an empty
+    # memo; the digest was recorded before the recursion grouped equal
+    # exponents (string, dilaton and the linear term once per distinct
+    # exponent, the quadratic term over sub-multisets with binomial weights)
+    clear_cache()
+    h = hashlib.sha256()
+    count = 0
+    for g, n in stable_types(10):
+        if n == 0:
+            continue
+        dim = 3 * g - 3 + n
+        for d in descending_vectors(dim, n, dim):
+            h.update(f"{g};{d}={psi_integral(g, d)}\n".encode())
+            count += 1
+    assert count == 423
+    assert h.hexdigest() == "979cb9cd5aba40a301609822555f87e6875151f9f36a62ba22cc9940eccf38e9"
 
 
 def test_unstable_raises():
