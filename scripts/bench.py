@@ -9,7 +9,8 @@ value checked:
 
 - the frontier graph-sum batch, the 84 psi pairings of Omega(7, 0; 1, 2, 4)
   on Mbar_{2,3}: once cold, and once warm, by repeating the call in the same
-  process (a warm time far from zero means a memo has stopped working);
+  process (a warm time far from zero means a memo has stopped working), its
+  digest compared with the one the test suite pins;
 - the chi/MV frontier beyond dimension 10: chi by the hodge_sum route on
   (6,0), MV by the hodge_sum route on (6,0) and chi by the omega route on
   (5,2), each cold.
@@ -21,7 +22,8 @@ The file also records nproc, the Python version, the commit and
 
 `--checkout` defaults to this repository and `--out` to the checkout.  A
 checkout whose src/ or perfbench/ differs from its HEAD commit is written as
-BENCH_<short-commit>-dirty.json.
+BENCH_<short-commit>-dirty.json.  The script exits 1 when a checked value
+is wrong.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from pathlib import Path
 
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
 TRACE0_RUNS = 3
+
+# the digest that tests/test_omega.py::PINNED_BATCHES pins for this batch (M23-r7)
+FRONTIER_DIGEST = "05645631499edc2b9844995c8e6e4846fb0d15df5c6d553399d94d61fe5c3fbf"
 
 FRONTIER = """
 import hashlib, json, resource, time
@@ -155,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     src_env = {**env, "PYTHONPATH": str(checkout / "src")}
     print("frontier batch", flush=True)
     record["frontier"] = last_json_line([sys.executable, "-c", FRONTIER], checkout, src_env)
+    record["frontier"]["correct"] = record["frontier"]["digest"] == FRONTIER_DIGEST
     record["frontier_chi_mv"] = []
     for name, expr, expected in CHI_MV_FRONTIER:
         print(name, flush=True)
@@ -167,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {path}")
     checks = [record["perfbench"][f"{w}/trace0"]["correct"] for w in WORKLOADS]
     checks += [record["perfbench"][f"{w}/trace1"]["correct"] for w in WORKLOADS]
+    checks.append(record["frontier"]["correct"])
     checks += [case["correct"] for case in record["frontier_chi_mv"]]
     if not all(checks):
         print("a benchmarked value is wrong", file=sys.stderr)

@@ -45,13 +45,11 @@ from .graphs import (
     graph_orbits,
 )
 from .hodge import hodge_integral, hodge_monomial, hodge_pair
-from .intersect import forgetful_pullback_check, integrate_mixed, integrate_monomial
+from .intersect import integrate_monomial
 from .omega import (
     OmegaConstraintError,
     OmegaSpec,
     degree_bound_check,
-    hodge_expand,
-    omega_closed_form_r1,
     omega_integral,
     omega_pairings,
 )

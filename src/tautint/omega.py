@@ -37,7 +37,7 @@ from itertools import product
 from math import comb, factorial, lcm, prod
 from operator import le
 
-from .exact import Rat, bernoulli_series, interpolate_polynomial
+from .exact import Rat, bernoulli_series
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
 from .hodge import LambdaDict, hodge_pair, lambda_total, lambda_total_inverse
 from .intersect import integrate_monomial
@@ -161,17 +161,11 @@ def _vertex_integral(
 
 
 @lru_cache(maxsize=None)
-def _edge_denominator(r: int, x: Rat, trunc: int) -> int:
-    """A common denominator of the edge series at every residue mod r."""
-    series = [edge_local_factor(w, r, x, trunc) for w in range(r)]
-    return lcm(*(q.denominator for es in series for _, q in es.terms))
-
-
-@lru_cache(maxsize=None)
-def _filtered_edge_terms(w: int, r: int, x: Rat, trunc: int, cap_a: int, cap_b: int, same: bool):
+def _filtered_edge_terms(
+    w: int, r: int, x: Rat, trunc: int, cap_a: int, cap_b: int, same: bool, den: int
+):
     """Edge series terms surviving the per-side capacity bounds, as integer
-    numerators over `_edge_denominator(r, x, trunc)`."""
-    den = _edge_denominator(r, x, trunc)
+    numerators over `den`, a multiple of every denominator of the series."""
     return tuple(
         ((i, j), q.numerator * (den // q.denominator))
         for (i, j), q in edge_local_factor(w, r, x, trunc).terms
@@ -197,11 +191,15 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
     and residue sum, so graphs of one shape share it."""
     dims, n_local, legs, _, edges, _ = _graph_plan(G)
     zero_cfg = tuple((0,) * (k - len(lv)) for k, lv in zip(n_local, legs))
+    weightings = list(enumerate_weightings(G, r, s, a))
+    # one denominator for the residues these weightings use, not all r of them
+    used = {res for w in weightings for res in w.residues}
+    den = lcm(*(q.denominator for w in used for _, q in edge_local_factor(w, r, x, dim).terms))
     configs: dict[tuple, int] = {}
-    for w in enumerate_weightings(G, r, s, a):
+    for w in weightings:
         partial = {zero_cfg: 1}
         for (va, vb, pa, pb), res in zip(edges, w.residues):
-            terms = _filtered_edge_terms(res, r, x, dim, dims[va], dims[vb], va == vb)
+            terms = _filtered_edge_terms(res, r, x, dim, dims[va], dims[vb], va == vb, den)
             nxt: dict[tuple, int] = {}
             for cfg, c in partial.items():
                 for (i, j), q in terms:
@@ -230,7 +228,7 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
         for cfg, c in partial.items():
             key = tuple(map(tuple, map(sorted, cfg)))
             configs[key] = configs.get(key, 0) + c
-    den = _edge_denominator(r, x, dim) ** len(edges)
+    den **= len(edges)
     groups: dict[tuple[int, ...], list] = {}
     for cfg, c in configs.items():
         if c:
@@ -501,75 +499,6 @@ def omega_r1_parts(
             leg = bernoulli_series(ai, x, trunc)
             P = P * exp_psi_series(i, {m: c0 - leg[m] for m, c0 in zero.items()}, n, trunc)
     return lam, P
-
-
-@dataclass
-class R1ClosedForm:
-    """Factored r = 1 integrand: a lambda polynomial times a kappa/psi class."""
-
-    g: int
-    n: int
-    s: int
-    x: Fraction
-    lam: LambdaDict
-    poly: TautPolynomial
-
-    def integral(self, T: TautPolynomial | None = None) -> Fraction:
-        P = self.poly if T is None else self.poly * T
-        return hodge_pair(self.g, self.n, self.lam, P)
-
-
-def omega_closed_form_r1(g: int, n: int, s: int, x: Rat, mumford_linear: bool = True) -> R1ClosedForm:
-    """Closed-form integrand of Omega^{[x]}(1, s; 0,...,0).
-
-    At (s, x) = (-1, 1) this is the total-Chern-dual form
-    Lambda(-1) * exp(-sum_m kappa_m / m) whose integral is the orbifold Euler
-    characteristic; agreement with the stable-graph route is asserted in the
-    test suite on all (g, n) with 3g-3+n <= 4.
-    """
-    dim = 3 * g - 3 + n
-    lam, P = omega_r1_parts(g, n, s, (0,) * n, x, dim, mumford_linear=mumford_linear)
-    return R1ClosedForm(g, n, s, Fraction(x), lam, P)
-
-
-# -- Hodge classes through the Omega specialisation -----------------------------
-
-
-@dataclass
-class HodgeExpand:
-    """Pairings of Lambda(t) = sum lambda_i t^i via Omega^{[-t]}(1, 1; 1,...,1).
-
-    The sign of the substitution is pinned by int_{Mbar_{1,1}} Lambda(-1) =
-    -1/24; the graph-sum route is used so this doubles as an independent
-    cross-check of the recursive Hodge engine.
-    """
-
-    g: int
-    n: int
-    t: Fraction
-
-    def spec(self, x: Rat) -> OmegaSpec:
-        return OmegaSpec(1, 1, (1,) * self.n, x)
-
-    def integral(self, T: TautPolynomial | None = None, route: str = "graph-raw") -> Fraction:
-        return omega_integral(self.g, self.n, self.spec(-self.t), T, route=route)
-
-
-def hodge_expand(g: int, n: int, t: Rat) -> HodgeExpand:
-    return HodgeExpand(g, n, Fraction(t))
-
-
-def hodge_integral_via_omega(g: int, n: int, i: int, T: TautPolynomial, route: str = "graph-raw") -> Fraction:
-    """int lambda_i * T by x-interpolation of the Omega(1,1;1,..,1) pairings."""
-    dim = 3 * g - 3 + n
-    if i < 0 or i > g:
-        return Fraction(0)
-    xs = [Fraction(k) for k in range(dim + 2)]
-    ys = [
-        omega_integral(g, n, OmegaSpec(1, 1, (1,) * n, xv), T, route=route) for xv in xs
-    ]
-    coeffs = interpolate_polynomial(list(zip(xs, ys)))
-    return ((-1) ** i) * coeffs[i] if i < len(coeffs) else Fraction(0)
 
 
 # -- Riemann-Roch degree bounds --------------------------------------------------

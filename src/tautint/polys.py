@@ -1,7 +1,7 @@
 """Truncated polynomial algebra in kappa_m and per-point psi_i classes.
 
 One truncated sparse-series kernel (multiply, exp, inverse) serves the kappa/psi
-polynomials here and the edge, added-point and lambda series elsewhere.
+polynomials here and the edge and lambda series elsewhere.
 
 A monomial is a pair (kappa, psi): `kappa` is a tuple of (index, exponent)
 pairs sorted by index, `psi` a tuple of n nonnegative exponents.  Its degree
@@ -30,8 +30,8 @@ Monomial = tuple[KappaPart, PsiPart]
 # A series is a dict {key: Fraction} without zero coefficients, truncated
 # above a total degree.  A ring is fixed by two
 # functions on its keys: `degree` and `product`.  Kappa/psi polynomials, the
-# bivariate edge series, the u-series of the added-point expansion and the
-# lambda polynomials are all multiplied and exponentiated here.
+# bivariate edge series and the lambda polynomials are all multiplied and
+# exponentiated here.
 
 Series = dict[Hashable, Fraction]
 Degree = Callable[[Hashable], int]

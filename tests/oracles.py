@@ -3,10 +3,14 @@ package: series-inversion Bernoulli numbers, brute-force stable-graph
 enumeration with half-edge automorphism counting, mod-r weightings by
 filtering every residue tuple, direct product/series
 expansions for the symmetric-function and Stirling layers, the Hodge
-boundary sum over every degeneration and split with no term skipped, and
-the sorted exponent vectors that the pinned-value digests run over.
+boundary sum over every degeneration and split with no term skipped, kappa
+classes by added points summed over ordered compositions of u-series
+coefficients, lambda classes by x-interpolation of Omega pairings, and the
+sorted exponent vectors that the pinned-value digests run over.
 
-Nothing here shares code paths with the package internals, except the
+Nothing here shares code paths with the package internals, except public
+entry points that the routes are built on (`psi_integral` under the
+composition sum, `omega_integral` under the interpolation) and the
 polynomial helpers at the end: small constructions on the public
 `tautint.polys` API that the polynomial tests exercise and the package
 itself does not need.
@@ -19,7 +23,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
-from tautint.polys import EdgeSeries, TautPolynomial, series_mul, vector_add
+from tautint.exact import interpolate_polynomial
+from tautint.omega import OmegaSpec, omega_integral
+from tautint.polys import EdgeSeries, PsiPart, TautPolynomial, series_mul, vector_add
+from tautint.psi import is_stable, psi_integral
 
 
 def bernoulli_by_series(maxm: int) -> list[Fraction]:
@@ -322,6 +329,69 @@ def added_point_terms_by_compositions(kappa) -> list[tuple[Fraction, tuple[int, 
             if coef:
                 out.append((coef * fact / factorial(ell), mu))
     return out
+
+
+def integrate_exp_kappa(g: int, n: int, u: dict[int, Fraction], psi: PsiPart) -> Fraction:
+    """int prod psi^{d} * exp(sum u_m kappa_m) by the direct v-substitution
+    exp(-sum u_m x^m) = 1 - sum v_k x^k, numerically in u, summed over every
+    ordered composition of the kappa degree."""
+    if len(psi) != n:
+        raise ValueError("psi exponent vector must have length n")
+    if not is_stable(g, n):
+        raise ValueError(f"unstable moduli space (g={g}, n={n})")
+    dim = 3 * g - 3 + n
+    kbudget = dim - sum(psi)
+    if kbudget < 0:
+        return Fraction(0)
+    # v_k from exp(-sum u_m x^m) = 1 - sum v_k x^k, numerically
+    expo = [Fraction(0)] * (kbudget + 1)
+    expo[0] = Fraction(1)
+    lin = [Fraction(0)] * (kbudget + 1)
+    for m, c in u.items():
+        if 1 <= m <= kbudget:
+            lin[m] = -Fraction(c)
+    cur = list(expo)
+    for j in range(1, kbudget + 1):
+        nxt = [Fraction(0)] * (kbudget + 1)
+        for da in range(kbudget + 1):
+            if cur[da] == 0:
+                continue
+            for db in range(1, kbudget + 1 - da):
+                nxt[da + db] += cur[da] * lin[db]
+        cur = nxt
+        inv = Fraction(1, factorial(j))
+        for d in range(kbudget + 1):
+            expo[d] += inv * cur[d]
+    v = [Fraction(0)] + [-expo[k] for k in range(1, kbudget + 1)]
+
+    acc = Fraction(0)
+    if sum(psi) == dim:
+        acc += psi_integral(g, psi) if n else (Fraction(1) if dim == 0 else Fraction(0))
+    for ell in range(1, kbudget + 1):
+        for mu in _compositions(kbudget, ell):
+            coef = Fraction(1, factorial(ell))
+            for k in mu:
+                coef *= v[k]
+            if coef:
+                acc += coef * psi_integral(g, psi + tuple(m + 1 for m in mu))
+    return acc
+
+
+# -- lambda classes through the Omega specialisation ----------------------------
+
+
+def hodge_integral_via_omega(
+    g: int, n: int, i: int, T: TautPolynomial, route: str = "graph-raw"
+) -> Fraction:
+    """int lambda_i * T by x-interpolation of the Omega^{[x]}(1, 1; 1,...,1)
+    pairings, which equal the pairings of Lambda(-x)."""
+    dim = 3 * g - 3 + n
+    if i < 0 or i > g:
+        return Fraction(0)
+    xs = [Fraction(k) for k in range(dim + 2)]
+    ys = [omega_integral(g, n, OmegaSpec(1, 1, (1,) * n, xv), T, route=route) for xv in xs]
+    coeffs = interpolate_polynomial(list(zip(xs, ys)))
+    return ((-1) ** i) * coeffs[i] if i < len(coeffs) else Fraction(0)
 
 
 # -- grids for pinned-value digests -------------------------------------------------

@@ -2,23 +2,20 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from oracles import hodge_integral_via_omega
 
 from tautint.checks import admissible_a, flat_basis
-from tautint.exact import interpolate_polynomial
 from tautint.hodge import hodge_monomial, hodge_pair
 from tautint.omega import (
     OmegaConstraintError,
     OmegaSpec,
     degree_bound_check,
-    hodge_expand,
-    hodge_integral_via_omega,
-    omega_closed_form_r1,
     omega_integral,
     omega_pairings,
     omega_r1_parts,
 )
 from tautint.polys import TautPolynomial, monomial_degree
-from tautint.psi import is_stable, stable_types
+from tautint.psi import stable_types
 
 CHI_SPEC = lambda n: OmegaSpec(1, -1, (0,) * n, F(1))
 
@@ -114,17 +111,17 @@ def test_pairings_accept_any_monomial_form():
             assert omega_pairings(1, 3, spec, form(), route) == want, (spec, route)
 
 
-def test_omega_closed_form_r1_object():
-    cf = omega_closed_form_r1(0, 3, -1, F(1))
-    assert cf.integral() == F(1)
-    cf11 = omega_closed_form_r1(1, 1, -1, F(1))
-    assert cf11.integral() == F(-1, 12)
+def test_closed_form_r1_parts():
+    assert omega_integral(0, 3, CHI_SPEC(3), route="closed") == F(1)
+    assert omega_integral(1, 1, CHI_SPEC(1), route="closed") == F(-1, 12)
     # degree-1 data: -lambda_1 - kappa_1
-    assert cf11.lam[(1,)] == F(-1)
-    assert cf11.poly.terms[(((1, 1),), (0,))] == F(-1)
+    lam, P = omega_r1_parts(1, 1, -1, (0,), F(1), 1)
+    assert lam[(1,)] == F(-1)
+    assert P.terms[(((1, 1),), (0,))] == F(-1)
     # the default linear (Mumford) form and the inverse series agree
-    assert omega_closed_form_r1(1, 2, -1, F(1)).integral() == F(1, 12)
-    assert omega_closed_form_r1(1, 2, -1, F(1), mumford_linear=False).integral() == F(1, 12)
+    assert omega_integral(1, 2, CHI_SPEC(2), route="closed") == F(1, 12)
+    lam, P = omega_r1_parts(1, 2, -1, (0, 0), F(1), 2, mumford_linear=False)
+    assert hodge_pair(1, 2, lam, P) == F(1, 12)
 
 
 @pytest.mark.parametrize("g,n", stable_types(5))
@@ -144,19 +141,20 @@ def test_closed_route_pairs_like_the_inverse_lambda_series(g, n):
                 assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, x, kap, psi)
 
 
-def test_hodge_expand_graph_route_matches_engine():
-    # Lambda(t) pairings through the Omega graph sum vs the recursive engine
+def test_lambda_pairings_graph_route_match_engine():
+    # Lambda(t) pairs like Omega^{[-t]}(1, 1; 1,...,1): at t = -1, the Omega
+    # graph sum vs the recursive engine
+    lambda_spec = lambda n: OmegaSpec(1, 1, (1,) * n, F(1))
     for (g, n) in [(1, 1), (1, 2), (0, 4)]:
         dim = 3 * g - 3 + n
-        he = hodge_expand(g, n, F(-1))
-        got = he.integral()
+        got = omega_integral(g, n, lambda_spec(n), route="graph-raw")
         want = sum(
             ((-1) ** i) * hodge_monomial(g, n, (i,) if i else (), (), (0,) * n)
             for i in range(g + 1)
             if i == dim
         )
         assert got == (want or F(0))
-    assert hodge_expand(1, 1, F(-1)).integral() == F(-1, 24)
+    assert omega_integral(1, 1, lambda_spec(1), route="graph-raw") == F(-1, 24)
 
 
 def test_hodge_integral_via_omega_interpolation():
@@ -331,3 +329,19 @@ def test_graph_sum_digests_pinned(g, n, spec, route, kappa, digest):
     omega._pairing_cache.clear()
     values = omega_pairings(g, n, spec, flat_basis(g, n, include_kappa=kappa), route=route)
     assert _pairing_digest(values) == digest
+
+
+def test_graph_sum_builds_edge_series_only_at_used_residues():
+    # at r = 10^4 a tree fixes its edge residues: Mbar_{0,3} has no edge and
+    # Mbar_{0,4} with a = (1,1,1,-3) one graph orbit with one edge, so neither
+    # needs the edge series at every residue mod r
+    from tautint import omega
+    from tautint.polys import edge_local_factor
+
+    r = 10 ** 4
+    for a, want, built in [((1, 1, -2), F(1, r), 0), ((1, 1, 1, -3), F(3, r ** 2), 1)]:
+        omega._pairing_cache.clear()
+        omega._config_cache.clear()
+        edge_local_factor.cache_clear()
+        assert omega_integral(0, len(a), OmegaSpec(r, 0, a)) == want
+        assert edge_local_factor.cache_info().misses == built, a
