@@ -13,17 +13,23 @@ value checked:
   digest compared with the one the test suite pins;
 - the chi/MV frontier beyond dimension 10: chi by the hodge_sum route on
   (6,0), MV by the hodge_sum route on (6,0) and chi by the omega route on
-  (5,2), each cold.
+  (5,2), each cold;
+- the stable-graph enumeration frontier: `graph_orbits` on (3,3) with all
+  colours equal, (4,1), (1,6) with all colours distinct, (0,8) with one equal
+  pair and (0,8) with all colours distinct (the labelled genus-0 path), each
+  cold, its orbit count and digest compared with pinned ones.
 
 The file also records nproc, the Python version, the commit and
 `wc -l src/tautint/*.py`.
 
-    python3 scripts/bench.py [--checkout DIR] [--out DIR]
+    python3 scripts/bench.py [--checkout DIR] [--against DIR] [--out DIR]
 
 `--checkout` defaults to this repository and `--out` to the checkout.  A
 checkout whose src/ or perfbench/ differs from its HEAD commit is written as
-BENCH_<short-commit>-dirty.json.  The script exits 1 when a checked value
-is wrong.
+BENCH_<short-commit>-dirty.json.  With `--against`, a second checkout is
+measured in the same session, every run alternating between the two (A B,
+B A, A B, ...) so that drift of the machine falls on both, and both files
+are written.  The script exits 1 when a checked value is wrong.
 """
 
 from __future__ import annotations
@@ -79,6 +85,38 @@ CHI_MV_FRONTIER = (
     ("chi omega (5,2)", "chi_via_omega(5, 2)", "chi_harer_zagier(5, 2).value"),
 )
 
+# (g, n, colours, orbit count, sha256 of the repr of the rows
+# [(genera, legs, edges, |Aut_col|)] of graph_orbits)
+ENUMERATION = (
+    (3, 3, (0, 0, 0), 4041,
+     "67ebb33958add83ae5b51100b35efd5206289620bdada0e5f487258512195fd7"),
+    (4, 1, (0,), 2666,
+     "dd4f5200ba321567289210fe13f05df1063150ba0ca622f251dd5270bb11aa25"),
+    (1, 6, (0, 1, 2, 3, 4, 5), 19340,
+     "fb4c0a429e57f6d0fb299f916bb0b816a7c2455e666371c9550f2e13b3b518bc"),
+    (0, 8, (0, 0, 1, 2, 3, 4, 5, 6), 22356,
+     "f15eeeb79e2f51ff32214754c56b8c83200d51f74c7ff6c5e7cb04157a28ba95"),
+    (0, 8, (0, 1, 2, 3, 4, 5, 6, 7), 39208,
+     "2241f8ee036b54f0f82dcb2cd0a092ecad4637fa2099eeeb8289a7a0f713ff94"),
+)
+
+ENUMERATION_CASE = """
+import hashlib, json, resource, time
+from tautint.graphs import graph_orbits
+
+t0 = time.perf_counter()
+orbits = graph_orbits({g}, {n}, {colours!r})
+t1 = time.perf_counter()
+rows = [(G.genera, G.legs, G.edges, aut) for G, aut in orbits]
+print(json.dumps({{
+    "name": "graph_orbits({g}, {n}, {colours!r})",
+    "cold_s": t1 - t0,
+    "orbits": len(rows),
+    "digest": hashlib.sha256(repr(rows).encode()).hexdigest(),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}}))
+"""
+
 CHI_MV_CASE = """
 import json, resource, time
 from fractions import Fraction
@@ -122,63 +160,99 @@ def src_line_counts(checkout: Path) -> dict[str, int]:
     return counts
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--out", type=Path, default=None)
-    args = ap.parse_args(argv)
-    checkout = args.checkout.resolve()
-    commit = git(checkout, "rev-parse", "--short", "HEAD")
-    dirty = bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench"))
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TAUTINT_CACHE")}
-    env["PYTHONHASHSEED"] = "0"
-
-    record: dict = {
-        "commit": commit,
-        "dirty": dirty,
+def new_record(checkout: Path) -> dict:
+    return {
+        "commit": git(checkout, "rev-parse", "--short", "HEAD"),
+        "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "wc_l_src": src_line_counts(checkout),
         "perfbench": {},
+        "frontier_chi_mv": [],
+        "frontier_enumeration": [],
     }
+
+
+def bench_name(record: dict) -> str:
+    return f"BENCH_{record['commit']}{'-dirty' if record['dirty'] else ''}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--against", type=Path, default=None)
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args(argv)
+    checkouts = [args.checkout.resolve()]
+    if args.against is not None:
+        checkouts.append(args.against.resolve())
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TAUTINT_CACHE")}
+    env["PYTHONHASHSEED"] = "0"
+    sides = [(checkout, new_record(checkout)) for checkout in checkouts]
+    turn = 0
+
+    def each_side():
+        """The checkouts with their records, in alternating order per call."""
+        nonlocal turn
+        turn += 1
+        return sides if turn % 2 else sides[::-1]
+
+    def run_case(checkout: Path, code: str) -> dict:
+        src_env = {**env, "PYTHONPATH": str(checkout / "src")}
+        return last_json_line([sys.executable, "-c", code], checkout, src_env)
+
     for workload in WORKLOADS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace"]
-        runs = []
         for k in range(TRACE0_RUNS):
-            print(f"{workload} --trace 0 ({k + 1}/{TRACE0_RUNS})", flush=True)
-            runs.append(last_json_line(cmd + ["0"], checkout, env))
-        record["perfbench"][f"{workload}/trace0"] = {
-            "runs": runs,
-            "correct": all(run["correct"] for run in runs),
-            "median": {
+            for checkout, record in each_side():
+                step = f"{workload} --trace 0 ({k + 1}/{TRACE0_RUNS})"
+                print(f"{bench_name(record)}: {step}", flush=True)
+                entry = record["perfbench"].setdefault(f"{workload}/trace0", {"runs": []})
+                entry["runs"].append(last_json_line(cmd + ["0"], checkout, env))
+        for checkout, record in each_side():
+            print(f"{bench_name(record)}: {workload} --trace 1", flush=True)
+            record["perfbench"][f"{workload}/trace1"] = last_json_line(cmd + ["1"], checkout, env)
+    for checkout, record in each_side():
+        print(f"{bench_name(record)}: frontier batch", flush=True)
+        record["frontier"] = run_case(checkout, FRONTIER)
+        record["frontier"]["correct"] = record["frontier"]["digest"] == FRONTIER_DIGEST
+    for name, expr, expected in CHI_MV_FRONTIER:
+        code = CHI_MV_CASE.format(name=name, expr=expr, expected=expected)
+        for checkout, record in each_side():
+            print(f"{bench_name(record)}: {name}", flush=True)
+            record["frontier_chi_mv"].append(run_case(checkout, code))
+    for g, n, colours, count, digest in ENUMERATION:
+        code = ENUMERATION_CASE.format(g=g, n=n, colours=colours)
+        for checkout, record in each_side():
+            print(f"{bench_name(record)}: graph_orbits({g}, {n}, {colours})", flush=True)
+            case = run_case(checkout, code)
+            case["correct"] = case["orbits"] == count and case["digest"] == digest
+            record["frontier_enumeration"].append(case)
+
+    status = 0
+    for checkout, record in sides:
+        for workload in WORKLOADS:
+            entry = record["perfbench"][f"{workload}/trace0"]
+            runs = entry["runs"]
+            entry["correct"] = all(run["correct"] for run in runs)
+            entry["median"] = {
                 name: statistics.median(run["metrics"][name]["value"] for run in runs)
                 for name in runs[0]["metrics"]
-            },
-        }
-        print(f"{workload} --trace 1", flush=True)
-        record["perfbench"][f"{workload}/trace1"] = last_json_line(cmd + ["1"], checkout, env)
-    src_env = {**env, "PYTHONPATH": str(checkout / "src")}
-    print("frontier batch", flush=True)
-    record["frontier"] = last_json_line([sys.executable, "-c", FRONTIER], checkout, src_env)
-    record["frontier"]["correct"] = record["frontier"]["digest"] == FRONTIER_DIGEST
-    record["frontier_chi_mv"] = []
-    for name, expr, expected in CHI_MV_FRONTIER:
-        print(name, flush=True)
-        code = CHI_MV_CASE.format(name=name, expr=expr, expected=expected)
-        record["frontier_chi_mv"].append(last_json_line([sys.executable, "-c", code], checkout, src_env))
-
-    out_dir = (args.out or checkout).resolve()
-    path = out_dir / f"BENCH_{commit}{'-dirty' if dirty else ''}.json"
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    checks = [record["perfbench"][f"{w}/trace0"]["correct"] for w in WORKLOADS]
-    checks += [record["perfbench"][f"{w}/trace1"]["correct"] for w in WORKLOADS]
-    checks.append(record["frontier"]["correct"])
-    checks += [case["correct"] for case in record["frontier_chi_mv"]]
-    if not all(checks):
-        print("a benchmarked value is wrong", file=sys.stderr)
-        return 1
-    return 0
+            }
+        out_dir = (args.out or checkouts[0]).resolve()
+        path = out_dir / f"{bench_name(record)}.json"
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+        checks = [
+            record["perfbench"][f"{w}/trace{t}"]["correct"] for w in WORKLOADS for t in (0, 1)
+        ]
+        checks.append(record["frontier"]["correct"])
+        checks += [case["correct"] for case in record["frontier_chi_mv"]]
+        checks += [case["correct"] for case in record["frontier_enumeration"]]
+        if not all(checks):
+            print(f"{path.name}: a benchmarked value is wrong", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

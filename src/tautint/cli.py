@@ -210,7 +210,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
         return 2
     cells = stable_types(ns.dimmax, ns.gmax)
     if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+        # the pool starts all its workers at once; more than one per cell idle
+        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(cells))) as pool:
             blocks = list(pool.map(_chi_cell, cells))
     else:
         blocks = [_chi_cell(c) for c in cells]

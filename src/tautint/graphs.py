@@ -8,10 +8,19 @@ lists one labelled representative per class of graphs up to isomorphism and
 such permutations, with the order |Aut_col| of its automorphism group when
 legs of equal colour may be permuted.  With all colours distinct the markings
 are fixed, which gives `enumerate_stable_graphs` and `automorphism_order`.
-Enumeration proceeds by repeated elementary degenerations (vertex splitting
-and genus reduction) starting from the smooth graph, with canonical
-relabelling for isomorph rejection; completeness follows because contracting
-any edge of a stable graph yields a stable graph with one edge fewer.
+Enumeration proceeds by one-edge degenerations (vertex splitting and genus
+reduction) from the smooth graph, level by edge count, with isomorph
+rejection by canonical augmentation (McKay, J. Algorithms 26, 1998): each
+graph has a canonical contraction, computed from isomorphism invariants and
+the canonical form, and a degeneration is kept only from the parent that is
+its canonical contraction, so every class is reached from one parent and
+duplicates are removed per parent.  Completeness follows because
+contracting any edge of a stable graph yields a stable graph with one edge
+fewer.  The canonical form is the least relabelling over the vertex orders
+that a colour refinement allows; the number of relabellings that reach it is
+the order of the vertex automorphism group, from which `automorphism_order`
+builds |Aut|.  Labelled genus-0 trees (n >= 8) are rigid and are built
+directly, one per class, by partitioning the legs.
 `enumerate_weightings` tries every residue on the h1 edges outside a BFS
 spanning tree and forces the tree edges, so it builds exactly r^h1 weightings.
 """
@@ -119,16 +128,21 @@ def _relabeled(genera, legs, edges, perm, classes) -> tuple:
 
 def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
     nv = len(genera)
-    legsets = [tuple(sorted(pattern[i] for i, v in enumerate(legs) if v == w)) for w in range(nv)]
-    adj: list[Counter] = [Counter() for _ in range(nv)]
+    leg_colours: list[list[int]] = [[] for _ in range(nv)]
+    for c, v in zip(pattern, legs):
+        leg_colours[v].append(c)
+    adj: list[dict[int, int]] = [{} for _ in range(nv)]
     loops = [0] * nv
     for a, b in edges:
         if a == b:
             loops[a] += 1
         else:
-            adj[a][b] += 1
-            adj[b][a] += 1
-    colors = [(genera[v], legsets[v], loops[v], sum(adj[v].values())) for v in range(nv)]
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+    colors = [
+        (genera[v], tuple(sorted(leg_colours[v])), loops[v], sum(adj[v].values()))
+        for v in range(nv)
+    ]
     while True:
         ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
         rank = [ranks[c] for c in colors]
@@ -143,10 +157,14 @@ def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
         colors = new
 
 
-def canonical_form(genera, legs, edges, pattern) -> tuple:
+def canonical_form(genera, legs, edges, pattern) -> tuple[tuple, int]:
     """Lexicographically minimal (genera, legs, edges) over vertex relabellings
     compatible with the refinement classes and permutations of markings of
-    equal colour; `pattern[i]` is the colour of marking i+1."""
+    equal colour, and the number of relabellings that reach it; `pattern[i]`
+    is the colour of marking i+1.  Two relabellings give one form exactly
+    when they differ by a vertex permutation preserving genera, edges and
+    the leg colours at each vertex, and every such permutation preserves the
+    refinement classes, so the count is the order of that group."""
     nv = len(genera)
     colors = _refine_colors(genera, legs, edges, pattern)
     order = sorted(range(nv), key=lambda v: (colors[v], v))
@@ -158,6 +176,7 @@ def canonical_form(genera, legs, edges, pattern) -> tuple:
             classes.append([v])
     leg_classes = colour_classes(pattern)
     best: tuple | None = None
+    count = 0
     for perms in iproduct(*(permutations(cls) for cls in classes)):
         perm = [0] * nv
         pos = 0
@@ -167,47 +186,140 @@ def canonical_form(genera, legs, edges, pattern) -> tuple:
                 pos += 1
         cand = _relabeled(genera, legs, edges, perm, leg_classes)
         if best is None or cand < best:
-            best = cand
+            best, count = cand, 1
+        elif cand == best:
+            count += 1
     assert best is not None
-    return best
+    return best, count
 
 
 def _degenerations(G: StableGraph, pattern: tuple[int, ...]):
-    """One-edge degenerations: genus drops and vertex splittings.  Legs of one
-    colour at a vertex are interchangeable, so a splitting only chooses how
-    many of them stay (the first ones in marking order)."""
+    """One-edge degenerations as (genera, legs, edges, added edge): genus
+    drops and those vertex splittings that leave no self-loop.  The
+    canonical edge of a graph with a self-loop is a self-loop (see
+    `_is_canonical_child`), so such graphs are reached by genus drops alone.
+    Legs of one colour at a vertex are interchangeable, so a splitting only
+    chooses how many of them stay (the first ones in marking order).  Of a
+    splitting and its mirror, which swaps what stays with what moves, only
+    the lesser is made: the two give isomorphic graphs."""
     for v, gv in enumerate(G.genera):
         if gv >= 1:
             genera = list(G.genera)
             genera[v] = gv - 1
-            yield (tuple(genera), G.legs, G.edges + ((v, v),))
+            yield (tuple(genera), G.legs, G.edges + ((v, v),), (v, v))
     w = G.n_vertices
+    looped = {a for a, b in G.edges if a == b}
     for v, gv in enumerate(G.genera):
-        groups: dict[int, list[int]] = {}
-        for i in G.legs_at(v):
-            groups.setdefault(pattern[i - 1], []).append(i - 1)
+        if looped - {v}:
+            continue  # a self-loop away from v survives the splitting
         halves = G.half_edges_at(v)
-        k = sum(map(len, groups.values())) + len(halves)
-        for g1 in range(gv + 1):
+        leg_ids = G.legs_at(v)
+        k = len(leg_ids) + len(halves)
+        if gv == 0 and k < 4:
+            continue  # each genus-0 side needs two legs or half-edges
+        groups: dict[int, list[int]] = {}
+        for i in leg_ids:
+            groups.setdefault(pattern[i - 1], []).append(i - 1)
+        sizes = tuple(map(len, groups.values()))
+        splits = []  # (kept, number of legs kept, legs)
+        for kept in iproduct(*(range(size + 1) for size in sizes)):
+            legs = list(G.legs)
+            for grp, m in zip(groups.values(), kept):
+                for i in grp[m:]:
+                    legs[i] = w
+            splits.append((kept, sum(kept), tuple(legs)))
+        full = (1 << len(halves)) - 1
+        # a self-loop at v leaves none when its halves go to different sides
+        pos = {half: t for t, half in enumerate(halves)}
+        pairs = [(pos[e, 0], pos[e, 1]) for e, (a, b) in enumerate(G.edges) if a == b == v]
+        # the masks of half-edges kept at v, by how many they keep
+        sides: list[list[int]] = [[] for _ in range(len(halves) + 1)]
+        for mask in range(full + 1):
+            if all((mask >> t ^ mask >> u) & 1 for t, u in pairs):
+                sides[bin(mask).count("1")].append(mask)
+        built: dict[int, tuple] = {}  # the edges for each mask
+        for g1 in range(gv // 2 + 1):
             g2 = gv - g1
-            for kept in iproduct(*(range(len(grp) + 1) for grp in groups.values())):
-                for mask in range(1 << len(halves)):
-                    size1 = sum(kept) + bin(mask).count("1")
-                    if not (is_stable(g1, size1 + 1) and is_stable(g2, k - size1 + 1)):
-                        continue
-                    genera = list(G.genera) + [g2]
-                    genera[v] = g1
-                    legs = list(G.legs)
-                    for grp, m in zip(groups.values(), kept):
-                        for i in grp[m:]:
-                            legs[i] = w
-                    moves = {half: w for t, half in enumerate(halves) if not mask >> t & 1}
-                    edges = [
-                        tuple(sorted((moves.get((e, 0), a), moves.get((e, 1), b))))
-                        for e, (a, b) in enumerate(G.edges)
-                    ]
-                    edges.append((v, w))
-                    yield (tuple(genera), tuple(legs), tuple(sorted(edges)))
+            genera = G.genera[:v] + (g1,) + G.genera[v + 1 :] + (g2,)
+            # stability: a genus-0 side keeps at least two legs or half-edges
+            lo, hi = 2 if g1 == 0 else 0, k - 2 if g2 == 0 else k
+            for kept, n_kept, legs in splits:
+                mirror = tuple(size - m for size, m in zip(sizes, kept)) if g1 == g2 else None
+                for n_halves in range(max(lo - n_kept, 0), min(hi - n_kept, len(halves)) + 1):
+                    for mask in sides[n_halves]:
+                        if g1 == g2 and (kept, mask) > (mirror, full ^ mask):
+                            continue
+                        edges = built.get(mask)
+                        if edges is None:
+                            moves = {half: w for t, half in enumerate(halves) if not mask >> t & 1}
+                            new = [
+                                tuple(sorted((moves.get((e, 0), a), moves.get((e, 1), b))))
+                                for e, (a, b) in enumerate(G.edges)
+                            ]
+                            edges = built[mask] = tuple(sorted(new + [(v, w)]))
+                        yield (genera, legs, edges, (v, w))
+
+
+def _contract(genera, legs, edges, edge) -> tuple:
+    """The graph with one edge (a, b), a <= b, contracted: b merges into a."""
+    rest = list(edges)
+    rest.remove(edge)
+    ng = list(genera)
+    a, b = edge
+    if a == b:
+        ng[a] += 1
+        return tuple(ng), legs, tuple(rest)
+    ng[a] += ng.pop(b)
+
+    def image(v: int) -> int:
+        return a if v == b else v - (v > b)
+
+    return tuple(ng), tuple(map(image, legs)), tuple((image(x), image(y)) for x, y in rest)
+
+
+def _is_canonical_child(parent: tuple, genera, legs, edges, added, pattern) -> bool:
+    """Whether `parent`, a canonical form, is the canonical contraction of the
+    child degenerated from it along `added`.  The candidate edges are those
+    with the largest isomorphism-invariant key (loop flag, then the sorted
+    endpoint keys: genus, valence, loops, leg colours); the canonical
+    contraction is the least canonical form of a contraction along one of
+    them.  Contracting `added` gives the parent back, and contracting
+    parallel edges (or loops at one vertex) gives one graph, so only the
+    other endpoint pairs need a canonical form."""
+    nv = len(genera)
+    valence, loops = [0] * nv, [0] * nv
+    colours: list[list[int]] = [[] for _ in range(nv)]
+    for c, v in zip(pattern, legs):
+        colours[v].append(c)
+        valence[v] += 1
+    for a, b in edges:
+        valence[a] += 1
+        valence[b] += 1
+        if a == b:
+            loops[a] += 1
+    vkey = [(genera[v], valence[v], loops[v], sorted(colours[v])) for v in range(nv)]
+    keys = {(a, b): (a == b, sorted((vkey[a], vkey[b]))) for a, b in set(edges)}
+    top = max(keys.values())
+    if keys[added] != top:
+        return False
+    return all(
+        canonical_form(*_contract(genera, legs, edges, e), pattern)[0] >= parent
+        for e, k in keys.items()
+        if k == top and e != added
+    )
+
+
+def _aut_factor(legs, edges, pattern) -> int:
+    """The part of |Aut_col| beyond vertex permutations: legs of one colour at
+    a vertex permute freely (no two legs share a colour when `pattern` is
+    None), as do parallel edges, and each self-loop may swap its two
+    half-edges."""
+    order = 1
+    if pattern is not None:
+        order = prod(factorial(m) for m in Counter(zip(legs, pattern)).values())
+    for (a, b), mult in Counter(edges).items():
+        order *= factorial(mult) * (2 ** mult if a == b else 1)
+    return order
 
 
 def graph_orbits(
@@ -227,30 +339,36 @@ def graph_orbits(
 def _graph_orbits(g: int, n: int, pattern: tuple[int, ...]):
     if not is_stable(g, n):
         raise ValueError(f"unstable type (g={g}, n={n})")
-    labelled = len(set(pattern)) == n
-    if g == 0 and n >= 8 and labelled:
-        # labelled legs make genus-0 trees rigid; build each class exactly
-        # once by recursively partitioning the legs (rooting at leg 1), so no
-        # isomorph rejection or canonical relabelling is needed
-        forms = set(_genus0_forms(n))
-    else:
-        smooth = canonical_form((g,), (0,) * n, (), pattern)
-        forms = {smooth}
-        frontier = [smooth]
-        while frontier:
-            nxt = []
-            for form in frontier:
-                for child in _degenerations(StableGraph(*form), pattern):
-                    c = canonical_form(*child, pattern)
-                    if c not in forms:
-                        forms.add(c)
-                        nxt.append(c)
-            frontier = nxt
-    graphs = [StableGraph(*form) for form in forms]
+    if g == 0 and n >= 8 and len(set(pattern)) == n:
+        # labelled legs make genus-0 trees rigid (|Aut| = 1); build each class
+        # exactly once by recursively partitioning the legs (rooting at leg
+        # 1), so no isomorph rejection or canonical relabelling is needed
+        graphs = [StableGraph(*form) for form in _genus0_forms(n)]
+        graphs.sort(key=lambda G: (G.n_edges, G.serialize()))
+        return tuple((G, 1) for G in graphs)
+    # canonical augmentation: a child is kept only from the parent that is its
+    # canonical contraction, so each class is reached from one parent and
+    # duplicates are removed per parent
+    smooth, auts = canonical_form((g,), (0,) * n, (), pattern)
+    found = {smooth: auts}
+    frontier = [smooth]
+    while frontier:
+        nxt: list[tuple] = []
+        for parent in frontier:
+            children: dict[tuple, int] = {}
+            for *child, added in _degenerations(StableGraph(*parent), pattern):
+                if _is_canonical_child(parent, *child, added, pattern):
+                    form, auts = canonical_form(*child, pattern)
+                    children[form] = auts
+            found.update(children)
+            nxt.extend(children)
+        frontier = nxt
+    graphs = [StableGraph(*form) for form in found]
     graphs.sort(key=lambda G: (G.n_edges, G.serialize()))
-    if labelled:  # share the cache entries of automorphism_order(G)
-        return tuple((G, automorphism_order(G)) for G in graphs)
-    return tuple((G, automorphism_order(G, pattern)) for G in graphs)
+    return tuple(
+        (G, found[G.genera, G.legs, G.edges] * _aut_factor(G.legs, G.edges, pattern))
+        for G in graphs
+    )
 
 
 @lru_cache(maxsize=None)
@@ -324,55 +442,14 @@ def automorphism_order(G: StableGraph, pattern: tuple[int, ...] | None = None) -
     permuted; `pattern[i]` is the colour of marking i+1, and by default all
     colours differ, so the legs are fixed pointwise.
 
-    Vertex permutations must preserve genus, the multiset of leg colours and
-    adjacency counts; on top of those, the legs of one colour at a vertex
-    permute freely, as do parallel edges, and each self-loop may swap its two
-    half-edges.
+    The vertex permutations preserving genus, leg colours and edges are
+    counted by the canonical search; on top of those, the legs of one colour
+    at a vertex permute freely, as do parallel edges, and each self-loop may
+    swap its two half-edges.
     """
-    nv = G.n_vertices
-    loops = Counter()
-    pairs: Counter = Counter()
-    for a, b in G.edges:
-        if a == b:
-            loops[a] += 1
-        else:
-            pairs[(a, b)] += 1
-
-    colours = range(G.n_legs) if pattern is None else pattern
-    leg_colours: list[list[int]] = [[] for _ in range(nv)]
-    for c, v in zip(colours, G.legs):
-        leg_colours[v].append(c)
-    key = [(G.genera[v], tuple(sorted(leg_colours[v]))) for v in range(nv)]
-    classes: dict[tuple, list[int]] = {}
-    for v in range(nv):
-        classes.setdefault(key[v], []).append(v)
-    movable = [vs for k, vs in sorted(classes.items()) if len(vs) > 1]
-    fixed = [vs[0] for vs in classes.values() if len(vs) == 1]
-
-    def preserves(perm: dict[int, int]) -> bool:
-        img: Counter = Counter()
-        for (a, b), mult in pairs.items():
-            img[tuple(sorted((perm[a], perm[b])))] += mult
-        if img != pairs:
-            return False
-        return all(loops[v] == loops[perm[v]] for v in perm)
-
-    count = 0
-    for choice in iproduct(*(permutations(vs) for vs in movable)):
-        perm = {v: v for v in fixed}
-        for vs, imgs in zip(movable, choice):
-            for v, w in zip(vs, imgs):
-                perm[v] = w
-        if preserves(perm):
-            count += 1
-    order = count
-    if pattern is not None:  # the legs of one colour at a vertex permute freely
-        order *= prod(factorial(m) for m in Counter(zip(G.legs, pattern)).values())
-    for mult in pairs.values():
-        order *= factorial(mult)
-    for mult in loops.values():
-        order *= factorial(mult) * 2 ** mult
-    return order
+    colours = tuple(range(G.n_legs)) if pattern is None else pattern
+    _, auts = canonical_form(G.genera, G.legs, G.edges, colours)
+    return auts * _aut_factor(G.legs, G.edges, pattern)
 
 
 @dataclass(frozen=True)

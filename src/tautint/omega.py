@@ -12,10 +12,12 @@ class T:
   and, for a monomial d, sums its terms over the H-orbit of the psi vector
   of d with weight |Stab_H(d)|/|Aut_col(G0)|, where Aut_col lets legs of
   equal a_i be permuted (Mbar_{0,8} with all a_i equal: 32 graphs, not
-  39208).  Per graph shape the edge series are multiplied out over the r^h1
-  weightings in integers over one common denominator, and the half-edge
-  exponent configurations are merged up to order at each vertex and grouped
-  by per-vertex degree, so a monomial tests each degree group once;
+  39208).  Per graph shape the edge series are multiplied out in one pass
+  over the edges for all r^h1 weightings at once, each partial
+  configuration carrying one integer coefficient per weighting over a
+  common denominator; the half-edge exponent configurations are merged up
+  to order at each vertex and grouped by per-vertex degree, so a monomial
+  tests each degree group once;
 
 * for r = 1 the pushforward is trivial and the class factors in closed form
   as Lambda(-x) * exp(kappa series) * per-leg psi series, evaluated by the
@@ -173,6 +175,12 @@ def _filtered_edge_terms(
     )
 
 
+@lru_cache(maxsize=None)
+def _residue_denominator(w: int, r: int, x: Rat, trunc: int) -> int:
+    """The least common denominator of the edge series at residue w."""
+    return lcm(*(q.denominator for _, q in edge_local_factor(w, r, x, trunc).terms))
+
+
 # edge configurations per graph shape: {(r, s mod r, x, dim): {shape: configs}}
 _config_cache: dict[tuple, dict[tuple, tuple]] = {}
 
@@ -186,48 +194,61 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
     on leg points only, so it is symmetric in the half-edge points and the
     per-vertex integrals do not see their order.  Nor do they depend on the
     weighting, only the edge coefficients do, so their sum collapses per
-    config.  The edge products run on integer numerators over a common
-    denominator.  The result sees the legs only through each vertex's count
-    and residue sum, so graphs of one shape share it."""
+    config.  One pass over the edges serves all weightings: a partial config
+    carries one integer coefficient per weighting, over a common
+    denominator, and each edge multiplies it by the series term of the
+    residue that weighting puts on the edge.  The result sees the legs only
+    through each vertex's count and residue sum, so graphs of one shape
+    share it."""
     dims, n_local, legs, _, edges, _ = _graph_plan(G)
     zero_cfg = tuple((0,) * (k - len(lv)) for k, lv in zip(n_local, legs))
-    weightings = list(enumerate_weightings(G, r, s, a))
+    weightings = enumerate_weightings(G, r, s, a)
     # one denominator for the residues these weightings use, not all r of them
     used = {res for w in weightings for res in w.residues}
-    den = lcm(*(q.denominator for w in used for _, q in edge_local_factor(w, r, x, dim).terms))
+    den = lcm(*(_residue_denominator(w, r, x, dim) for w in used))
+    partial: dict[tuple, list[int]] = {zero_cfg: [1] * len(weightings)}
+    for e, (va, vb, pa, pb) in enumerate(edges):
+        # each term (i, j) of this edge's series, with its numerator under
+        # each weighting (0 where that weighting's residue lacks the term)
+        column = [w.residues[e] for w in weightings]
+        factors: dict[tuple[int, int], list[int]] = {}
+        for res in dict.fromkeys(column):
+            ks = [k for k, rk in enumerate(column) if rk == res]
+            for ij, q in _filtered_edge_terms(res, r, x, dim, dims[va], dims[vb], va == vb, den):
+                row = factors.setdefault(ij, [0] * len(weightings))
+                for k in ks:
+                    row[k] = q
+        nxt: dict[tuple, list[int]] = {}
+        for cfg, coeffs in partial.items():
+            for (i, j), qs in factors.items():
+                if va == vb:
+                    if sum(cfg[va]) + i + j > dims[va]:
+                        continue
+                    vec = list(cfg[va])
+                    vec[pa] += i
+                    vec[pb] += j
+                    ncfg = cfg[:va] + (tuple(vec),) + cfg[va + 1 :]
+                else:
+                    if sum(cfg[va]) + i > dims[va] or sum(cfg[vb]) + j > dims[vb]:
+                        continue
+                    veca = list(cfg[va])
+                    veca[pa] += i
+                    vecb = list(cfg[vb])
+                    vecb[pb] += j
+                    ncfg = list(cfg)
+                    ncfg[va] = tuple(veca)
+                    ncfg[vb] = tuple(vecb)
+                    ncfg = tuple(ncfg)
+                prods = [c * q for c, q in zip(coeffs, qs)]
+                acc = nxt.get(ncfg)
+                nxt[ncfg] = prods if acc is None else [t + u for t, u in zip(acc, prods)]
+        partial = nxt
+        if not partial:
+            break
     configs: dict[tuple, int] = {}
-    for w in weightings:
-        partial = {zero_cfg: 1}
-        for (va, vb, pa, pb), res in zip(edges, w.residues):
-            terms = _filtered_edge_terms(res, r, x, dim, dims[va], dims[vb], va == vb, den)
-            nxt: dict[tuple, int] = {}
-            for cfg, c in partial.items():
-                for (i, j), q in terms:
-                    if va == vb:
-                        if sum(cfg[va]) + i + j > dims[va]:
-                            continue
-                        vec = list(cfg[va])
-                        vec[pa] += i
-                        vec[pb] += j
-                        ncfg = cfg[:va] + (tuple(vec),) + cfg[va + 1 :]
-                    else:
-                        if sum(cfg[va]) + i > dims[va] or sum(cfg[vb]) + j > dims[vb]:
-                            continue
-                        veca = list(cfg[va])
-                        veca[pa] += i
-                        vecb = list(cfg[vb])
-                        vecb[pb] += j
-                        ncfg = list(cfg)
-                        ncfg[va] = tuple(veca)
-                        ncfg[vb] = tuple(vecb)
-                        ncfg = tuple(ncfg)
-                    nxt[ncfg] = nxt.get(ncfg, 0) + c * q
-            partial = nxt
-            if not partial:
-                break
-        for cfg, c in partial.items():
-            key = tuple(map(tuple, map(sorted, cfg)))
-            configs[key] = configs.get(key, 0) + c
+    for cfg, coeffs in partial.items():
+        key = tuple(map(tuple, map(sorted, cfg)))
+        configs[key] = configs.get(key, 0) + sum(coeffs)
     den **= len(edges)
     groups: dict[tuple[int, ...], list] = {}
     for cfg, c in configs.items():

@@ -3,14 +3,17 @@ package: series-inversion Bernoulli numbers, brute-force stable-graph
 enumeration with half-edge automorphism counting, mod-r weightings by
 filtering every residue tuple, direct product/series
 expansions for the symmetric-function and Stirling layers, the Hodge
-boundary sum over every degeneration and split with no term skipped, kappa
+boundary sum over every degeneration and split with no term skipped, the
+graph sum's edge configurations one weighting at a time, kappa
 classes by added points summed over ordered compositions of u-series
 coefficients, lambda classes by x-interpolation of Omega pairings, and the
 sorted exponent vectors that the pinned-value digests run over.
 
 Nothing here shares code paths with the package internals, except public
 entry points that the routes are built on (`psi_integral` under the
-composition sum, `omega_integral` under the interpolation) and the
+composition sum, `omega_integral` under the interpolation,
+`enumerate_weightings` and `edge_local_factor` under the edge
+configurations) and the
 polynomial helpers at the end: small constructions on the public
 `tautint.polys` API that the polynomial tests exercise and the package
 itself does not need.
@@ -24,8 +27,16 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from tautint.exact import interpolate_polynomial
+from tautint.graphs import enumerate_weightings
 from tautint.omega import OmegaSpec, omega_integral
-from tautint.polys import EdgeSeries, PsiPart, TautPolynomial, series_mul, vector_add
+from tautint.polys import (
+    EdgeSeries,
+    PsiPart,
+    TautPolynomial,
+    edge_local_factor,
+    series_mul,
+    vector_add,
+)
 from tautint.psi import is_stable, psi_integral
 
 
@@ -155,35 +166,34 @@ def _relabel(genera, legs, edges, perm):
 
 def _brute_aut(genera, legs, edges) -> int:
     """Count automorphisms as permutations of half-edges: partners map to
-    partners, induced vertex map well-defined, genus and leg sets preserved."""
-    halves = [(e, side) for e in range(len(edges)) for side in (0, 1)]
-    if not halves:
+    partners, induced vertex map well-defined and injective, genus and leg
+    sets preserved.  A partner-preserving permutation sends each edge to an
+    edge, in one of two orientations, so the search maps one edge at a time
+    and abandons a branch at its first inconsistent vertex."""
+    if not edges:
         return 1  # single vertex, no edges
-    at = {h: edges[h[0]][h[1]] for h in halves}
-    partner = {(e, s): (e, 1 - s) for e, s in halves}
     nv = len(genera)
-    legs_at = {v: tuple(sorted(i for i, w in enumerate(legs) if w == v)) for v in range(nv)}
-    count = 0
-    for sigma in permutations(halves):
-        m = dict(zip(halves, sigma))
-        if any(m[partner[h]] != partner[m[h]] for h in halves):
-            continue
-        vmap: dict[int, int] = {}
-        ok = True
-        for h in halves:
-            v, w = at[h], at[m[h]]
-            if vmap.setdefault(v, w) != w:
-                ok = False
-                break
-        if not ok or len(set(vmap.values())) != len(vmap):
-            continue
-        for v, w in vmap.items():
-            if genera[v] != genera[w] or legs_at[v] != legs_at[w]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    legs_at = [tuple(sorted(i for i, w in enumerate(legs) if w == v)) for v in range(nv)]
+
+    def extend(e: int, vmap: dict[int, int], used: frozenset) -> int:
+        if e == len(edges):
+            return 1
+        a, b = edges[e]
+        count = 0
+        for f, (c, d) in enumerate(edges):
+            if f in used:
+                continue
+            # half (e, 0) goes to the half of f at x, half (e, 1) to the one at y
+            for x, y in ((c, d), (d, c)):
+                m = dict(vmap)
+                if all(
+                    m.setdefault(v, w) == w and genera[v] == genera[w] and legs_at[v] == legs_at[w]
+                    for v, w in ((a, x), (b, y))
+                ) and len(set(m.values())) == len(m):
+                    count += extend(e + 1, m, used | {f})
+        return count
+
+    return extend(0, {}, frozenset())
 
 
 # -- brute-force mod-r weightings ---------------------------------------------------
@@ -227,6 +237,38 @@ def brute_weightings(G, r: int, s: int, a: tuple[int, ...]) -> list[tuple[int, .
             digits.append(w)
         out.append(tuple(reversed(digits)))
     return out
+
+
+# -- edge configurations one weighting at a time ----------------------------------
+
+
+def edge_configs_per_weighting(G, r: int, s: int, a: tuple[int, ...], x, dim: int) -> dict:
+    """{config: coefficient} for the edge configurations of G (see
+    `omega._edge_configs`), summed one weighting at a time: for each
+    weighting, every choice of one term of each edge's series whose
+    half-edge exponents fit the vertex dimensions, the exponents of each
+    vertex's half-edges sorted.  Zero sums are dropped."""
+    nv, dims = G.n_vertices, G.vertex_dims()
+    halves = [G.half_edges_at(v) for v in range(nv)]
+    out: dict[tuple, Fraction] = {}
+    for w in enumerate_weightings(G, r, s, a):
+        # (exponent pair per edge so far, exponent sum per vertex) -> coefficient
+        partial = {((), (0,) * nv): Fraction(1)}
+        for e, (va, vb) in enumerate(G.edges):
+            nxt: dict = {}
+            for (exps, load), c in partial.items():
+                for (i, j), q in edge_local_factor(w.residues[e], r, x, dim).terms:
+                    grown = list(load)
+                    grown[va] += i
+                    grown[vb] += j
+                    if grown[va] <= dims[va] and grown[vb] <= dims[vb]:
+                        key = (exps + ((i, j),), tuple(grown))
+                        nxt[key] = nxt.get(key, 0) + c * q
+            partial = nxt
+        for (exps, _), c in partial.items():
+            cfg = tuple(tuple(sorted(exps[e][side] for e, side in hs)) for hs in halves)
+            out[cfg] = out.get(cfg, 0) + c
+    return {cfg: c for cfg, c in out.items() if c}
 
 
 # -- unpruned Hodge boundary sum ----------------------------------------------------

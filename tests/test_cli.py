@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tautint import cli
 from tautint.cli import DIM_HARD_CAP, GRAPH_DIM_CAP, main
 from tautint.psi import stable_types
 
@@ -71,6 +72,30 @@ def test_table_deterministic_and_parallel(capsys):
     code, out8 = run_cli(["table", "--dimmax", "2", "--jobs", "2"], capsys)
     assert out1 == out8
     assert out1.splitlines()[0] == "g,n,value,route"
+
+
+def test_table_jobs_capped_at_cell_count(monkeypatch, capsys):
+    # a fake pool that records its size and maps serially, so no worker starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, out = run_cli(["table", "--dimmax", "1", "--jobs", "100000"], capsys)
+    assert code == 0
+    assert sizes == [len(stable_types(1))]
+    assert out == run_cli(["table", "--dimmax", "1"], capsys)[1]
 
 
 def test_cache_flag_roundtrip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -16,7 +17,7 @@ from tautint.graphs import (
 )
 from tautint.psi import stable_types
 
-from oracles import brute_stable_graphs, brute_weightings
+from oracles import _brute_aut, brute_stable_graphs, brute_weightings
 
 
 def test_small_counts():
@@ -215,3 +216,38 @@ def test_orbit_counts_and_pattern_cache():
     assert graph_orbits(1, 3, "zyx") is graph_orbits(1, 3, range(3))
     with pytest.raises(ValueError):
         graph_orbits(0, 4, (1, 1, 1))
+
+
+# sha256 of the repr of [(genera, legs, edges, |Aut_col|)] over graph_orbits,
+# recorded before the enumeration moved to canonical augmentation
+PINNED_ORBITS = [
+    (2, 3, (0, 1, 1), 365,
+     "5772475aa25959709885810b3a1ac0b9e055d477672c69861336766b5018da09"),
+    (2, 3, (0, 1, 2), 555,
+     "d7899fefb50f21157f8a6576abf6928068dfb026972ccc326908fa5cc12c7534"),
+    (3, 2, (0, 1), 1355,
+     "cdaf9953a53e4dc75902d6cd729fae9cdeb23c485034fb15c8720b1f97decd1f"),
+    (1, 5, (0, 0, 0, 1, 1), 289,
+     "99353d8d1fefaed5907910c082414bd4322146cf2441ce3e16dabd8ef0aa2ebb"),
+    (0, 7, (0, 1, 2, 3, 4, 5, 6), 2752,
+     "3b05f3bb0e186bfa610101c8dccfc36274d08d518f0cf76645cf512e67a95e19"),
+    (3, 1, (0,), 181,
+     "a06c19133c9bdc1e4838cf5f5cabe810558146f4c9236e075dd653cf74a62798"),
+    (0, 6, (0, 0, 1, 1, 2, 2), 61,
+     "c4ce58e3b8f51290d9cd0052b62fe76b07af9be842b12ee20fb78684ca23a3c9"),
+]
+
+
+@pytest.mark.parametrize("g,n,pattern,count,digest", PINNED_ORBITS)
+def test_graph_orbits_digests_pinned(g, n, pattern, count, digest):
+    orbits = graph_orbits(g, n, pattern)
+    rows = [(G.genera, G.legs, G.edges, aut) for G, aut in orbits]
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g,n", stable_types(5))
+def test_labelled_aut_against_half_edge_search(g, n):
+    for G, aut in graph_orbits(g, n, range(n)):
+        want = _brute_aut(G.genera, G.legs, G.edges)
+        assert aut == automorphism_order(G) == want, G

@@ -2,9 +2,11 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from oracles import hodge_integral_via_omega
+from oracles import edge_configs_per_weighting, hodge_integral_via_omega
 
+from tautint import omega
 from tautint.checks import admissible_a, flat_basis
+from tautint.graphs import graph_orbits
 from tautint.hodge import hodge_monomial, hodge_pair
 from tautint.omega import (
     OmegaConstraintError,
@@ -345,3 +347,18 @@ def test_graph_sum_builds_edge_series_only_at_used_residues():
         edge_local_factor.cache_clear()
         assert omega_integral(0, len(a), OmegaSpec(r, 0, a)) == want
         assert edge_local_factor.cache_info().misses == built, a
+
+
+@pytest.mark.parametrize(
+    "g,n,r,s",
+    [(2, 3, r, s) for r in (2, 3, 5) for s in (0, 1)] + [(1, 4, 4, 0), (1, 4, 4, 1)],
+)
+def test_edge_configs_match_per_weighting_sums(g, n, r, s):
+    # one pass over the edges for all weightings against one weighting at a time
+    head = tuple(i % r for i in range(1, n))
+    a = head + (((2 * g - 2 + n) * s - sum(head)) % r,)
+    for G, _ in graph_orbits(g, n, range(n)):
+        groups = omega._edge_configs(G, r, s, a, F(1), 3 * g - 3 + n)
+        got = {cfg: F(num, den) for _, group in groups for cfg, num, den in group}
+        assert all(hsum == tuple(map(sum, cfg)) for hsum, group in groups for cfg, _, _ in group)
+        assert got == edge_configs_per_weighting(G, r, s, a, F(1), 3 * g - 3 + n), (G, r, s, a)
