@@ -4,7 +4,9 @@ Class identities are certified at pairing level: both sides are integrated
 against every kappa/psi monomial of each complementary degree (boundary
 classes are not part of the data model, so this tests the image of the
 identity in the monomial pairing, stated as such in the reports).  Failures
-record the first differing pairing with both exact values.
+record the first differing pairing with both exact values.  A single shift
+in s or a_i is checked as the N = 1 case of its multi-shift, and reports
+that pass or show their first failure share one builder.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ def _basis_by_degree(g: int, n: int, include_kappa: bool) -> tuple[tuple[Monomia
     kparts = _kappa_parts(dim) if include_kappa else [()]
     for kap in kparts:
         kdeg = sum(m * e for m, e in kap)
-        for rest in range(dim - kdeg + 1):
-            for psi in compositions(rest, n, 0):
-                out[kdeg + rest].append((kap, psi))
+        for psi in _psi_upto(n, dim - kdeg):
+            out[kdeg + sum(psi)].append((kap, psi))
     return tuple(tuple(sorted(ms)) for ms in out)
 
 
@@ -106,6 +107,18 @@ def _pair_with_factor(
     }
 
 
+def _report(check: str, params: dict, expected: str, details: list[str], ok: str) -> CheckReport:
+    """A report that passes when `details` is empty, else shows the first of at most five."""
+    return CheckReport(
+        check=check,
+        parameters=params,
+        expected=expected,
+        got=details[0] if details else ok,
+        passed=not details,
+        details=details[:5],
+    )
+
+
 def _compare_pairings(
     name: str,
     params: dict,
@@ -116,35 +129,24 @@ def _compare_pairings(
     for mono in sorted(lhs):
         if lhs[mono] != rhs[mono]:
             diffs.append(f"pairing {mono}: lhs={lhs[mono]} rhs={rhs[mono]}")
-    return CheckReport(
-        check=name,
-        parameters=params,
-        expected="all pairings equal (pairing-certified identity)",
-        got="equal" if not diffs else diffs[0],
-        passed=not diffs,
-        details=diffs[:5],
-    )
+    return _report(name, params, "all pairings equal (pairing-certified identity)", diffs, "equal")
+
+
+def _linear_product(n: int, i: int, trunc: int, roots: Iterable[Fraction], invert: bool) -> TautPolynomial:
+    """prod_t (1 + t psi_i) over the roots t on n points, truncated above
+    degree trunc, and its inverse when `invert` is set."""
+    one, psi_i = TautPolynomial.one(n, trunc), TautPolynomial.psi(i, n, trunc)
+    out = one
+    for t in roots:
+        out = out * (one + psi_i.scale(t))
+    return out.inverse() if invert else out
 
 
 # -- Omega-class property checks --------------------------------------------------
 
 
-def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> CheckReport:
-    """Omega(r, s+r; a) = Omega(r, s; a) * exp(sum (-x)^m/m (s/r)^m kappa_m)."""
-    x = Fraction(x)
-    dim = 3 * g - 3 + n
-    basis = flat_basis(g, n)
-    lhs = omega_pairings(g, n, OmegaSpec(r, s + r, a, x), basis)
-    coeffs = {m: (-x) ** m * Fraction(s, r) ** m / m for m in range(1, dim + 1)}
-    factor = exp_kappa_series(coeffs, n, dim)
-    rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
-    return _compare_pairings(
-        "shift_s", {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}, lhs, rhs
-    )
-
-
-def check_multi_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], N: int, x) -> CheckReport:
-    """Omega(r, s+Nr; a) = Omega(r, s; a) * exp(sum (-x)^m/m p_m(s/r..s/r+N-1) kappa_m)."""
+def _shift_s(name: str, g: int, n: int, r: int, s: int, a: tuple[int, ...], N: int, x, /, **extra) -> CheckReport:
+    """The shift in s by N r, reported with the `extra` parameters beside g, n, r, s, a, x."""
     x = Fraction(x)
     dim = 3 * g - 3 + n
     basis = flat_basis(g, n)
@@ -153,46 +155,44 @@ def check_multi_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], N: i
     coeffs = {m: (-x) ** m * power_sum(m, ctx) / m for m in range(1, dim + 1)}
     factor = exp_kappa_series(coeffs, n, dim)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
-    return _compare_pairings(
-        "multi_shift_s", {"g": g, "n": n, "r": r, "s": s, "a": a, "N": N, "x": x}, lhs, rhs
-    )
+    return _compare_pairings(name, {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x, **extra}, lhs, rhs)
+
+
+def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> CheckReport:
+    """Omega(r, s+r; a) = Omega(r, s; a) * exp(sum (-x)^m/m (s/r)^m kappa_m): the multi-shift at N = 1."""
+    return _shift_s("shift_s", g, n, r, s, a, 1, x)
+
+
+def check_multi_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], N: int, x) -> CheckReport:
+    """Omega(r, s+Nr; a) = Omega(r, s; a) * exp(sum (-x)^m/m p_m(s/r..s/r+N-1) kappa_m)."""
+    return _shift_s("multi_shift_s", g, n, r, s, a, N, x, N=N)
+
+
+def _shift_a(
+    name: str, g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, N: int, x, /, **extra
+) -> CheckReport:
+    """The shift in a_i by N r, reported with the `extra` parameters beside g, n, r, s, a, i, x."""
+    x = Fraction(x)
+    basis = flat_basis(g, n)
+    a2 = a[: i - 1] + (a[i - 1] + N * r,) + a[i:]
+    lhs = omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis)
+    roots = [x * (Fraction(a[i - 1], r) + t) for t in range(N)]
+    factor = _linear_product(n, i, 3 * g - 3 + n, roots, False)
+    rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
+    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "i": i, "x": x, **extra}
+    return _compare_pairings(name, params, lhs, rhs)
 
 
 def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x) -> CheckReport:
-    """Omega(r, s; .., a_i + r, ..) = Omega(r, s; a) * (1 + x a_i/r psi_i)."""
-    x = Fraction(x)
-    dim = 3 * g - 3 + n
-    basis = flat_basis(g, n)
-    a2 = a[: i - 1] + (a[i - 1] + r,) + a[i:]
-    lhs = omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis)
-    one, psi_i = TautPolynomial.one(n, dim), TautPolynomial.psi(i, n, dim)
-    factor = one + psi_i.scale(x * Fraction(a[i - 1], r))
-    rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
-    return _compare_pairings(
-        "shift_a", {"g": g, "n": n, "r": r, "s": s, "a": a, "i": i, "x": x}, lhs, rhs
-    )
+    """Omega(r, s; .., a_i + r, ..) = Omega(r, s; a) * (1 + x a_i/r psi_i): the multi-shift at N = 1."""
+    return _shift_a("shift_a", g, n, r, s, a, i, 1, x)
 
 
 def check_multi_shift_a(
     g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, N: int, x
 ) -> CheckReport:
     """Omega(r, s; .., a_i + Nr, ..) = Omega(r, s; a) * prod_t (1 + x(a_i/r + t) psi_i)."""
-    x = Fraction(x)
-    dim = 3 * g - 3 + n
-    basis = flat_basis(g, n)
-    a2 = a[: i - 1] + (a[i - 1] + N * r,) + a[i:]
-    lhs = omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis)
-    one, psi_i = TautPolynomial.one(n, dim), TautPolynomial.psi(i, n, dim)
-    factor = one
-    for t in range(N):
-        factor = factor * (one + psi_i.scale(x * (Fraction(a[i - 1], r) + t)))
-    rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
-    return _compare_pairings(
-        "multi_shift_a",
-        {"g": g, "n": n, "r": r, "s": s, "a": a, "i": i, "N": N, "x": x},
-        lhs,
-        rhs,
-    )
+    return _shift_a("multi_shift_a", g, n, r, s, a, i, N, x, N=N)
 
 
 def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckReport:
@@ -215,14 +215,18 @@ def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckRe
     return rep
 
 
-def _pulled_back_pairings(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> dict:
+def _pullback_pairings(
+    g: int, n: int, r: int, s: int, a: tuple[int, ...], x: Fraction, down: list[Monomial]
+) -> tuple[dict, dict]:
     """Pairings of Omega(r, s; a, s) on Mbar_{g,n+1} with every psi monomial
-    of degree <= dim + 1 whose last exponent is at most 3.  The pullback,
-    string and dilaton checks all read this one batch, so the graph sum over
+    of degree <= dim + 1 whose last exponent is at most 3, and of
+    Omega(r, s; a) on Mbar_{g,n} with the monomials `down`.  The pullback,
+    string and dilaton checks all read the first batch, so the graph sum over
     Mbar_{g,n+1} runs once for the three."""
     dim1 = 3 * g - 2 + n
     monos = [((), d + (k,)) for k in range(4) for d in _psi_upto(n, dim1 + 1 - k)]
-    return omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos)
+    up = omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos)
+    return up, omega_pairings(g, n, OmegaSpec(r, s, a, x), down)
 
 
 def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -235,19 +239,13 @@ def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> C
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
     details: list[str] = []
-    up = _pulled_back_pairings(g, n, r, s, a, x)
-    total = up[((), (0,) * (n + 1))]
-    if total != 0:
-        details.append(f"int Omega(..., s) = {total} != 0")
     cases = [
         (k, d) for k in range(0, 3) for d in _psi_upto(n, dim1 - k - 1)
     ]
-    down = omega_pairings(
-        g,
-        n,
-        OmegaSpec(r, s, a, x),
-        [((), d) if k == 0 else (((k, 1),), d) for k, d in cases],
-    )
+    up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) if k == 0 else (((k, 1),), d) for k, d in cases])
+    total = up[((), (0,) * (n + 1))]
+    if total != 0:
+        details.append(f"int Omega(..., s) = {total} != 0")
     for k, d in cases:
         lhs = up[((), d + (k + 1,))]
         if k == 0:
@@ -256,14 +254,8 @@ def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> C
             rhs = down[(((k, 1),), d)]
         if lhs != rhs:
             details.append(f"k={k} d={d}: lhs={lhs} rhs={rhs}")
-    return CheckReport(
-        check="pullback",
-        parameters={"g": g, "n": n, "r": r, "s": s, "a": a, "x": x},
-        expected="pullback consequences (vanishing and kappa transport)",
-        got="hold" if not details else details[0],
-        passed=not details,
-        details=details[:5],
-    )
+    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
+    return _report("pullback", params, "pullback consequences (vanishing and kappa transport)", details, "hold")
 
 
 def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -272,10 +264,8 @@ def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Che
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
     details = []
-    ds = _psi_upto(n, dim1 + 1)
-    up = _pulled_back_pairings(g, n, r, s, a, x)
-    down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in _psi_upto(n, dim1)])
-    for d in ds:
+    up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) for d in _psi_upto(n, dim1)])
+    for d in _psi_upto(n, dim1 + 1):
         lhs = up[((), d + (0,))] if sum(d) <= dim1 else Fraction(0)
         rhs = Fraction(0)
         for j in range(n):
@@ -283,14 +273,8 @@ def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Che
                 rhs += down[((), d[:j] + (d[j] - 1,) + d[j + 1 :])]
         if lhs != rhs:
             details.append(f"d={d}: lhs={lhs} rhs={rhs}")
-    return CheckReport(
-        check="string",
-        parameters={"g": g, "n": n, "r": r, "s": s, "a": a, "x": x},
-        expected="string equation coefficientwise",
-        got="holds" if not details else details[0],
-        passed=not details,
-        details=details[:5],
-    )
+    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
+    return _report("string", params, "string equation coefficientwise", details, "holds")
 
 
 def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -299,21 +283,14 @@ def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Ch
     dim1 = 3 * g - 2 + n
     details = []
     ds = _psi_upto(n, dim1)
-    up = _pulled_back_pairings(g, n, r, s, a, x)
-    down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in ds])
+    up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) for d in ds])
     for d in ds:
         lhs = up[((), d + (1,))]
         rhs = (2 * g - 2 + n) * down[((), d)]
         if lhs != rhs:
             details.append(f"d={d}: lhs={lhs} rhs={rhs}")
-    return CheckReport(
-        check="dilaton",
-        parameters={"g": g, "n": n, "r": r, "s": s, "a": a, "x": x},
-        expected="dilaton equation coefficientwise",
-        got="holds" if not details else details[0],
-        passed=not details,
-        details=details[:5],
-    )
+    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
+    return _report("dilaton", params, "dilaton equation coefficientwise", details, "holds")
 
 
 def check_vanishing_thm(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -334,79 +311,45 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
     shift identities, with the generalised-Stirling cross-check of the
     psi-polynomial coefficients."""
     x = Fraction(x)
+    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
     if 0 <= s < r:
         return CheckReport(
             check="vanishing_corollary",
-            parameters={"g": g, "n": n, "r": r, "s": s, "a": a, "x": x},
+            parameters=params,
             expected="degenerate to the pullback-class vanishing",
             got="covered by vanishing_pullback_class",
             passed=check_vanishing_thm(g, n, r, s, a, x).passed,
         )
     dim1 = 3 * g - 2 + n
     q, rem = divmod(s, r)  # s = r*q + rem with 0 <= rem < r
-    details: list[str] = []
-
-    one = TautPolynomial.one(n + 1, dim1)
-    psi_last = TautPolynomial.psi(n + 1, n + 1, dim1)
-    # the Stirling probe is compared up to psi^q, which may exceed dim1
-    probe_one = TautPolynomial.one(n + 1, max(dim1, q))
-    probe_psi = TautPolynomial.psi(n + 1, n + 1, max(dim1, q))
     if s >= r:
-        T1 = one
-        for t in range(1, q + 1):
-            T1 = T1 * (one + psi_last.scale(x * (Fraction(s, r) - t)))
-        I1 = omega_integral(g, n + 1, OmegaSpec(r, s, a + (rem,), x), T1)
-        if I1 != 0:
-            details.append(f"product form: {I1}")
-        ctx = SymmetricEvalContext(Fraction(rem, r), q)
-        coeffs = {m: ((-1) ** m) * power_sum(m, ctx) * x ** m / m for m in range(1, dim1 + 1)}
-        T2 = exp_kappa_series(coeffs, n + 1, dim1)
-        I2 = omega_integral(g, n + 1, OmegaSpec(r, rem, a + (s,), x), T2)
-        if I2 != 0:
-            details.append(f"kappa-exponential form: {I2}")
-        # Stirling reformulation of the product polynomial at x = 1
-        probe = probe_one
-        for t in range(1, q + 1):
-            probe = probe * (probe_one + probe_psi.scale(Fraction(s, r) - t))
-        for m in range(q + 1):
-            want = stirling_generalized_first(q, m, Fraction(rem, r))
-            mono = ((), (0,) * n + (m,))
-            gotc = probe.terms.get(mono, Fraction(0))
-            if gotc != want:
-                details.append(f"stirling first k={q} m={m}: poly {gotc} vs {want}")
-    else:  # s < 0
-        N = -q
-        T1 = one
-        for t in range(0, N):
-            T1 = T1 * (one + psi_last.scale(x * (Fraction(s, r) + t)))
-        T1 = T1.inverse()
-        I1 = omega_integral(g, n + 1, OmegaSpec(r, s, a + (rem,), x), T1)
-        if I1 != 0:
-            details.append(f"inverse-product form: {I1}")
-        ctx = SymmetricEvalContext(Fraction(s, r), N)
-        coeffs = {m: -((-1) ** m) * power_sum(m, ctx) * x ** m / m for m in range(1, dim1 + 1)}
-        T2 = exp_kappa_series(coeffs, n + 1, dim1)
-        I2 = omega_integral(g, n + 1, OmegaSpec(r, rem, a + (s,), x), T2)
-        if I2 != 0:
-            details.append(f"kappa-exponential form: {I2}")
-        probe = probe_one
-        for t in range(0, N):
-            probe = probe * (probe_one + probe_psi.scale(Fraction(s, r) + t))
-        probe = probe.inverse()
-        for m in range(dim1 + 1):
-            want = stirling_generalized_second(N, m, Fraction(rem, r))
-            mono = ((), (0,) * n + (m,))
-            gotc = probe.terms.get(mono, Fraction(0))
-            if gotc != want:
-                details.append(f"stirling second k={N} m={m}: poly {gotc} vs {want}")
-    return CheckReport(
-        check="vanishing_corollary",
-        parameters={"g": g, "n": n, "r": r, "s": s, "a": a, "x": x},
-        expected="both weighted integrals vanish; Stirling coefficients match",
-        got="hold" if not details else details[0],
-        passed=not details,
-        details=details[:5],
-    )
+        roots = [Fraction(s, r) - t for t in range(1, q + 1)]
+        ctx, sign, invert = SymmetricEvalContext(Fraction(rem, r), q), 1, False
+        form, kind, stirling, mmax = "product form", "first", stirling_generalized_first, q
+    else:
+        roots = [Fraction(s, r) + t for t in range(-q)]
+        ctx, sign, invert = SymmetricEvalContext(Fraction(s, r), -q), -1, True
+        form, kind, stirling, mmax = "inverse-product form", "second", stirling_generalized_second, dim1
+    details: list[str] = []
+    T1 = _linear_product(n + 1, n + 1, dim1, [x * t for t in roots], invert)
+    I1 = omega_integral(g, n + 1, OmegaSpec(r, s, a + (rem,), x), T1)
+    if I1 != 0:
+        details.append(f"{form}: {I1}")
+    coeffs = {m: sign * (-1) ** m * power_sum(m, ctx) * x ** m / m for m in range(1, dim1 + 1)}
+    T2 = exp_kappa_series(coeffs, n + 1, dim1)
+    I2 = omega_integral(g, n + 1, OmegaSpec(r, rem, a + (s,), x), T2)
+    if I2 != 0:
+        details.append(f"kappa-exponential form: {I2}")
+    # Stirling reformulation of the product polynomial at x = 1; the probe
+    # keeps psi^q, which may exceed dim1
+    probe = _linear_product(n + 1, n + 1, max(dim1, q), roots, invert)
+    for m in range(mmax + 1):
+        want = stirling(len(roots), m, Fraction(rem, r))
+        gotc = probe.terms.get(((), (0,) * n + (m,)), Fraction(0))
+        if gotc != want:
+            details.append(f"stirling {kind} k={len(roots)} m={m}: poly {gotc} vs {want}")
+    expected = "both weighted integrals vanish; Stirling coefficients match"
+    return _report("vanishing_corollary", params, expected, details, "hold")
 
 
 def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
@@ -424,21 +367,14 @@ def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
     lam = lambda_dict_mul(lamA, lamB, dim)
     poly = polyA * polyB
     details = []
-    for mono in flat_basis(g, n):
-        kap, psi = mono
+    for kap, psi in flat_basis(g, n):
         shifted = poly.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
         got = hodge_pair(g, n, lam, shifted)
         want = integrate_monomial(g, n, kap, psi)
         if got != want:
-            details.append(f"pairing {mono}: product {got} vs unit {want}")
-    return CheckReport(
-        check="segre_chern_r1",
-        parameters={"g": g, "n": n, "s": s, "x": x},
-        expected="product of the two parametrisations pairs like 1",
-        got="holds" if not details else details[0],
-        passed=not details,
-        details=details[:5],
-    )
+            details.append(f"pairing {(kap, psi)}: product {got} vs unit {want}")
+    params = {"g": g, "n": n, "s": s, "x": x}
+    return _report("segre_chern_r1", params, "product of the two parametrisations pairs like 1", details, "holds")
 
 
 def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> CheckReport:
@@ -458,13 +394,12 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
     c0 = Fraction(2)  # r^{2g-1} for r = 2, g = 1
     details: list[str] = []
     duality_failed_everywhere = True
-    deg1 = [(((1, 1),), (0, 0)), ((), (1, 0)), ((), (0, 1))]
-    deg2 = [m for m in flat_basis(g, n) if monomial_degree(m) == 2]
     psi1 = ((), (1, 0))
     kap1 = (((1, 1),), (0, 0))
-    gram = {
-        (p, q): integrate_monomial(g, n, *monomial_product(p, q)) for p in (psi1, kap1) for q in (psi1, kap1)
-    }
+    other = ((), (0, 1))
+    deg1 = [kap1, psi1, other]
+    deg2 = [m for m in flat_basis(g, n) if monomial_degree(m) == 2]
+    gram = {(p, q): integrate_monomial(g, n, *monomial_product(p, q)) for p in (psi1, kap1) for q in deg1}
     det = gram[(psi1, psi1)] * gram[(kap1, kap1)] - gram[(psi1, kap1)] * gram[(kap1, psi1)]
     assert det != 0
 
@@ -482,22 +417,17 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
             if pairs[top] != c0 * top_int:
                 details.append(f"x={x}: degree-0 part of {name} is not {c0}")
 
-        recon = {}
+        recon = []
         for name, pairs in (("A", pairsA), ("B", pairsB)):
             b1, b2 = pairs[psi1], pairs[kap1]
             alpha = (b1 * gram[(kap1, kap1)] - b2 * gram[(psi1, kap1)]) / det
             beta = (b2 * gram[(psi1, psi1)] - b1 * gram[(kap1, psi1)]) / det
             # consistency of the reconstruction against the remaining pairing
-            other = ((), (0, 1))
-            pred = alpha * integrate_monomial(g, n, *monomial_product(psi1, other)) + beta * integrate_monomial(
-                g, n, *monomial_product(kap1, other)
-            )
-            if pred != pairs[other]:
+            if alpha * gram[(psi1, other)] + beta * gram[(kap1, other)] != pairs[other]:
                 details.append(f"x={x}: degree-1 reconstruction of {name} inconsistent")
-            recon[name] = (alpha, beta)
+            recon.append((alpha, beta))
 
-        aA, bA = recon["A"]
-        aB, bB = recon["B"]
+        (aA, bA), (aB, bB) = recon
         cross = (
             aA * aB * gram[(psi1, psi1)]
             + (aA * bB + bA * aB) * gram[(psi1, kap1)]

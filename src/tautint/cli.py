@@ -119,11 +119,8 @@ def _chi_cell(args: tuple[int, int]) -> list[tuple[int, int, str, str]]:
 def cmd_chi(ns: argparse.Namespace) -> int:
     if err := _space_error(ns.g, ns.n):
         return _usage_error(err)
-    routes = [ns.route] if ns.route else ["harer_zagier"]
-    rows = [
-        {"g": ns.g, "n": ns.n, "value": _fmt_rat(chi(ns.g, ns.n, r).value, ns.decimal), "route": r}
-        for r in routes
-    ]
+    value = _fmt_rat(chi(ns.g, ns.n, ns.route).value, ns.decimal)
+    rows = [{"g": ns.g, "n": ns.n, "value": value, "route": ns.route}]
     print(_emit(rows, ns.format, ns.decimal))
     return 0
 
@@ -136,11 +133,8 @@ def cmd_mv(ns: argparse.Namespace) -> int:
             norm = mv_normalization(ns.g, ns.n)
         except ValueError as exc:
             return _usage_error(str(exc))
-    routes = [ns.route] if ns.route else ["omega"]
-    rows = [
-        {"g": ns.g, "n": ns.n, "value": _fmt_rat(mv(ns.g, ns.n, r).value, ns.decimal), "route": r}
-        for r in routes
-    ]
+    value = _fmt_rat(mv(ns.g, ns.n, ns.route).value, ns.decimal)
+    rows = [{"g": ns.g, "n": ns.n, "value": value, "route": ns.route}]
     if ns.with_normalization:
         rows.append(
             {"g": ns.g, "n": ns.n, "value": _fmt_rat(norm, ns.decimal), "route": "normalization_constant"}
@@ -206,8 +200,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_table(ns: argparse.Namespace) -> int:
     if ns.dimmax > GRAPH_DIM_CAP:
-        print(f"error: --dimmax is capped at {GRAPH_DIM_CAP}", file=sys.stderr)
-        return 2
+        return _usage_error(f"--dimmax is capped at {GRAPH_DIM_CAP}")
     cells = stable_types(ns.dimmax, ns.gmax)
     if ns.jobs > 1:
         # the pool starts all its workers at once; more than one per cell idle
@@ -242,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chi", parents=[common], help="orbifold Euler characteristic of M_{g,n}")
     c.add_argument("g", type=_nonneg_int)
     c.add_argument("n", type=_nonneg_int)
-    c.add_argument("--route", choices=CHI_ROUTES, default=None)
+    c.add_argument("--route", choices=CHI_ROUTES, default="harer_zagier")
     c.set_defaults(func=cmd_chi)
 
     m = sub.add_parser("mv", parents=[common], help="Masur-Veech volume over pi^{6g-6+2n}")
     m.add_argument("g", type=_nonneg_int)
     m.add_argument("n", type=_nonneg_int)
-    m.add_argument("--route", choices=MV_ROUTES, default=None)
+    m.add_argument("--route", choices=MV_ROUTES, default="omega")
     m.add_argument("--with-normalization", action="store_true")
     m.set_defaults(func=cmd_mv)
 

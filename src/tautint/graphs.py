@@ -143,7 +143,8 @@ def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
         (genera[v], tuple(sorted(leg_colours[v])), loops[v], sum(adj[v].values()))
         for v in range(nv)
     ]
-    while True:
+    # a discrete colouring is final: refining it would keep its rank order
+    while len(set(colors)) < nv:
         ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
         rank = [ranks[c] for c in colors]
         new = [
@@ -155,6 +156,7 @@ def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
         if len(set(new)) == len(set(colors)):
             return [new[v] for v in range(nv)]
         colors = new
+    return colors
 
 
 def canonical_form(genera, legs, edges, pattern) -> tuple[tuple, int]:

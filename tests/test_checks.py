@@ -1,7 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
-from tautint import omega
+from tautint import checks, omega
 from tautint.checks import (
     SMALL_GRID,
     CheckGrid,
@@ -126,5 +127,48 @@ def test_suite_memo_holds_canonical_entries_only():
     omega._config_cache.clear()
     reports = list(iter_suite(SMALL_GRID))
     assert len(reports) == 1061 and all(rep.passed for rep in reports)
+    # `tautint verify --grid small` prints these lines (sha256 839aa8fa...0348
+    # with its trailing newline)
+    text = "\n".join(rep.to_json() for rep in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a8380e8dc37dec3ebf211caf4d6c14fb1124036db33bd6b725151904067e57ca"
+    )
     assert len(omega._pairing_cache) == 464
     assert sum(map(len, omega._pairing_cache.values())) == 3157
+
+
+def test_failing_reports_text(monkeypatch):
+    # perturb every value the checks read by a fixed rational so that each
+    # report-building path fails, and pin the got/details text of the failures
+    pairings, integral, hodge = checks.omega_pairings, checks.omega_integral, checks.hodge_pair
+    first, second = checks.stirling_generalized_first, checks.stirling_generalized_second
+
+    def bump(g, spec):
+        # independent of s at genus 0, so zero_r_symmetry passes there and its
+        # leaf variant is reached
+        return F(sum(spec.a) + 1 + g * spec.s, 7)
+
+    monkeypatch.setattr(
+        checks,
+        "omega_pairings",
+        lambda g, n, spec, monos: {m: v + bump(g, spec) for m, v in pairings(g, n, spec, monos).items()},
+    )
+    monkeypatch.setattr(
+        checks, "omega_integral", lambda g, n, spec, T=None: integral(g, n, spec, T) + bump(g, spec)
+    )
+    monkeypatch.setattr(checks, "hodge_pair", lambda g, n, lam, poly: hodge(g, n, lam, poly) + F(1, 7))
+    monkeypatch.setattr(checks, "stirling_generalized_first", lambda k, m, t: first(k, m, t) + (m == k))
+    monkeypatch.setattr(checks, "stirling_generalized_second", lambda k, m, t: second(k, m, t) + (m == k))
+    grid = CheckGrid(max_dim=1, max_r=2, s_values=(-2, -1, 1, 2), x_values=(F(1),))
+    reports = list(iter_suite(grid))
+    failed = [rep for rep in reports if not rep.passed]
+    assert len(reports) == 259 and len(failed) == 230
+    assert {rep.check for rep in failed} == {rep.check for rep in reports}
+    corollary = [d for rep in failed if rep.check == "vanishing_corollary" for d in rep.details]
+    for head in ("product form", "inverse-product form", "stirling first", "stirling second"):
+        assert any(d.startswith(head) for d in corollary)
+    assert any(rep.got == "covered by vanishing_pullback_class" for rep in failed)
+    text = "\n".join(rep.to_json() + "\n" + json.dumps(rep.details) for rep in failed)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "daea42e5c525d32c00f7626477abbee3bd28175e69f48aa5ecb8058b43941002"
+    )
