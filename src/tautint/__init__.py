@@ -10,8 +10,7 @@ Omega-class calculus.  All arithmetic is exact rational.
 """
 
 from .apps import (
-    EulerCharResult,
-    MVResult,
+    RouteResult,
     chi,
     chi_harer_zagier,
     chi_recursion_check,
@@ -26,7 +25,6 @@ from .apps import (
 )
 from .exact import (
     Rat,
-    SymmetricEvalContext,
     bernoulli_number,
     bernoulli_poly,
     complete_homogeneous,
@@ -37,14 +35,13 @@ from .exact import (
 )
 from .graphs import (
     StableGraph,
-    Weighting,
     WeightingConstraintError,
     automorphism_order,
     enumerate_stable_graphs,
     enumerate_weightings,
     graph_orbits,
 )
-from .hodge import hodge_integral, hodge_monomial, hodge_pair
+from .hodge import hodge_monomial, hodge_pair
 from .intersect import integrate_monomial
 from .omega import (
     OmegaConstraintError,

@@ -1,7 +1,8 @@
-"""Headline quantities: orbifold Euler characteristics of the open moduli
-spaces by three independent routes, Masur-Veech volume polynomials (the
-pi-normalised rational part) by two routes, the chi recursion, and the
-Bernoulli identity for the genus-only linear Hodge sums."""
+"""Headline quantities, each a `RouteResult`: orbifold Euler characteristics
+of the open moduli spaces by the three routes of CHI_ROUTES and Masur-Veech
+volume polynomials (the pi-normalised rational part) by the two of
+MV_ROUTES; the chi recursion; and the Bernoulli identity for chi_{g,0},
+which checks the Hodge-sum route."""
 
 from __future__ import annotations
 
@@ -13,23 +14,15 @@ from .exact import bernoulli_number
 from .hodge import hodge_monomial, hodge_pair, lambda_total
 from .omega import OmegaSpec, omega_integral
 from .polys import compositions, exp_kappa_series
-from .psi import is_stable, stable_types
-from .reports import CheckReport
+from .psi import is_stable
+from .reports import CheckReport, first_failure
 
 CHI_ROUTES = ("harer_zagier", "hodge_sum", "omega")
 MV_ROUTES = ("omega", "hodge_sum")
 
 
 @dataclass(frozen=True)
-class EulerCharResult:
-    g: int
-    n: int
-    value: Fraction
-    route: str
-
-
-@dataclass(frozen=True)
-class MVResult:
+class RouteResult:
     g: int
     n: int
     value: Fraction
@@ -41,7 +34,7 @@ def _require_stable(g: int, n: int) -> None:
         raise ValueError(f"unstable type (g={g}, n={n})")
 
 
-def chi_harer_zagier(g: int, n: int) -> EulerCharResult:
+def chi_harer_zagier(g: int, n: int) -> RouteResult:
     """Closed form: factorials and the Bernoulli number B_{2g}."""
     _require_stable(g, n)
     if g == 0:
@@ -54,24 +47,18 @@ def chi_harer_zagier(g: int, n: int) -> EulerCharResult:
             * bernoulli_number(2 * g)
             / factorial(2 * g - 2)
         )
-    return EulerCharResult(g, n, value, "harer_zagier")
+    return RouteResult(g, n, value, "harer_zagier")
 
 
-def chi_via_hodge(g: int, n: int) -> EulerCharResult:
+def chi_via_hodge(g: int, n: int) -> RouteResult:
     """(-1)^{3g-3+n} sum_{l} 1/l! sum_i int lambda_i psi^2/(1+psi) ... on
     Mbar_{g,n+l}, the added points carrying psi^2 times a geometric tail."""
     _require_stable(g, n)
     dim = 3 * g - 3 + n
     total = Fraction(0)
-    # l = 0: the integrand is a bare lambda class; only (0,3) and (1,1) survive
-    if (g, n) == (0, 3):
-        total += Fraction(1)
-    elif (g, n) == (1, 1):
-        total += Fraction(1, 24)
-    else:
-        for i in range(g + 1):
-            if i == dim:
-                total += hodge_monomial(g, n, (i,) if i else (), (), (0,) * n)
+    # l = 0: the integrand is the bare lambda_dim, which exists when dim <= g
+    if dim <= g:
+        total += hodge_monomial(g, n, (dim,) if dim else (), (), (0,) * n)
     for ell in range(1, dim + 1):
         block = Fraction(0)
         # each added point carries sum_{e>=2} (-1)^e psi^e
@@ -84,26 +71,20 @@ def chi_via_hodge(g: int, n: int) -> EulerCharResult:
             for exps in compositions(starget, ell, 2):
                 block += sign * hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
         total += block / factorial(ell)
-    value = ((-1) ** dim) * total
-    return EulerCharResult(g, n, value, "hodge_sum")
+    return RouteResult(g, n, (-1) ** dim * total, "hodge_sum")
 
 
-def chi_via_omega(g: int, n: int, route: str = "auto") -> EulerCharResult:
+def chi_via_omega(g: int, n: int, route: str = "auto") -> RouteResult:
     """int Omega(1, -1; 0, ..., 0) over Mbar_{g,n}."""
     _require_stable(g, n)
     spec = OmegaSpec(1, -1, (0,) * n, Fraction(1))
-    value = omega_integral(g, n, spec, route=route)
-    return EulerCharResult(g, n, value, "omega")
+    return RouteResult(g, n, omega_integral(g, n, spec, route=route), "omega")
 
 
-def chi(g: int, n: int, route: str = "harer_zagier") -> EulerCharResult:
-    if route == "harer_zagier":
-        return chi_harer_zagier(g, n)
-    if route == "hodge_sum":
-        return chi_via_hodge(g, n)
-    if route == "omega":
-        return chi_via_omega(g, n)
-    raise ValueError(f"unknown chi route {route!r}")
+def chi(g: int, n: int, route: str = "harer_zagier") -> RouteResult:
+    if route not in CHI_ROUTES:
+        raise ValueError(f"unknown chi route {route!r}")
+    return _CHI[route](g, n)
 
 
 def chi_recursion_check(g: int, n: int) -> CheckReport:
@@ -112,68 +93,41 @@ def chi_recursion_check(g: int, n: int) -> CheckReport:
     vals_n = {r: chi(g, n, r).value for r in CHI_ROUTES}
     vals_n1 = {r: chi(g, n + 1, r).value for r in CHI_ROUTES}
     factor = -(2 * g - 2 + n)
-    details = []
-    ok = True
-    for r in CHI_ROUTES:
-        if vals_n1[r] != factor * vals_n[r]:
-            ok = False
-            details.append(f"route {r}: {vals_n1[r]} != {factor} * {vals_n[r]}")
+    details = [
+        f"route {r}: {vals_n1[r]} != {factor} * {vals_n[r]}"
+        for r in CHI_ROUTES
+        if vals_n1[r] != factor * vals_n[r]
+    ]
     if len(set(vals_n.values())) != 1 or len(set(vals_n1.values())) != 1:
-        ok = False
         details.append(f"routes disagree: {vals_n} vs {vals_n1}")
-    return CheckReport(
-        check="chi_recursion",
-        parameters={"g": g, "n": n},
-        expected=f"chi(g,n+1) = {factor} * chi(g,n) on all routes",
-        got="holds" if ok else "; ".join(details),
-        passed=ok,
-        details=details,
-    )
+    expected = f"chi(g,n+1) = {factor} * chi(g,n) on all routes"
+    return first_failure("chi_recursion", {"g": g, "n": n}, expected, details, "holds")
 
 
 def dyz_identity_check(g: int) -> CheckReport:
     """sum_{l>=1} (-1)^l/l! sum_mu int Lambda(-1) prod psi^{mu_i+1} over
     Mbar_{g,l} equals B_{2g}/(2g(2g-2)) for g >= 2.
 
-    The sign (-1)^l is the product of the added-point substitution
-    coefficients (all equal to -1 here); with it the left side is chi_{g,0}.
+    With e_i = mu_i + 1 the left side is, term by term, the Hodge sum of
+    `chi_via_hodge` at n = 0 (its l = 0 term vanishes for g >= 2), so that
+    sum is compared with the Bernoulli value.
     """
     if g < 2:
         raise ValueError("the identity needs g >= 2")
-    dim0 = 3 * g - 3
-    lhs = Fraction(0)
-    for ell in range(1, dim0 + 1):
-        block = Fraction(0)
-        for i in range(g + 1):
-            if dim0 - i < ell:
-                continue
-            lam = (i,) if i else ()
-            for mu in compositions(dim0 - i, ell, 1):
-                block += ((-1) ** i) * hodge_monomial(
-                    g, ell, lam, (), tuple(m + 1 for m in mu)
-                )
-        lhs += (Fraction(-1) ** ell) * block / factorial(ell)
+    lhs = chi_via_hodge(g, 0).value
     rhs = bernoulli_number(2 * g) / (2 * g * (2 * g - 2))
-    ok = lhs == rhs
-    return CheckReport(
-        check="dyz_identity",
-        parameters={"g": g},
-        expected=str(rhs),
-        got=str(lhs),
-        passed=ok,
-    )
+    return CheckReport("dyz_identity", {"g": g}, str(rhs), str(lhs), lhs == rhs)
 
 
-def mv_via_omega(g: int, n: int, route: str = "auto") -> MVResult:
+def mv_via_omega(g: int, n: int, route: str = "auto") -> RouteResult:
     """(-1)^{3g-3+n} int Omega(1, 2; 0, ..., 0): the volume over pi^{6g-6+2n}."""
     _require_stable(g, n)
     dim = 3 * g - 3 + n
     spec = OmegaSpec(1, 2, (0,) * n, Fraction(1))
-    value = ((-1) ** dim) * omega_integral(g, n, spec, route=route)
-    return MVResult(g, n, value, "omega")
+    return RouteResult(g, n, (-1) ** dim * omega_integral(g, n, spec, route=route), "omega")
 
 
-def mv_via_hodge(g: int, n: int) -> MVResult:
+def mv_via_hodge(g: int, n: int) -> RouteResult:
     """sum_l 1/l! sum_i int lambda_i psi_{n+1}^2 ... psi_{n+l}^2."""
     _require_stable(g, n)
     dim = 3 * g - 3 + n
@@ -183,15 +137,13 @@ def mv_via_hodge(g: int, n: int) -> MVResult:
         if 0 <= i <= g:
             lam = (i,) if i else ()
             total += hodge_monomial(g, n + ell, lam, (), (0,) * n + (2,) * ell) / factorial(ell)
-    return MVResult(g, n, total, "hodge_sum")
+    return RouteResult(g, n, total, "hodge_sum")
 
 
-def mv(g: int, n: int, route: str = "omega") -> MVResult:
-    if route == "omega":
-        return mv_via_omega(g, n)
-    if route == "hodge_sum":
-        return mv_via_hodge(g, n)
-    raise ValueError(f"unknown mv route {route!r}")
+def mv(g: int, n: int, route: str = "omega") -> RouteResult:
+    if route not in MV_ROUTES:
+        raise ValueError(f"unknown mv route {route!r}")
+    return _MV[route](g, n)
 
 
 def mv_normalization(g: int, n: int) -> Fraction:
@@ -223,6 +175,5 @@ def mv_segre_check(g: int, n: int) -> CheckReport:
     )
 
 
-def chi_table(gmax: int, dimmax: int) -> list[EulerCharResult]:
-    """All three chi routes on the stable (g, n) with 3g-3+n <= dimmax."""
-    return [chi(g, n, route) for g, n in stable_types(dimmax, gmax) for route in CHI_ROUTES]
+_CHI = dict(zip(CHI_ROUTES, (chi_harer_zagier, chi_via_hodge, chi_via_omega)))
+_MV = dict(zip(MV_ROUTES, (mv_via_omega, mv_via_hodge)))

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exact import (
-    SymmetricEvalContext,
     power_sum,
     stirling_generalized_first,
     stirling_generalized_second,
@@ -34,7 +33,7 @@ from .polys import (
     monomial_product,
 )
 from .psi import stable_types
-from .reports import CheckReport
+from .reports import CheckReport, first_failure
 
 
 # -- pairing bases ---------------------------------------------------------------
@@ -107,18 +106,6 @@ def _pair_with_factor(
     }
 
 
-def _report(check: str, params: dict, expected: str, details: list[str], ok: str) -> CheckReport:
-    """A report that passes when `details` is empty, else shows the first of at most five."""
-    return CheckReport(
-        check=check,
-        parameters=params,
-        expected=expected,
-        got=details[0] if details else ok,
-        passed=not details,
-        details=details[:5],
-    )
-
-
 def _compare_pairings(
     name: str,
     params: dict,
@@ -129,7 +116,8 @@ def _compare_pairings(
     for mono in sorted(lhs):
         if lhs[mono] != rhs[mono]:
             diffs.append(f"pairing {mono}: lhs={lhs[mono]} rhs={rhs[mono]}")
-    return _report(name, params, "all pairings equal (pairing-certified identity)", diffs, "equal")
+    expected = "all pairings equal (pairing-certified identity)"
+    return first_failure(name, params, expected, diffs, "equal")
 
 
 def _linear_product(n: int, i: int, trunc: int, roots: Iterable[Fraction], invert: bool) -> TautPolynomial:
@@ -151,8 +139,7 @@ def _shift_s(name: str, g: int, n: int, r: int, s: int, a: tuple[int, ...], N: i
     dim = 3 * g - 3 + n
     basis = flat_basis(g, n)
     lhs = omega_pairings(g, n, OmegaSpec(r, s + N * r, a, x), basis)
-    ctx = SymmetricEvalContext(Fraction(s, r), N)
-    coeffs = {m: (-x) ** m * power_sum(m, ctx) / m for m in range(1, dim + 1)}
+    coeffs = {m: (-x) ** m * power_sum(m, Fraction(s, r), N) / m for m in range(1, dim + 1)}
     factor = exp_kappa_series(coeffs, n, dim)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
     return _compare_pairings(name, {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x, **extra}, lhs, rhs)
@@ -239,23 +226,19 @@ def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> C
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
     details: list[str] = []
-    cases = [
-        (k, d) for k in range(0, 3) for d in _psi_upto(n, dim1 - k - 1)
-    ]
+    cases = [(k, d) for k in range(3) for d in _psi_upto(n, dim1 - k - 1)]
     up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) if k == 0 else (((k, 1),), d) for k, d in cases])
     total = up[((), (0,) * (n + 1))]
     if total != 0:
         details.append(f"int Omega(..., s) = {total} != 0")
     for k, d in cases:
         lhs = up[((), d + (k + 1,))]
-        if k == 0:
-            rhs = (2 * g - 2 + n) * down[((), d)]
-        else:
-            rhs = down[(((k, 1),), d)]
+        rhs = down[(((k, 1),), d)] if k else (2 * g - 2 + n) * down[((), d)]
         if lhs != rhs:
             details.append(f"k={k} d={d}: lhs={lhs} rhs={rhs}")
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    return _report("pullback", params, "pullback consequences (vanishing and kappa transport)", details, "hold")
+    expected = "pullback consequences (vanishing and kappa transport)"
+    return first_failure("pullback", params, expected, details, "hold")
 
 
 def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -267,14 +250,12 @@ def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Che
     up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) for d in _psi_upto(n, dim1)])
     for d in _psi_upto(n, dim1 + 1):
         lhs = up[((), d + (0,))] if sum(d) <= dim1 else Fraction(0)
-        rhs = Fraction(0)
-        for j in range(n):
-            if d[j] >= 1:
-                rhs += down[((), d[:j] + (d[j] - 1,) + d[j + 1 :])]
+        lower = [d[:j] + (d[j] - 1,) + d[j + 1 :] for j in range(n) if d[j]]
+        rhs = sum((down[((), e)] for e in lower), Fraction(0))
         if lhs != rhs:
             details.append(f"d={d}: lhs={lhs} rhs={rhs}")
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    return _report("string", params, "string equation coefficientwise", details, "holds")
+    return first_failure("string", params, "string equation coefficientwise", details, "holds")
 
 
 def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -290,7 +271,7 @@ def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> Ch
         if lhs != rhs:
             details.append(f"d={d}: lhs={lhs} rhs={rhs}")
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    return _report("dilaton", params, "dilaton equation coefficientwise", details, "holds")
+    return first_failure("dilaton", params, "dilaton equation coefficientwise", details, "holds")
 
 
 def check_vanishing_thm(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -324,18 +305,18 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
     q, rem = divmod(s, r)  # s = r*q + rem with 0 <= rem < r
     if s >= r:
         roots = [Fraction(s, r) - t for t in range(1, q + 1)]
-        ctx, sign, invert = SymmetricEvalContext(Fraction(rem, r), q), 1, False
+        base, count, sign, invert = Fraction(rem, r), q, 1, False
         form, kind, stirling, mmax = "product form", "first", stirling_generalized_first, q
     else:
         roots = [Fraction(s, r) + t for t in range(-q)]
-        ctx, sign, invert = SymmetricEvalContext(Fraction(s, r), -q), -1, True
+        base, count, sign, invert = Fraction(s, r), -q, -1, True
         form, kind, stirling, mmax = "inverse-product form", "second", stirling_generalized_second, dim1
     details: list[str] = []
     T1 = _linear_product(n + 1, n + 1, dim1, [x * t for t in roots], invert)
     I1 = omega_integral(g, n + 1, OmegaSpec(r, s, a + (rem,), x), T1)
     if I1 != 0:
         details.append(f"{form}: {I1}")
-    coeffs = {m: sign * (-1) ** m * power_sum(m, ctx) * x ** m / m for m in range(1, dim1 + 1)}
+    coeffs = {m: sign * (-x) ** m * power_sum(m, base, count) / m for m in range(1, dim1 + 1)}
     T2 = exp_kappa_series(coeffs, n + 1, dim1)
     I2 = omega_integral(g, n + 1, OmegaSpec(r, rem, a + (s,), x), T2)
     if I2 != 0:
@@ -349,7 +330,7 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
         if gotc != want:
             details.append(f"stirling {kind} k={len(roots)} m={m}: poly {gotc} vs {want}")
     expected = "both weighted integrals vanish; Stirling coefficients match"
-    return _report("vanishing_corollary", params, expected, details, "hold")
+    return first_failure("vanishing_corollary", params, expected, details, "hold")
 
 
 def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
@@ -374,7 +355,8 @@ def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
         if got != want:
             details.append(f"pairing {(kap, psi)}: product {got} vs unit {want}")
     params = {"g": g, "n": n, "s": s, "x": x}
-    return _report("segre_chern_r1", params, "product of the two parametrisations pairs like 1", details, "holds")
+    expected = "product of the two parametrisations pairs like 1"
+    return first_failure("segre_chern_r1", params, expected, details, "holds")
 
 
 def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> CheckReport:
@@ -450,17 +432,11 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
         for m in deg2:
             if c0 * c0 * integrate_monomial(g, n, *m) != c0 * pairsA[m]:
                 details.append(f"x={x}: degree-0 normalisation broken against {m}")
-    return CheckReport(
-        check="counterexample_footnote",
-        parameters={"g": g, "n": n, "x": tuple(str(Fraction(x)) for x in xs), "deg0": str(c0)},
-        expected="product pairs like c^2 - 3/4*x^2*k2 (c = 2); naive duality form fails",
-        got=(
-            "confirmed" if not details and duality_failed_everywhere else
-            (details[0] if details else "kappa_2 correction vanished: duality did NOT fail")
-        ),
-        passed=not details and duality_failed_everywhere,
-        details=details[:5],
-    )
+    if not duality_failed_everywhere:
+        details.append("kappa_2 correction vanished: duality did NOT fail")
+    params = {"g": g, "n": n, "x": tuple(str(Fraction(x)) for x in xs), "deg0": str(c0)}
+    expected = "product pairs like c^2 - 3/4*x^2*k2 (c = 2); naive duality form fails"
+    return first_failure("counterexample_footnote", params, expected, details, "confirmed")
 
 
 # -- grid runner -------------------------------------------------------------------

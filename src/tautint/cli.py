@@ -116,16 +116,8 @@ def _chi_cell(args: tuple[int, int]) -> list[tuple[int, int, str, str]]:
     return [(g, n, str(chi(g, n, route).value), route) for route in CHI_ROUTES]
 
 
-def cmd_chi(ns: argparse.Namespace) -> int:
-    if err := _space_error(ns.g, ns.n):
-        return _usage_error(err)
-    value = _fmt_rat(chi(ns.g, ns.n, ns.route).value, ns.decimal)
-    rows = [{"g": ns.g, "n": ns.n, "value": value, "route": ns.route}]
-    print(_emit(rows, ns.format, ns.decimal))
-    return 0
-
-
-def cmd_mv(ns: argparse.Namespace) -> int:
+def cmd_route(ns: argparse.Namespace) -> int:
+    """chi or mv by one route; mv may add its normalisation constant."""
     if err := _space_error(ns.g, ns.n):
         return _usage_error(err)
     if ns.with_normalization:
@@ -133,12 +125,13 @@ def cmd_mv(ns: argparse.Namespace) -> int:
             norm = mv_normalization(ns.g, ns.n)
         except ValueError as exc:
             return _usage_error(str(exc))
-    value = _fmt_rat(mv(ns.g, ns.n, ns.route).value, ns.decimal)
-    rows = [{"g": ns.g, "n": ns.n, "value": value, "route": ns.route}]
+    values = {ns.route: ns.compute(ns.g, ns.n, ns.route).value}
     if ns.with_normalization:
-        rows.append(
-            {"g": ns.g, "n": ns.n, "value": _fmt_rat(norm, ns.decimal), "route": "normalization_constant"}
-        )
+        values["normalization_constant"] = norm
+    rows = [
+        {"g": ns.g, "n": ns.n, "value": _fmt_rat(v, ns.decimal), "route": route}
+        for route, v in values.items()
+    ]
     print(_emit(rows, ns.format, ns.decimal))
     return 0
 
@@ -176,16 +169,17 @@ def cmd_omega(ns: argparse.Namespace) -> int:
 
 
 def _test_class(factors: tuple[tuple[str, int, int], ...], g: int, n: int) -> TautPolynomial:
-    """The test class of parsed (name, index, power) factors."""
-    dim = 3 * g - 3 + n
-    out = TautPolynomial.one(n, dim)
+    """The test class of parsed (name, index, power) factors: one monomial,
+    which is 0 when its degree exceeds 3g-3+n."""
+    kappa: dict[int, int] = {}
+    psi = [0] * n
     for name, index, power in factors:
         if name == "psi":
-            out = out * TautPolynomial.psi(index, n, dim, power=power)
+            psi[index - 1] += power
         else:
-            for _ in range(power):
-                out = out * TautPolynomial.kappa(index, n, dim)
-    return out
+            kappa[index] = kappa.get(index, 0) + power
+    kappa_part = tuple((m, e) for m, e in kappa.items() if e)
+    return TautPolynomial.from_monomial(n, 3 * g - 3 + n, kappa_part, tuple(psi))
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
@@ -236,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("g", type=_nonneg_int)
     c.add_argument("n", type=_nonneg_int)
     c.add_argument("--route", choices=CHI_ROUTES, default="harer_zagier")
-    c.set_defaults(func=cmd_chi)
+    c.set_defaults(func=cmd_route, compute=chi, with_normalization=False)
 
     m = sub.add_parser("mv", parents=[common], help="Masur-Veech volume over pi^{6g-6+2n}")
     m.add_argument("g", type=_nonneg_int)
     m.add_argument("n", type=_nonneg_int)
     m.add_argument("--route", choices=MV_ROUTES, default="omega")
     m.add_argument("--with-normalization", action="store_true")
-    m.set_defaults(func=cmd_mv)
+    m.set_defaults(func=cmd_route, compute=mv)
 
     h = sub.add_parser("hodge", parents=[common], help="int lambda_i psi_1^{d_1}...psi_n^{d_n}")
     h.add_argument("g", type=_nonneg_int)

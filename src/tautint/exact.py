@@ -1,5 +1,6 @@
 """Exact scalar layer: Bernoulli numbers and polynomials, symmetric functions
-over arithmetic progressions, and generalised Stirling numbers.
+of the progression (base, base+1, ..., base+count-1), taken as the two
+arguments `base, count`, and generalised Stirling numbers.
 
 Every function returns a `fractions.Fraction`; nothing here ever rounds.
 Sign convention, fixed once for the whole package: B_1 = -1/2, i.e. B_m is
@@ -9,7 +10,6 @@ the coefficient of t^m/m! in t*e^{tx}/(e^t - 1) evaluated at x = 0.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -70,49 +70,37 @@ def binomial_ext(a: Rat, i: int) -> Fraction:
     return num
 
 
-@dataclass(frozen=True)
-class SymmetricEvalContext:
-    """Variable set (base, base+1, ..., base+count-1) for symmetric functions.
-
-    count = 0 gives the empty conventions: sigma_0 = h_0 = 1 and p_m = 0.
-    """
-
-    base: Rat
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-        object.__setattr__(self, "base", Fraction(self.base))
-
-    def variables(self) -> list[Fraction]:
-        return [self.base + t for t in range(self.count)]
+def _progression(base: Rat, count: int) -> list[Fraction]:
+    """The variables base, base+1, ..., base+count-1 (none when count = 0)."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return [Fraction(base) + t for t in range(count)]
 
 
-def power_sum(m: int, ctx: SymmetricEvalContext) -> Fraction:
+def power_sum(m: int, base: Rat, count: int) -> Fraction:
     """p_m = sum_i X_i^m over the progression; 0 on the empty set."""
     if m < 1:
         raise ValueError("power sum degree must be positive")
-    return sum((v ** m for v in ctx.variables()), Fraction(0))
+    return sum((v ** m for v in _progression(base, count)), Fraction(0))
 
 
-def elementary_symmetric(l: int, ctx: SymmetricEvalContext) -> Fraction:
+def elementary_symmetric(l: int, base: Rat, count: int) -> Fraction:
     """sigma_l, read off from the product prod_i (1 + X_i u)."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     coeffs = [Fraction(1)] + [Fraction(0)] * l
-    for v in ctx.variables():
-        for k in range(min(l, len(coeffs) - 1), 0, -1):
+    for v in _progression(base, count):
+        for k in range(l, 0, -1):
             coeffs[k] += v * coeffs[k - 1]
     return coeffs[l]
 
 
-def complete_homogeneous(l: int, ctx: SymmetricEvalContext) -> Fraction:
+def complete_homogeneous(l: int, base: Rat, count: int) -> Fraction:
     """h_l, read off from the series prod_i 1/(1 - X_i u)."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     coeffs = [Fraction(1)] + [Fraction(0)] * l
-    for v in ctx.variables():
+    for v in _progression(base, count):
         # multiply by 1/(1 - v u) = sum_k v^k u^k, truncated at u^l
         for k in range(1, l + 1):
             coeffs[k] += v * coeffs[k - 1]

@@ -22,7 +22,8 @@ the order of the vertex automorphism group, from which `automorphism_order`
 builds |Aut|.  Labelled genus-0 trees (n >= 8) are rigid and are built
 directly, one per class, by partitioning the legs.
 `enumerate_weightings` tries every residue on the h1 edges outside a BFS
-spanning tree and forces the tree edges, so it builds exactly r^h1 weightings.
+spanning tree and forces the tree edges, so it builds exactly r^h1 weightings,
+each the tuple of side-0 residues w (the side-1 half carries (r - w) % r).
 """
 
 from __future__ import annotations
@@ -313,12 +314,9 @@ def _is_canonical_child(parent: tuple, genera, legs, edges, added, pattern) -> b
 
 def _aut_factor(legs, edges, pattern) -> int:
     """The part of |Aut_col| beyond vertex permutations: legs of one colour at
-    a vertex permute freely (no two legs share a colour when `pattern` is
-    None), as do parallel edges, and each self-loop may swap its two
-    half-edges."""
-    order = 1
-    if pattern is not None:
-        order = prod(factorial(m) for m in Counter(zip(legs, pattern)).values())
+    a vertex permute freely, as do parallel edges, and each self-loop may swap
+    its two half-edges."""
+    order = prod(factorial(m) for m in Counter(zip(legs, pattern)).values())
     for (a, b), mult in Counter(edges).items():
         order *= factorial(mult) * (2 ** mult if a == b else 1)
     return order
@@ -439,36 +437,20 @@ def _genus0_forms(n: int):
 
 
 @lru_cache(maxsize=None)
-def automorphism_order(G: StableGraph, pattern: tuple[int, ...] | None = None) -> int:
-    """Order of the automorphism group when legs of equal colour may be
-    permuted; `pattern[i]` is the colour of marking i+1, and by default all
-    colours differ, so the legs are fixed pointwise.
-
-    The vertex permutations preserving genus, leg colours and edges are
-    counted by the canonical search; on top of those, the legs of one colour
-    at a vertex permute freely, as do parallel edges, and each self-loop may
-    swap its two half-edges.
-    """
-    colours = tuple(range(G.n_legs)) if pattern is None else pattern
+def automorphism_order(G: StableGraph) -> int:
+    """Order of the automorphism group of G with its legs fixed pointwise:
+    the vertex permutations preserving genus, legs and edges, counted by the
+    canonical search, times the permutations of parallel edges and the
+    swaps of the two half-edges of each self-loop."""
+    colours = tuple(range(G.n_legs))
     _, auts = canonical_form(G.genera, G.legs, G.edges, colours)
-    return auts * _aut_factor(G.legs, G.edges, pattern)
+    return auts * _aut_factor(G.legs, G.edges, colours)
 
 
-@dataclass(frozen=True)
-class Weighting:
-    """Residues of the side-0 half-edges; the partner residue is (r-w) % r."""
-
-    r: int
-    residues: tuple[int, ...]
-
-    def residue(self, edge: int, side: int) -> int:
-        w = self.residues[edge]
-        return w if side == 0 else (self.r - w) % self.r
-
-
-def enumerate_weightings(G: StableGraph, r: int, s: int, a: tuple[int, ...]) -> list[Weighting]:
-    """All admissible mod-r half-edge decorations, r^h1 of them, sorted by
-    their residue tuples.
+def enumerate_weightings(G: StableGraph, r: int, s: int, a: tuple[int, ...]) -> list[tuple]:
+    """All admissible mod-r half-edge decorations, r^h1 of them, as sorted
+    tuples of the residues w of the side-0 half-edges, one per edge; the
+    side-1 half-edge of that edge carries (r - w) % r.
 
     Legs are pinned to a_i mod r; the halves of each edge sum to 0 mod r; at
     each vertex the local decorations sum to (2g_v - 2 + n_v) s mod r.
@@ -517,4 +499,4 @@ def enumerate_weightings(G: StableGraph, r: int, s: int, a: tuple[int, ...]) -> 
             residues[e] = need if v == head else -need % r
             acc[tail if v == head else head] -= need
         found.append(tuple(residues))
-    return [Weighting(r, res) for res in sorted(found)]
+    return sorted(found)

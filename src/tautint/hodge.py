@@ -174,13 +174,6 @@ def hodge_pair(g: int, n: int, lam: LambdaDict, p: TautPolynomial) -> Fraction:
     return acc
 
 
-def hodge_integral(g: int, n: int, i: int, p: TautPolynomial) -> Fraction:
-    """int lambda_i * p over Mbar_{g,n} (i = 0 gives a plain mixed integral)."""
-    if i == 0:
-        return hodge_pair(g, n, {(): Fraction(1)}, p)
-    return hodge_pair(g, n, {(i,): Fraction(1)}, p)
-
-
 # -- lambda-series helpers -----------------------------------------------------
 
 

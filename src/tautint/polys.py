@@ -139,10 +139,6 @@ class TautPolynomial:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def zero(n_points: int, trunc: int) -> TautPolynomial:
-        return TautPolynomial(n_points, trunc)
-
-    @staticmethod
     def one(n_points: int, trunc: int) -> TautPolynomial:
         return TautPolynomial(n_points, trunc, {((), (0,) * n_points): Fraction(1)})
 
@@ -195,7 +191,7 @@ class TautPolynomial:
     def scale(self, c: Rat) -> TautPolynomial:
         c = Fraction(c)
         if c == 0:
-            return TautPolynomial.zero(self.n_points, self.trunc)
+            return TautPolynomial(self.n_points, self.trunc)
         return self._like({m: c * v for m, v in self.terms.items()})
 
     def _mul_terms(self, terms: Series) -> TautPolynomial:
@@ -220,13 +216,7 @@ class TautPolynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:  # polynomials are value-like once built
-        return hash((self.n_points, self.trunc, tuple(sorted(self.terms.items()))))
-
     # -- inspection ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _unit(self) -> Monomial:
         return ((), (0,) * self.n_points)
@@ -292,24 +282,21 @@ def _render_monomial(mono: Monomial) -> str:
 
 def exp_kappa_series(coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautPolynomial:
     """exp(sum_m c_m kappa_m), truncated; constant term is 1."""
-    lin = TautPolynomial.zero(n_points, trunc)
-    for m, c in coeffs.items():
-        if m < 1:
-            raise ValueError("kappa indices start at 1")
-        if m <= trunc and c != 0:
-            lin = lin + TautPolynomial.kappa(m, n_points, trunc).scale(c)
-    return lin.exp()
+    if any(m < 1 for m in coeffs):
+        raise ValueError("kappa indices start at 1")
+    lin = {(((m, 1),), (0,) * n_points): Fraction(c) for m, c in coeffs.items()}
+    return TautPolynomial(n_points, trunc, lin).exp()
 
 
 def exp_psi_series(i: int, coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautPolynomial:
     """exp(sum_m c_m psi_i^m), truncated."""
-    lin = TautPolynomial.zero(n_points, trunc)
-    for m, c in coeffs.items():
-        if m < 1:
-            raise ValueError("psi powers start at 1")
-        if m <= trunc and c != 0:
-            lin = lin + TautPolynomial.psi(i, n_points, trunc, power=m).scale(c)
-    return lin.exp()
+    if not 1 <= i <= n_points:
+        raise ValueError("psi point index out of range")
+    if any(m < 1 for m in coeffs):
+        raise ValueError("psi powers start at 1")
+    unit = (0,) * n_points
+    lin = {((), unit[: i - 1] + (m,) + unit[i:]): Fraction(c) for m, c in coeffs.items()}
+    return TautPolynomial(n_points, trunc, lin).exp()
 
 
 # -- bivariate half-edge series ---------------------------------------------

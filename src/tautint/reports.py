@@ -27,3 +27,9 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def first_failure(check: str, params: dict, expected: str, details: list, ok: str) -> CheckReport:
+    """A report that passes when `details` is empty, else shows the first of at most five."""
+    got = details[0] if details else ok
+    return CheckReport(check, params, expected, got, not details, details[:5])

@@ -257,7 +257,7 @@ def edge_configs_per_weighting(G, r: int, s: int, a: tuple[int, ...], x, dim: in
         for e, (va, vb) in enumerate(G.edges):
             nxt: dict = {}
             for (exps, load), c in partial.items():
-                for (i, j), q in edge_local_factor(w.residues[e], r, x, dim).terms:
+                for (i, j), q in edge_local_factor(w[e], r, x, dim).terms:
                     grown = list(load)
                     grown[va] += i
                     grown[vb] += j

@@ -7,7 +7,6 @@ from tautint.apps import (
     chi,
     chi_harer_zagier,
     chi_recursion_check,
-    chi_table,
     chi_via_hodge,
     chi_via_omega,
     dyz_identity_check,
@@ -16,6 +15,8 @@ from tautint.apps import (
     mv_via_hodge,
     mv_via_omega,
 )
+from tautint.cli import _chi_cell
+from tautint.psi import stable_types
 
 HZ_VALUES = {
     (0, 3): F(1),
@@ -35,7 +36,8 @@ def test_harer_zagier_closed_form():
 
 
 def test_hodge_route_special_cases_match_generic():
-    # the hard-wired l = 0 terms at (0,3) and (1,1) equal the generic sums
+    # the l = 0 term of the Hodge route, the bare lambda_dim (dim <= g), at
+    # (0,3) and (1,1): the values the route once hard-wired
     from tautint.hodge import hodge_monomial
 
     assert sum(
@@ -76,9 +78,10 @@ def test_recursion_check():
 
 
 def test_dyz_identity():
-    rep = dyz_identity_check(2)
-    assert rep.passed
-    assert rep.got == str(F(-1, 240))
+    assert dyz_identity_check(2).got == str(F(-1, 240))
+    for g in range(2, 6):
+        rep = dyz_identity_check(g)
+        assert rep.passed and rep.got == rep.expected == str(chi_harer_zagier(g, 0).value), g
     with pytest.raises(ValueError):
         dyz_identity_check(1)
 
@@ -107,12 +110,13 @@ def test_mv_normalization_domain():
 
 
 def test_chi_table_contents():
-    rows = chi_table(gmax=1, dimmax=1)
-    keys = {(r.g, r.n, r.route) for r in rows}
+    # the rows of `tautint table`: every chi route on each stable (g, n)
+    rows = [row for cell in stable_types(1, 1) for row in _chi_cell(cell)]
+    keys = {(g, n, route) for g, n, _, route in rows}
     assert (0, 3, "harer_zagier") in keys and (1, 1, "omega") in keys
-    vals = {(r.g, r.n): set() for r in rows}
-    for r in rows:
-        vals[(r.g, r.n)].add(r.value)
+    vals = {(g, n): set() for g, n, _, _ in rows}
+    for g, n, value, _ in rows:
+        vals[(g, n)].add(value)
     assert all(len(v) == 1 for v in vals.values())
 
 

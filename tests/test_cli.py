@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tautint
 from tautint import cli
 from tautint.cli import DIM_HARD_CAP, GRAPH_DIM_CAP, main
+from tautint.polys import TautPolynomial
 from tautint.psi import stable_types
 
 
@@ -275,3 +281,36 @@ def test_cli_exit_codes_on_drawn_argv(argv, capsys):
     assert "Traceback" not in err, argv
     if code == 2:
         assert err.count("error:") == 1, (argv, err)
+
+
+def run_python(args, timeout):
+    """`python args` with this checkout's package on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tautint.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_test_class_is_one_monomial():
+    # repeated factors merge, zero powers drop out, a degree above dim gives 0
+    factors = cli._monomial_expr("psi1*k1*psi1^2*k2^0*psi3^0*k1")
+    k1 = TautPolynomial.kappa(1, 3, 6)
+    assert cli._test_class(factors, 2, 3) == TautPolynomial.psi(1, 3, 6, power=3) * k1 * k1
+    assert cli._test_class(factors, 1, 3) == TautPolynomial(3, 3)
+
+
+def test_test_class_power_above_dimension_is_zero_at_once():
+    # the test class is built as one monomial, so a huge power costs nothing
+    args = ["-m", "tautint", "omega", "1", "1", "2", "0", "2", "--test-class", "k1^1000000000"]
+    proc = run_python(args, timeout=10)
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["degree_bounds_scan.py", "--dimmax", "2"], ["chi_mv_table.py", "--dimmax", "3"]]
+)
+def test_scripts_run_clean(argv):
+    script = Path(__file__).parents[1] / "scripts" / argv[0]
+    proc = run_python([str(script), *argv[1:]], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and "FAIL" not in proc.stdout

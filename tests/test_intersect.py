@@ -8,7 +8,7 @@ import pytest
 from oracles import added_point_terms_by_compositions, integrate_exp_kappa
 
 from tautint.exact import interpolate_polynomial
-from tautint.hodge import hodge_integral
+from tautint.hodge import hodge_pair
 from tautint.intersect import _added_point_terms, integrate_monomial
 from tautint.polys import compositions, exp_kappa_series
 from tautint.psi import is_stable
@@ -20,7 +20,7 @@ def test_basic_values():
     assert integrate_monomial(1, 1, (), (1,)) == F(1, 24)
     # degree-1 part of exp(-sum kappa_m/m) is -kappa_1
     e = exp_kappa_series({1: F(-1)}, 1, 1)
-    assert hodge_integral(1, 1, 0, e) == F(-1, 24)
+    assert hodge_pair(1, 1, {(): F(1)}, e) == F(-1, 24)
 
 
 def test_dimension_gate():
@@ -69,7 +69,7 @@ def test_lemma_two_routes_randomized():
         direct = integrate_exp_kappa(g, n, u, psi)
         poly = exp_kappa_series(u, n, dim)
         poly = poly.mul_monomial((), {i + 1: d for i, d in enumerate(psi) if d})
-        term_by_term = hodge_integral(g, n, 0, poly)
+        term_by_term = hodge_pair(g, n, {(): F(1)}, poly)
         assert direct == term_by_term, (g, n, u, psi)
 
 

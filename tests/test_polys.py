@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import edge_series_remultiply, psi_geometric, substitute_edge
 from tautint.exact import bernoulli_poly
-from tautint.polys import EdgeSeries, TautPolynomial, edge_local_factor, exp_kappa_series
+from tautint.polys import (
+    EdgeSeries,
+    TautPolynomial,
+    edge_local_factor,
+    exp_kappa_series,
+    exp_psi_series,
+)
 
 
 def P1(n=2, trunc=3):
@@ -36,7 +42,7 @@ def test_render_canonical():
 
 @st.composite
 def sparse_polys(draw, n=2, trunc=4):
-    out = TautPolynomial.zero(n, trunc)
+    out = TautPolynomial(n, trunc)
     for _ in range(draw(st.integers(1, 4))):
         c = F(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         ks = draw(st.lists(st.integers(1, 3), max_size=2))
@@ -87,6 +93,35 @@ def test_exp_kappa_examples():
         (((3, 1),), ()): F(-1, 3),
     }
     assert e3.terms == hand
+
+
+def test_exp_series_reject_index_zero():
+    with pytest.raises(ValueError):
+        exp_kappa_series({0: F(1)}, 1, 3)
+    with pytest.raises(ValueError):
+        exp_psi_series(1, {0: F(1)}, 1, 3)
+    with pytest.raises(ValueError):
+        exp_psi_series(0, {1: F(1)}, 1, 3)
+
+
+def test_exp_series_drop_high_and_zero_terms():
+    assert exp_kappa_series({1: F(0), 4: F(2)}, 1, 3) == TautPolynomial.one(1, 3)
+    assert exp_psi_series(2, {2: F(0), 4: F(2)}, 2, 3) == TautPolynomial.one(2, 3)
+    e = exp_psi_series(2, {1: F(0), 2: F(3), 5: F(1)}, 2, 4)
+    assert e.terms == {((), (0, 0)): F(1), ((), (0, 2)): F(3), ((), (0, 4)): F(9, 2)}
+
+
+def test_exp_series_equal_sum_then_exp():
+    n, tr = 3, 5
+    coeffs = {1: F(-1, 2), 2: F(2, 3), 4: F(5)}
+    lin = TautPolynomial(n, tr)
+    for m, c in coeffs.items():
+        lin = lin + TautPolynomial.kappa(m, n, tr).scale(c)
+    assert exp_kappa_series(coeffs, n, tr) == lin.exp()
+    lin = TautPolynomial(n, tr)
+    for m, c in coeffs.items():
+        lin = lin + TautPolynomial.psi(2, n, tr, power=m).scale(c)
+    assert exp_psi_series(2, coeffs, n, tr) == lin.exp()
 
 
 def test_psi_geometric():
