@@ -12,8 +12,10 @@ value checked:
   process (a warm time far from zero means a memo has stopped working), its
   digest compared with the one the test suite pins;
 - the chi/MV frontier beyond dimension 10: chi by the hodge_sum route on
-  (6,0), MV by the hodge_sum route on (6,0) and chi by the omega route on
-  (5,2), each cold;
+  (6,0), (7,0) and (8,0), MV by the hodge_sum route on (6,0), chi by the
+  omega route on (5,2) and (7,0), and MV by the omega route on (7,0), each
+  cold, chi checked against Harer-Zagier and MV against the value both MV
+  routes give;
 - the stable-graph enumeration frontier: `graph_orbits` on (3,3) with all
   colours equal, (4,1), (1,6) with all colours distinct, (0,8) with one equal
   pair and (0,8) with all colours distinct (the labelled genus-0 path), each
@@ -79,10 +81,15 @@ print(json.dumps({
 
 # (name, expression, expected value): chi against Harer-Zagier, MV against
 # the value both MV routes give
+MV_70 = "Fraction(2988444945587149, 220150628352)"
 CHI_MV_FRONTIER = (
     ("chi hodge_sum (6,0)", "chi_via_hodge(6, 0)", "chi_harer_zagier(6, 0).value"),
     ("mv hodge_sum (6,0)", "mv_via_hodge(6, 0)", "Fraction(51582017261473, 229323571200)"),
     ("chi omega (5,2)", "chi_via_omega(5, 2)", "chi_harer_zagier(5, 2).value"),
+    ("chi hodge_sum (7,0)", "chi_via_hodge(7, 0)", "chi_harer_zagier(7, 0).value"),
+    ("chi omega (7,0)", "chi_via_omega(7, 0)", "chi_harer_zagier(7, 0).value"),
+    ("mv omega (7,0)", "mv_via_omega(7, 0)", MV_70),
+    ("chi hodge_sum (8,0)", "chi_via_hodge(8, 0)", "chi_harer_zagier(8, 0).value"),
 )
 
 # (g, n, colours, orbit count, sha256 of the repr of the rows
@@ -120,7 +127,7 @@ print(json.dumps({{
 CHI_MV_CASE = """
 import json, resource, time
 from fractions import Fraction
-from tautint.apps import chi_harer_zagier, chi_via_hodge, chi_via_omega, mv_via_hodge
+from tautint.apps import chi_harer_zagier, chi_via_hodge, chi_via_omega, mv_via_hodge, mv_via_omega
 
 t0 = time.perf_counter()
 value = ({expr}).value

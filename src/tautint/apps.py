@@ -6,14 +6,15 @@ which checks the Hodge-sum route."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .exact import bernoulli_number
 from .hodge import hodge_monomial, hodge_pair, lambda_total
 from .omega import OmegaSpec, omega_integral
-from .polys import compositions, exp_kappa_series
+from .polys import exp_kappa_series, partitions
 from .psi import is_stable
 from .reports import CheckReport, first_failure
 
@@ -52,7 +53,11 @@ def chi_harer_zagier(g: int, n: int) -> RouteResult:
 
 def chi_via_hodge(g: int, n: int) -> RouteResult:
     """(-1)^{3g-3+n} sum_{l} 1/l! sum_i int lambda_i psi^2/(1+psi) ... on
-    Mbar_{g,n+l}, the added points carrying psi^2 times a geometric tail."""
+    Mbar_{g,n+l}, the added points carrying psi^2 times a geometric tail.
+
+    The integrand is symmetric in the added points, so each multiset of
+    their exponents is integrated once, weighted by its l!/prod mult!
+    orderings."""
     _require_stable(g, n)
     dim = 3 * g - 3 + n
     total = Fraction(0)
@@ -68,8 +73,9 @@ def chi_via_hodge(g: int, n: int) -> RouteResult:
                 continue
             lam = (i,) if i else ()
             sign = (-1) ** starget
-            for exps in compositions(starget, ell, 2):
-                block += sign * hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
+            for exps in partitions(starget, ell, 2):
+                orderings = factorial(ell) // prod(map(factorial, Counter(exps).values()))
+                block += sign * orderings * hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
         total += block / factorial(ell)
     return RouteResult(g, n, (-1) ** dim * total, "hodge_sum")
 

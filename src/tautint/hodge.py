@@ -20,18 +20,29 @@ recursion uses), the dimension of one side fixes the exponent split
 psi'^i (-psi'')^j, lambda splits that put lambda_p
 with p > h on a side of genus h are skipped, and hodge_pair pairs each lambda
 term only with the kappa/psi terms of complementary degree.  Every term left
-out is exactly 0.
+out is exactly 0.  The stability of both sides bounds the genus range once
+per marked-point split, and the products of the two sides are summed as
+integers per denominator and reduced once per sum.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import Rat, bernoulli_number
 from .intersect import _added_point_terms, integrate_monomial
-from .polys import KappaPart, PsiPart, TautPolynomial, monomial_degree, series_inverse, series_mul
+from .polys import (
+    KappaPart,
+    Monomial,
+    PsiPart,
+    TautPolynomial,
+    monomial_degree,
+    monomial_product,
+    series_inverse,
+    series_mul,
+)
 from .psi import is_stable, multiset_splits, runs
 
 LambdaPart = tuple[int, ...]  # sorted descending, indices >= 1
@@ -108,21 +119,25 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
 def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -> Fraction:
     """Pushforward part of p_m: sum_{i+j=m-1} psi'^i (-psi'')^j over the
     one-edge degenerations (nonseparating plus all ordered separating splits),
-    degree-matched as the module docstring says."""
-    acc = Fraction(0)
+    degree-matched as the module docstring says.  The terms are summed as
+    integer numerators per denominator, brought over one denominator and
+    reduced once at the end."""
+    sums: dict[int, int] = {}
     if g >= 1 and is_stable(g - 1, n + 2) and not (lambdas and lambdas[0] > g - 1):
         for i in range(m):
             j = m - 1 - i
-            acc += ((-1) ** j) * _hodge_core(g - 1, n + 2, lambdas, (), _desc(psi + (i, j)))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for left, right, ways, left_deg in multiset_splits(psi):
-            n1, n2 = len(left) + 1, len(right) + 1
-            if not (is_stable(g1, n1) and is_stable(g2, n2)):
-                continue
+            v = _hodge_core(g - 1, n + 2, lambdas, (), _desc(psi + (i, j)))
+            if v:
+                sums[v.denominator] = sums.get(v.denominator, 0) + (-1) ** j * v.numerator
+    lam_splits = _lambda_splits(lambdas)
+    for left, right, ways, left_deg in multiset_splits(psi):
+        n1, n2 = len(left) + 1, len(right) + 1
+        # both sides stable: genus >= 1 on a side with fewer than 3 points
+        for g1 in range(0 if n1 >= 3 else 1, (g if n2 >= 3 else g - 1) + 1):
+            g2 = g - g1
             # i = dim(Mbar_{g1,n1}) - |lambda1| - |psi_left|
             room = 3 * g1 - 3 + n1 - left_deg
-            for lam1, lam2, lam1_deg in _lambda_splits(lambdas):
+            for lam1, lam2, lam1_deg in lam_splits:
                 i = room - lam1_deg
                 j = m - 1 - i
                 if i < 0 or j < 0:
@@ -132,8 +147,10 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
                 a = _hodge_core(g1, n1, lam1, (), _desc(left + (i,)))
                 if a:
                     b = _hodge_core(g2, n2, lam2, (), _desc(right + (j,)))
-                    acc += ways * ((-1) ** j) * a * b
-    return acc
+                    den = a.denominator * b.denominator
+                    sums[den] = sums.get(den, 0) + (-1) ** j * ways * a.numerator * b.numerator
+    den = lcm(*sums)
+    return Fraction(sum(num * (den // d) for d, num in sums.items()), den)
 
 
 @lru_cache(maxsize=None)
@@ -161,15 +178,23 @@ def hodge_pair(g: int, n: int, lam: LambdaDict, p: TautPolynomial) -> Fraction:
         raise ValueError("polynomial has wrong number of marked points")
     if not is_stable(g, n):
         raise ValueError(f"unstable moduli space (g={g}, n={n})")
-    by_degree: dict[int, list] = defaultdict(list)
-    for mono, c in p.terms.items():
-        by_degree[monomial_degree(mono)].append((mono, c))
-    dim = 3 * g - 3 + n
+    return hodge_pair_by_degree(g, n, lam.items(), p.by_degree())
+
+
+def hodge_pair_by_degree(
+    g: int, n: int, lam, by_degree: dict, mono: Monomial | None = None
+) -> Fraction:
+    """hodge_pair of the (lambda-tuple, coeff) pairs `lam` with P * mono, P
+    given as its terms by degree (`TautPolynomial.by_degree`), without
+    forming the product: each lambda term meets only the terms of P of
+    complementary degree."""
+    room = 3 * g - 3 + n - (monomial_degree(mono) if mono else 0)
     acc = Fraction(0)
-    for ltuple, lc in lam.items():
+    for ltuple, lc in lam:
         if lc == 0:
             continue
-        for (kappa, psi), c in by_degree.get(dim - sum(ltuple), ()):
+        for term, c in by_degree.get(room - sum(ltuple), ()):
+            kappa, psi = monomial_product(term, mono) if mono else term
             acc += lc * c * hodge_monomial(g, n, ltuple, kappa, psi)
     return acc
 

@@ -23,7 +23,9 @@ class T:
   as Lambda(-x) * exp(kappa series) * per-leg psi series, evaluated by the
   Hodge integral engine.  Mumford's formula first gives the lambda part as
   Lambda(x)^{-1}; Mumford's relation c(E) c(E^dual) = 1 turns it into the
-  linear Lambda(-x) = sum_i lambda_i (-x)^i.
+  linear Lambda(-x) = sum_i lambda_i (-x)^i.  Its terms are bucketed by
+  degree once per spec, so a monomial meets only the lambda_i and kappa/psi
+  terms of complementary degree.
 
 The two routes are asserted equal on small (g, n) in the test suite; the
 closed form is the default for r = 1 since strata counts grow rapidly with
@@ -41,7 +43,7 @@ from operator import le
 
 from .exact import Rat, bernoulli_series
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
-from .hodge import LambdaDict, hodge_pair, lambda_total, lambda_total_inverse
+from .hodge import LambdaDict, hodge_pair_by_degree, lambda_total, lambda_total_inverse
 from .intersect import integrate_monomial
 from .polys import (
     KappaPart,
@@ -83,18 +85,25 @@ class OmegaSpec:
             )
 
 
+# -- graph-sum route -----------------------------------------------------------
+#
+# The memos below take x as two integers, its numerator xn and denominator
+# xd: hashing a Fraction costs a modular inverse on every lookup.
+
+
 @lru_cache(maxsize=None)
-def _vertex_kexp(r: int, s: int, x: Rat, n_local: int, trunc: int) -> TautPolynomial:
+def _vertex_kexp(r: int, s: int, xn: int, xd: int, n_local: int, trunc: int) -> TautPolynomial:
+    x = Fraction(xn, xd)
     return exp_kappa_series(bernoulli_series(Fraction(s, r), x, trunc), n_local, trunc)
 
 
 @lru_cache(maxsize=None)
-def _leg_factor(r: int, ai: int, x: Rat, n_local: int, point: int, trunc: int) -> TautPolynomial:
+def _leg_factor(
+    r: int, ai: int, xn: int, xd: int, n_local: int, point: int, trunc: int
+) -> TautPolynomial:
+    x = Fraction(xn, xd)
     coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), x, trunc).items()}
     return exp_psi_series(point, coeffs, n_local, trunc)
-
-
-# -- graph-sum route -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -126,25 +135,23 @@ def _graph_plan(G: StableGraph):
 
 @lru_cache(maxsize=None)
 def _vertex_base(
-    r: int, s: int, x: Rat, n_local: int, trunc: int, leg_items: tuple
+    r: int, s: int, xn: int, xd: int, n_local: int, trunc: int, leg_items: tuple
 ) -> dict[int, tuple[tuple[Monomial, Fraction], ...]]:
     """kappa-exponential times the leg factors of one vertex, its terms
     bucketed by degree; `leg_items` is the tuple of (local point, a_i) pairs.
     Shared across graphs and specs."""
-    P = _vertex_kexp(r, s, x, n_local, trunc)
+    P = _vertex_kexp(r, s, xn, xd, n_local, trunc)
     for point, ai in leg_items:
-        P = P * _leg_factor(r, ai, x, n_local, point, trunc)
-    buckets: dict[int, list] = {}
-    for mono, c in P.terms.items():
-        buckets.setdefault(monomial_degree(mono), []).append((mono, c))
-    return {deg: tuple(terms) for deg, terms in buckets.items()}
+        P = P * _leg_factor(r, ai, xn, xd, n_local, point, trunc)
+    return P.by_degree()
 
 
 @lru_cache(maxsize=None)
 def _vertex_integral(
     r: int,
     s: int,
-    x: Rat,
+    xn: int,
+    xd: int,
     gv: int,
     n_local: int,
     trunc: int,
@@ -155,7 +162,8 @@ def _vertex_integral(
     """Integral of the vertex base times an extra kappa/psi monomial: only
     the base terms of the complementary degree contribute."""
     off = sum(m * e for m, e in kap) + sum(extra)
-    bucket = _vertex_base(r, s, x, n_local, trunc, leg_items).get(3 * gv - 3 + n_local - off, ())
+    base = _vertex_base(r, s, xn, xd, n_local, trunc, leg_items)
+    bucket = base.get(3 * gv - 3 + n_local - off, ())
     acc = Fraction(0)
     for mono, c in bucket:
         acc += c * integrate_monomial(gv, n_local, *monomial_product(mono, (kap, extra)))
@@ -164,21 +172,21 @@ def _vertex_integral(
 
 @lru_cache(maxsize=None)
 def _filtered_edge_terms(
-    w: int, r: int, x: Rat, trunc: int, cap_a: int, cap_b: int, same: bool, den: int
+    w: int, r: int, xn: int, xd: int, trunc: int, cap_a: int, cap_b: int, same: bool, den: int
 ):
     """Edge series terms surviving the per-side capacity bounds, as integer
     numerators over `den`, a multiple of every denominator of the series."""
     return tuple(
         ((i, j), q.numerator * (den // q.denominator))
-        for (i, j), q in edge_local_factor(w, r, x, trunc).terms
+        for (i, j), q in edge_local_factor(w, r, Fraction(xn, xd), trunc).terms
         if (i + j <= cap_a if same else i <= cap_a and j <= cap_b)
     )
 
 
 @lru_cache(maxsize=None)
-def _residue_denominator(w: int, r: int, x: Rat, trunc: int) -> int:
+def _residue_denominator(w: int, r: int, xn: int, xd: int, trunc: int) -> int:
     """The least common denominator of the edge series at residue w."""
-    return lcm(*(q.denominator for _, q in edge_local_factor(w, r, x, trunc).terms))
+    return lcm(*(q.denominator for _, q in edge_local_factor(w, r, Fraction(xn, xd), trunc).terms))
 
 
 # edge configurations per graph shape: {(r, s mod r, x, dim): {shape: configs}}
@@ -205,7 +213,8 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
     weightings = enumerate_weightings(G, r, s, a)
     # one denominator for the residues these weightings use, not all r of them
     used = {res for w in weightings for res in w}
-    den = lcm(*(_residue_denominator(w, r, x, dim) for w in used))
+    xn, xd = x.numerator, x.denominator
+    den = lcm(*(_residue_denominator(w, r, xn, xd, dim) for w in used))
     partial: dict[tuple, list[int]] = {zero_cfg: [1] * len(weightings)}
     for e, (va, vb, pa, pb) in enumerate(edges):
         # each term (i, j) of this edge's series, with its numerator under
@@ -214,7 +223,8 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
         factors: dict[tuple[int, int], list[int]] = {}
         for res in dict.fromkeys(column):
             ks = [k for k, rk in enumerate(column) if rk == res]
-            for ij, q in _filtered_edge_terms(res, r, x, dim, dims[va], dims[vb], va == vb, den):
+            terms = _filtered_edge_terms(res, r, xn, xd, dim, dims[va], dims[vb], va == vb, den)
+            for ij, q in terms:
                 row = factors.setdefault(ij, [0] * len(weightings))
                 for k in ks:
                     row[k] = q
@@ -284,16 +294,17 @@ def omega_pairings(
     """Pairings int Omega * monomial for a batch of kappa/psi monomials.
 
     Routes: "closed" (r = 1 factored form through the Hodge engine), "graph"
-    (stable-graph sum evaluated at x = 1, other x recovered through the exact
+    (stable-graph sum), "graph-raw" (stable-graph sum evaluated literally at
+    the given x), or "auto" (closed when r = 1, graph otherwise).  The closed
+    and graph routes evaluate at x = 1 and recover other x through the exact
     grading [deg k].Omega^{[x]} = x^k [deg k].Omega^{[1]} -- itself a tested
-    invariant), "graph-raw" (stable-graph sum evaluated literally at the
-    given x), or "auto" (closed when r = 1, graph otherwise).
+    invariant.
 
     Values are memoised in `_pairing_cache`, one entry per canonical
     monomial (psi exponents sorted within each class of markings of equal
-    a_i, which Omega cannot tell apart): per x on the closed and graph-raw
-    routes, and at x = 1 only on the graph route, whose x != 1 values are
-    scaled from that entry on every call and never stored.
+    a_i, which Omega cannot tell apart): at x = 1 only on the closed and
+    graph routes, whose x != 1 values are scaled from that entry on every
+    call and never stored, and per x on the graph-raw route.
     """
     spec.validate(g, n)
     if route == "auto":
@@ -304,7 +315,7 @@ def omega_pairings(
         raise ValueError(f"the closed route needs r = 1, not r = {spec.r}")
     dim = 3 * g - 3 + n
     x = spec.x
-    scaled = route == "graph" and x != 1
+    scaled = route != "graph-raw" and x != 1
     if scaled:
         spec = OmegaSpec(spec.r, spec.s, spec.a)
     elif route == "graph-raw" and x == 1:
@@ -319,10 +330,7 @@ def omega_pairings(
     missing = sorted(set(m for m in canon.values() if m not in cache))
     if missing:
         if route == "closed":
-            lam, P = omega_r1_parts(g, n, spec.s, spec.a, spec.x, dim)
-            for kap, psi in missing:
-                Pm = P.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
-                cache[(kap, psi)] = hodge_pair(g, n, lam, Pm)
+            cache.update(_pairings_closed(g, n, spec.s, spec.a, missing))
         else:
             cache.update(_pairings_graph(g, n, spec, missing))
     if not scaled:
@@ -398,6 +406,7 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
     distinct H is trivial and this is the sum over labelled graphs."""
     dim = 3 * g - 3 + n
     r, s, x, a = spec.r, spec.s, spec.x, spec.a
+    xn, xd = x.numerator, x.denominator
     classes = colour_classes(colour_pattern(a))
     h_order = prod(factorial(len(cls)) for cls in classes)
     result = {mono: Fraction(0) for mono in monomials}
@@ -473,7 +482,7 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
                                     )
                                     extra = tuple(d for _, d in vlegs[v]) + cfg[v]
                                     val = _vertex_integral(
-                                        r, s, x, gv, nl, dims[v], leg_items, parts[v], extra
+                                        r, s, xn, xd, gv, nl, dims[v], leg_items, parts[v], extra
                                     )
                                     vertex_vals[key] = vv = (val.numerator, val.denominator)
                                 if not vv[0]:
@@ -516,6 +525,23 @@ def omega_r1_parts(
             leg = bernoulli_series(ai, x, trunc)
             P = P * exp_psi_series(i, {m: c0 - leg[m] for m, c0 in zero.items()}, n, trunc)
     return lam, P
+
+
+@lru_cache(maxsize=None)
+def _r1_buckets(g: int, n: int, s: int, a: tuple[int, ...]):
+    """omega_r1_parts at x = 1: the lambda terms, and the kappa/psi terms
+    bucketed by degree."""
+    lam, P = omega_r1_parts(g, n, s, a, Fraction(1), 3 * g - 3 + n)
+    return tuple(lam.items()), P.by_degree()
+
+
+def _pairings_closed(
+    g: int, n: int, s: int, a: tuple[int, ...], monomials
+) -> dict[Monomial, Fraction]:
+    """The r = 1 closed form at x = 1: each monomial meets only the lambda_i
+    and kappa/psi terms of complementary degree."""
+    lam, buckets = _r1_buckets(g, n, s, a)
+    return {mono: hodge_pair_by_degree(g, n, lam, buckets, mono) for mono in monomials}
 
 
 # -- Riemann-Roch degree bounds --------------------------------------------------

@@ -1,7 +1,10 @@
 """Truncated polynomial algebra in kappa_m and per-point psi_i classes.
 
 One truncated sparse-series kernel (multiply, exp, inverse) serves the kappa/psi
-polynomials here and the edge and lambda series elsewhere.
+polynomials here and the edge and lambda series elsewhere.  The two
+exponentials the Omega class needs are built directly instead: exp of a
+kappa series by the partition formula prod c_m^{e_m}/e_m!, and exp of a
+one-point psi series by the recurrence k a_k = sum_m m b_m a_{k-m}.
 
 A monomial is a pair (kappa, psi): `kappa` is a tuple of (index, exponent)
 pairs sorted by index, `psi` a tuple of n nonnegative exponents.  Its degree
@@ -93,6 +96,18 @@ def compositions(total: int, parts: int, minval: int) -> Iterator[tuple[int, ...
             yield (first,) + rest
 
 
+def partitions(total: int, parts: int, minval: int) -> Iterator[tuple[int, ...]]:
+    """Non-decreasing tuples of `parts` integers >= minval summing to `total`,
+    in lexicographic order: one per multiset of `compositions`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(minval, total // parts + 1):
+        for rest in partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
 # -- kappa/psi monomials and polynomials ----------------------------------------
 
 
@@ -163,10 +178,10 @@ class TautPolynomial:
     # -- basic ring structure ----------------------------------------------
 
     def _add_term(self, mono: Monomial, c: Fraction) -> None:
-        if c == 0 or monomial_degree(mono) > self.trunc:
-            return
         if len(mono[1]) != self.n_points:
             raise ValueError("psi exponent vector has wrong length")
+        if c == 0 or monomial_degree(mono) > self.trunc:
+            return
         cur = self.terms.get(mono)
         new = c if cur is None else cur + c
         if new == 0:
@@ -227,6 +242,13 @@ class TautPolynomial:
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(sorted(self.terms.items()))
 
+    def by_degree(self) -> dict[int, tuple[tuple[Monomial, Fraction], ...]]:
+        """The terms grouped by degree, for pairings that read one degree."""
+        buckets: dict[int, list] = {}
+        for mono, c in self.terms.items():
+            buckets.setdefault(monomial_degree(mono), []).append((mono, c))
+        return {deg: tuple(terms) for deg, terms in buckets.items()}
+
     # -- series helpers ------------------------------------------------------
 
     def exp(self) -> TautPolynomial:
@@ -281,22 +303,45 @@ def _render_monomial(mono: Monomial) -> str:
 
 
 def exp_kappa_series(coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautPolynomial:
-    """exp(sum_m c_m kappa_m), truncated; constant term is 1."""
+    """exp(sum_m c_m kappa_m), truncated; constant term is 1.  The coefficient
+    of prod kappa_m^{e_m} is prod c_m^{e_m}/e_m!, one term per partition of
+    degree <= trunc into the indices with c_m != 0."""
     if any(m < 1 for m in coeffs):
         raise ValueError("kappa indices start at 1")
-    lin = {(((m, 1),), (0,) * n_points): Fraction(c) for m, c in coeffs.items()}
-    return TautPolynomial(n_points, trunc, lin).exp()
+    parts = sorted((m, Fraction(c)) for m, c in coeffs.items() if c and m <= trunc)
+    # (kappa part, degree, coefficient), extended one index at a time
+    acc: list[tuple[KappaPart, int, Fraction]] = [((), 0, Fraction(1))]
+    for m, c in parts:
+        nxt = []
+        for kappa, deg, coef in acc:
+            nxt.append((kappa, deg, coef))
+            e = 1
+            while deg + e * m <= trunc:
+                coef = coef * c / e
+                nxt.append((kappa + ((m, e),), deg + e * m, coef))
+                e += 1
+        acc = nxt
+    out = TautPolynomial(n_points, trunc)
+    unit = (0,) * n_points
+    out.terms = {(kappa, unit): coef for kappa, _, coef in acc}
+    return out
 
 
 def exp_psi_series(i: int, coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautPolynomial:
-    """exp(sum_m c_m psi_i^m), truncated."""
+    """exp(sum_m b_m psi_i^m), truncated: its coefficients a_k obey
+    k a_k = sum_m m b_m a_{k-m} with a_0 = 1."""
     if not 1 <= i <= n_points:
         raise ValueError("psi point index out of range")
     if any(m < 1 for m in coeffs):
         raise ValueError("psi powers start at 1")
+    b = [(m, m * Fraction(c)) for m, c in sorted(coeffs.items()) if c and m <= trunc]
+    a = [Fraction(1)]
+    for k in range(1, trunc + 1):
+        a.append(sum((mb * a[k - m] for m, mb in b if m <= k), Fraction(0)) / k)
+    out = TautPolynomial(n_points, trunc)
     unit = (0,) * n_points
-    lin = {((), unit[: i - 1] + (m,) + unit[i:]): Fraction(c) for m, c in coeffs.items()}
-    return TautPolynomial(n_points, trunc, lin).exp()
+    out.terms = {((), unit[: i - 1] + (k,) + unit[i:]): ak for k, ak in enumerate(a) if ak}
+    return out
 
 
 # -- bivariate half-edge series ---------------------------------------------

@@ -1,22 +1,22 @@
 """Independent reference implementations used only to cross-check the
 package: series-inversion Bernoulli numbers, brute-force stable-graph
 enumeration with half-edge automorphism counting, mod-r weightings by
-filtering every residue tuple, direct product/series
-expansions for the symmetric-function and Stirling layers, the Hodge
-boundary sum over every degeneration and split with no term skipped, the
-graph sum's edge configurations one weighting at a time, kappa
-classes by added points summed over ordered compositions of u-series
-coefficients, lambda classes by x-interpolation of Omega pairings, and the
-sorted exponent vectors that the pinned-value digests run over.
+filtering every residue tuple, direct product/series expansions for the
+symmetric-function and Stirling layers, the Hodge boundary sum over every
+degeneration and split with no term skipped, the graph sum's edge
+configurations one weighting at a time, kappa classes by added points summed
+over ordered compositions of u-series coefficients, chi_{g,n} by the Hodge
+sum over ordered compositions of the added points' exponents, lambda classes
+by x-interpolation of Omega pairings, and the sorted exponent vectors that
+the pinned-value digests run over.
 
 Nothing here shares code paths with the package internals, except public
 entry points that the routes are built on (`psi_integral` under the
-composition sum, `omega_integral` under the interpolation,
-`enumerate_weightings` and `edge_local_factor` under the edge
-configurations) and the
-polynomial helpers at the end: small constructions on the public
-`tautint.polys` API that the polynomial tests exercise and the package
-itself does not need.
+composition sum, `hodge_monomial` under the chi sum, `omega_integral` under
+the interpolation, `enumerate_weightings` and `edge_local_factor` under the
+edge configurations) and the polynomial helpers at the end: small
+constructions on the public `tautint.polys` API that the polynomial tests
+exercise and the package itself does not need.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from math import factorial
 
 from tautint.exact import interpolate_polynomial
 from tautint.graphs import enumerate_weightings
+from tautint.hodge import hodge_monomial
 from tautint.omega import OmegaSpec, omega_integral
 from tautint.polys import (
     EdgeSeries,
@@ -321,6 +322,28 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def chi_by_ordered_compositions(g: int, n: int) -> Fraction:
+    """chi_{g,n} by the Hodge sum of `apps.chi_via_hodge` with one term per
+    ordered exponent tuple of the l added points, each exponent >= 2:
+
+        (-1)^dim sum_l 1/l! sum_i sum_{e_1..e_l} (-1)^{|e|}
+            int_{Mbar_{g,n+l}} lambda_i psi_{n+1}^{e_1} ... psi_{n+l}^{e_l}
+
+    with |e| = dim + l - i, the l = 0 term being the bare lambda_dim."""
+    dim = 3 * g - 3 + n
+    total = Fraction(0)
+    for ell in range(dim + 1):
+        for i in range(g + 1):
+            esum = dim + ell - i
+            lam = (i,) if i else ()
+            # e_k = c_k + 1 over the compositions c of esum - l into parts >= 1
+            for comp in _compositions(esum - ell, ell):
+                exps = tuple(c + 1 for c in comp)
+                value = hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
+                total += Fraction((-1) ** esum, factorial(ell)) * value
+    return (-1) ** dim * total
 
 
 def _u_mul(a: dict, b: dict, cap: tuple) -> dict:

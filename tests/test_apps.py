@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from oracles import chi_by_ordered_compositions
 
 from tautint.apps import (
     chi,
@@ -65,6 +66,13 @@ def test_frontier_routes_exact():
     assert chi_via_omega(5, 0).value == hz
     mvv = mv_via_hodge(5, 0).value
     assert mvv == mv_via_omega(5, 0).value == F(7607231, 1310720)
+
+
+@pytest.mark.parametrize("g,n", stable_types(9))
+def test_chi_hodge_multisets_match_ordered_compositions(g, n):
+    # one term per multiset of added-point exponents, weighted by its
+    # orderings, against one term per ordering
+    assert chi_via_hodge(g, n).value == chi_by_ordered_compositions(g, n)
 
 
 def test_chi_omega_graph_route_small():

@@ -119,10 +119,10 @@ def test_iter_suite_smallest():
 
 
 def test_suite_memo_holds_canonical_entries_only():
-    # one pairing memo entry per canonical monomial: the graph route keeps
-    # x = 1 values only and scales other x on each call, and monomials that
-    # differ by moving markings of equal a_i share one entry; storing scaled
-    # values or non-canonical aliases would raise these counts
+    # one pairing memo entry per canonical monomial: the closed and graph
+    # routes keep x = 1 values only and scale other x on each call, and
+    # monomials that differ by moving markings of equal a_i share one entry;
+    # storing scaled values or non-canonical aliases would raise these counts
     omega._pairing_cache.clear()
     omega._config_cache.clear()
     reports = list(iter_suite(SMALL_GRID))
@@ -133,8 +133,8 @@ def test_suite_memo_holds_canonical_entries_only():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a8380e8dc37dec3ebf211caf4d6c14fb1124036db33bd6b725151904067e57ca"
     )
-    assert len(omega._pairing_cache) == 464
-    assert sum(map(len, omega._pairing_cache.values())) == 3157
+    assert len(omega._pairing_cache) == 315
+    assert sum(map(len, omega._pairing_cache.values())) == 2166
 
 
 def test_failing_reports_text(monkeypatch):

@@ -143,6 +143,23 @@ def test_closed_route_pairs_like_the_inverse_lambda_series(g, n):
                 assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, x, kap, psi)
 
 
+@pytest.mark.parametrize("g,n", stable_types(5))
+def test_closed_route_scales_like_the_literal_closed_form(g, n):
+    # the closed route evaluates at x = 1 and scales a pairing of degree d by
+    # x^(dim - d); the closed form written out at x itself and paired with
+    # hodge_pair must agree
+    dim = 3 * g - 3 + n
+    basis = flat_basis(g, n)
+    for s in (-1, 2):
+        for a in ((0,) * n, ((2, -1) + (0,) * n)[:n]):
+            for x in (F(-1), F(1, 2), F(3)):
+                got = omega_pairings(g, n, OmegaSpec(1, s, a, x), basis, route="closed")
+                lam, P = omega_r1_parts(g, n, s, a, x, dim)
+                for kap, psi in basis:
+                    Pm = P.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
+                    assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, a, x, kap, psi)
+
+
 def test_lambda_pairings_graph_route_match_engine():
     # Lambda(t) pairs like Omega^{[-t]}(1, 1; 1,...,1): at t = -1, the Omega
     # graph sum vs the recursive engine

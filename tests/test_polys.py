@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,30 @@ def test_exp_series_equal_sum_then_exp():
     for m, c in coeffs.items():
         lin = lin + TautPolynomial.psi(2, n, tr, power=m).scale(c)
     assert exp_psi_series(2, coeffs, n, tr) == lin.exp()
+
+
+def test_direct_exp_series_match_generic_exp():
+    # the partition formula and the one-variable recurrence against the
+    # generic series exponential, zero coefficients and trunc 0 included
+    values = (F(0), F(1), F(-2, 3))
+    for n in range(4):
+        for tr in range(5):
+            for cs in product(values, repeat=3):
+                coeffs = dict(zip((1, 2, 4), cs))
+                unit = (0,) * n
+                lin = {(((m, 1),), unit): c for m, c in coeffs.items()}
+                want = TautPolynomial(n, tr, lin).exp()
+                assert exp_kappa_series(coeffs, n, tr) == want, (n, tr, coeffs)
+                for i in range(1, n + 1):
+                    lin = {((), unit[: i - 1] + (m,) + unit[i:]): c for m, c in coeffs.items()}
+                    want = TautPolynomial(n, tr, lin).exp()
+                    assert exp_psi_series(i, coeffs, n, tr) == want, (i, n, tr, coeffs)
+
+
+def test_wrong_psi_length_raises_above_trunc():
+    for psi in ((5, 0), (1, 0)):
+        with pytest.raises(ValueError, match="psi exponent vector has wrong length"):
+            TautPolynomial(1, 1, {((), psi): F(1)})
 
 
 def test_psi_geometric():
