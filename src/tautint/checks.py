@@ -21,7 +21,7 @@ from .exact import (
     stirling_generalized_first,
     stirling_generalized_second,
 )
-from .hodge import hodge_pair, lambda_dict_mul
+from .hodge import hodge_pair_by_degree, lambda_dict_mul
 from .intersect import integrate_monomial
 from .omega import OmegaSpec, omega_integral, omega_pairings, omega_r1_parts
 from .polys import (
@@ -39,19 +39,6 @@ from .reports import CheckReport, first_failure
 # -- pairing bases ---------------------------------------------------------------
 
 
-def _kappa_parts(maxdeg: int) -> list[tuple[tuple[int, int], ...]]:
-    """All kappa monomials (as sorted (index, exponent) tuples) of degree <= maxdeg."""
-    out: list[tuple[tuple[int, int], ...]] = [()]
-    def rec(minidx: int, budget: int, cur: list[tuple[int, int]]):
-        for m in range(minidx, budget + 1):
-            for e in range(1, budget // m + 1):
-                item = cur + [(m, e)]
-                out.append(tuple(item))
-                rec(m + 1, budget - m * e, item)
-    rec(1, maxdeg, [])
-    return out
-
-
 @lru_cache(maxsize=None)
 def _psi_upto(n: int, maxtotal: int) -> tuple[tuple[int, ...], ...]:
     """The psi exponent vectors on n points of total degree <= maxtotal."""
@@ -63,8 +50,9 @@ def _basis_by_degree(g: int, n: int, include_kappa: bool) -> tuple[tuple[Monomia
     """The sorted kappa/psi monomials of each degree 0..dim, indexed by degree."""
     dim = 3 * g - 3 + n
     out: list[list[Monomial]] = [[] for _ in range(dim + 1)]
-    kparts = _kappa_parts(dim) if include_kappa else [()]
-    for kap in kparts:
+    # the kappa monomials of degree <= kdim are the terms of exp(sum_m kappa_m)
+    kdim = dim if include_kappa else 0
+    for kap, _ in exp_kappa_series(dict.fromkeys(range(1, kdim + 1), 1), 0, kdim).terms:
         kdeg = sum(m * e for m, e in kap)
         for psi in _psi_upto(n, dim - kdeg):
             out[kdeg + sum(psi)].append((kap, psi))
@@ -90,8 +78,8 @@ def _pair_with_factor(
 ) -> dict[Monomial, Fraction]:
     """int Omega_spec * factor * mono for each basis monomial.
 
-    Each product factor * mono is formed from the factor's terms of degree
-    <= factor.trunc - deg(mono), as `factor.mul_monomial` would truncate it,
+    Each product factor * mono keeps the factor's terms of degree
+    <= factor.trunc - deg(mono), as its truncation at factor.trunc would,
     and one `omega_pairings` batch covers every monomial the products reach."""
     terms = [(m, c, monomial_degree(m)) for m, c in factor.terms.items()]
     prods: dict[Monomial, list[tuple[Monomial, Fraction]]] = {}
@@ -106,16 +94,18 @@ def _pair_with_factor(
     }
 
 
+def _differing(rows: Iterable[tuple[str, Fraction, Fraction]]) -> list[str]:
+    """The line "label: lhs=.. rhs=.." of each (label, lhs, rhs) whose sides differ."""
+    return [f"{label}: lhs={lhs} rhs={rhs}" for label, lhs, rhs in rows if lhs != rhs]
+
+
 def _compare_pairings(
     name: str,
     params: dict,
     lhs: dict[Monomial, Fraction],
     rhs: dict[Monomial, Fraction],
 ) -> CheckReport:
-    diffs = []
-    for mono in sorted(lhs):
-        if lhs[mono] != rhs[mono]:
-            diffs.append(f"pairing {mono}: lhs={lhs[mono]} rhs={rhs[mono]}")
+    diffs = _differing((f"pairing {mono}", lhs[mono], rhs[mono]) for mono in sorted(lhs))
     expected = "all pairings equal (pairing-certified identity)"
     return first_failure(name, params, expected, diffs, "equal")
 
@@ -202,76 +192,59 @@ def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckRe
     return rep
 
 
-def _pullback_pairings(
-    g: int, n: int, r: int, s: int, a: tuple[int, ...], x: Fraction, down: list[Monomial]
-) -> tuple[dict, dict]:
-    """Pairings of Omega(r, s; a, s) on Mbar_{g,n+1} with every psi monomial
-    of degree <= dim + 1 whose last exponent is at most 3, and of
-    Omega(r, s; a) on Mbar_{g,n} with the monomials `down`.  The pullback,
-    string and dilaton checks all read the first batch, so the graph sum over
-    Mbar_{g,n+1} runs once for the three."""
+def _pullback_family(
+    g: int, n: int, r: int, s: int, a: tuple[int, ...], x
+) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The pullback, string and dilaton reports: consequences of
+    Omega(r,s;a,s) = pi^* Omega(r,s;a).  All three read one batch of its
+    pairings on Mbar_{g,n+1} with every psi monomial of degree <= dim + 1
+    whose last exponent is at most 3, and one batch of Omega(r,s;a) pairings
+    on Mbar_{g,n}, so each graph sum runs once for the three."""
+    x = Fraction(x)
     dim1 = 3 * g - 2 + n
+    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
+    ds = _psi_upto(n, dim1)
+    cases = [(k, d) for k in range(3) for d in _psi_upto(n, dim1 - k - 1)]
     monos = [((), d + (k,)) for k in range(4) for d in _psi_upto(n, dim1 + 1 - k)]
     up = omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos)
-    return up, omega_pairings(g, n, OmegaSpec(r, s, a, x), down)
+    kappa_monos = [(((k, 1),), d) for k, d in cases if k]
+    down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in ds] + kappa_monos)
+    euler = 2 * g - 2 + n
+    total = up[((), (0,) * (n + 1))]
+    pullback = [f"int Omega(..., s) = {total} != 0"] if total != 0 else []
+    pullback += _differing(
+        (f"k={k} d={d}", up[((), d + (k + 1,))], down[(((k, 1),), d)] if k else euler * down[((), d)])
+        for k, d in cases
+    )
+    string = _differing(
+        (f"d={d}", up[((), d + (0,))] if sum(d) <= dim1 else Fraction(0),
+         sum((down[((), d[:j] + (d[j] - 1,) + d[j + 1 :])] for j in range(n) if d[j]), Fraction(0)))
+        for d in _psi_upto(n, dim1 + 1)
+    )
+    dilaton = _differing((f"d={d}", up[((), d + (1,))], euler * down[((), d)]) for d in ds)
+    expected = "pullback consequences (vanishing and kappa transport)"
+    return (
+        first_failure("pullback", params, expected, pullback, "hold"),
+        first_failure("string", params, "string equation coefficientwise", string, "holds"),
+        first_failure("dilaton", params, "dilaton equation coefficientwise", dilaton, "holds"),
+    )
 
 
 def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
-    """Consequences of Omega(r,s;a,s) = pi^* Omega(r,s;a).
-
-    (a) the full integral of the pulled-back class vanishes;
-    (b) int_{g,n+1} Omega(..,s) psi_{n+1}^{k+1} prod psi^d equals
-        int_{g,n} Omega * kappa_k prod psi^d for k <= 2 (kappa_0 = 2g-2+n).
-    """
-    x = Fraction(x)
-    dim1 = 3 * g - 2 + n
-    details: list[str] = []
-    cases = [(k, d) for k in range(3) for d in _psi_upto(n, dim1 - k - 1)]
-    up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) if k == 0 else (((k, 1),), d) for k, d in cases])
-    total = up[((), (0,) * (n + 1))]
-    if total != 0:
-        details.append(f"int Omega(..., s) = {total} != 0")
-    for k, d in cases:
-        lhs = up[((), d + (k + 1,))]
-        rhs = down[(((k, 1),), d)] if k else (2 * g - 2 + n) * down[((), d)]
-        if lhs != rhs:
-            details.append(f"k={k} d={d}: lhs={lhs} rhs={rhs}")
-    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    expected = "pullback consequences (vanishing and kappa transport)"
-    return first_failure("pullback", params, expected, details, "hold")
+    """int_{g,n+1} Omega(r,s;a,s) = 0, and int_{g,n+1} Omega(..,s) psi_{n+1}^{k+1} prod psi^d =
+    int_{g,n} Omega(r,s;a) kappa_k prod psi^d for k <= 2 (kappa_0 = 2g-2+n)."""
+    return _pullback_family(g, n, r, s, a, x)[0]
 
 
 def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
     """String equation: <Omega(a,s) prod psi^d>_{g,n+1} = sum_j <Omega(a) psi^{d-e_j}>_{g,n}
     coefficientwise in the formal leg weights, up to total degree dim+1."""
-    x = Fraction(x)
-    dim1 = 3 * g - 2 + n
-    details = []
-    up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) for d in _psi_upto(n, dim1)])
-    for d in _psi_upto(n, dim1 + 1):
-        lhs = up[((), d + (0,))] if sum(d) <= dim1 else Fraction(0)
-        lower = [d[:j] + (d[j] - 1,) + d[j + 1 :] for j in range(n) if d[j]]
-        rhs = sum((down[((), e)] for e in lower), Fraction(0))
-        if lhs != rhs:
-            details.append(f"d={d}: lhs={lhs} rhs={rhs}")
-    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    return first_failure("string", params, "string equation coefficientwise", details, "holds")
+    return _pullback_family(g, n, r, s, a, x)[1]
 
 
 def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
     """Dilaton equation: <Omega(a,s) psi_{n+1} prod psi^d> = (2g-2+n) <Omega(a) prod psi^d>."""
-    x = Fraction(x)
-    dim1 = 3 * g - 2 + n
-    details = []
-    ds = _psi_upto(n, dim1)
-    up, down = _pullback_pairings(g, n, r, s, a, x, [((), d) for d in ds])
-    for d in ds:
-        lhs = up[((), d + (1,))]
-        rhs = (2 * g - 2 + n) * down[((), d)]
-        if lhs != rhs:
-            details.append(f"d={d}: lhs={lhs} rhs={rhs}")
-    params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    return first_failure("dilaton", params, "dilaton equation coefficientwise", details, "holds")
+    return _pullback_family(g, n, r, s, a, x)[2]
 
 
 def check_vanishing_thm(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
@@ -345,12 +318,11 @@ def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
     dim = 3 * g - 3 + n
     lamA, polyA = omega_r1_parts(g, n, 1 - s, (0,) * n, -x, dim, mumford_linear=False)
     lamB, polyB = omega_r1_parts(g, n, s, (0,) * n, x, dim, mumford_linear=False)
-    lam = lambda_dict_mul(lamA, lamB, dim)
-    poly = polyA * polyB
+    lam = lambda_dict_mul(lamA, lamB, dim).items()
+    buckets = (polyA * polyB).by_degree()
     details = []
     for kap, psi in flat_basis(g, n):
-        shifted = poly.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
-        got = hodge_pair(g, n, lam, shifted)
+        got = hodge_pair_by_degree(g, n, lam, buckets, (kap, psi))
         want = integrate_monomial(g, n, kap, psi)
         if got != want:
             details.append(f"pairing {(kap, psi)}: product {got} vs unit {want}")
@@ -482,9 +454,7 @@ def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
                     if n >= 1:
                         yield check_shift_a(g, n, r, s, a, 1, x)
                         yield check_multi_shift_a(g, n, r, s, a, 1, 2, x)
-                    yield check_pullback(g, n, r, s, a, x)
-                    yield check_string(g, n, r, s, a, x)
-                    yield check_dilaton(g, n, r, s, a, x)
+                    yield from _pullback_family(g, n, r, s, a, x)
                     yield check_vanishing_thm(g, n, r, s, a, x)
                     yield check_vanishing_corollary(g, n, r, s, a, x)
             a0 = admissible_a(g, n, r, 0)

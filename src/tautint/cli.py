@@ -1,11 +1,12 @@
 """Command-line frontend.
 
-Exact rationals print as "p/q" (bare "p" when q = 1); a --decimal flag
-renders floats at a stated precision with a warning, since nothing internal
-is ever inexact.  Exit codes: 0 success, 1 a verification failed, 2 usage
-(malformed tokens, an unstable (g, n), 3g-3+n above DIM_HARD_CAP, or above
-GRAPH_DIM_CAP for omega and table, an unreadable --cache file), which is
-reported on one "error:" line before any computation starts.
+Exact rationals print as "p/q" (bare "p" when q = 1); --decimal (not on
+verify) renders floats with a warning, since nothing internal is inexact.
+Exit codes: 0 success, 1 a verification failed or stdout was closed early
+(the rest goes to os.devnull, with no traceback), 2 usage (malformed tokens,
+an unstable (g, n), 3g-3+n above DIM_HARD_CAP, or above GRAPH_DIM_CAP for
+omega and table, an unreadable --cache file), which is reported on one
+"error:" line before any computation starts.
 """
 
 from __future__ import annotations
@@ -93,27 +94,22 @@ def _space_error(g: int, n: int, cap: int = DIM_HARD_CAP) -> str | None:
 
 
 def _fmt_rat(v: Fraction, decimal: int | None) -> str:
-    if decimal is not None:
-        return f"{float(v):.{decimal}g}"
-    return str(v)
+    return str(v) if decimal is None else f"{float(v):.{decimal}g}"
 
 
-def _emit(rows: list[dict], fmt: str, decimal: int | None) -> str:
+def _emit(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return "\n".join(
             json.dumps({k: str(v) for k, v in row.items()}, sort_keys=True) for row in rows
         )
     if fmt == "csv":
-        out = ["g,n,value,route"]
-        for row in rows:
-            out.append(f"{row['g']},{row['n']},{row['value']},{row['route']}")
-        return "\n".join(out)
+        return "\n".join(["g,n,value,route"] + [f"{r['g']},{r['n']},{r['value']},{r['route']}" for r in rows])
     return "\n".join(str(row["value"]) if "route" not in row or len(rows) == 1 else f"{row['route']}: {row['value']}" for row in rows)
 
 
-def _chi_cell(args: tuple[int, int]) -> list[tuple[int, int, str, str]]:
+def _chi_cell(args: tuple[int, int]) -> list[tuple[int, int, Fraction, str]]:
     g, n = args
-    return [(g, n, str(chi(g, n, route).value), route) for route in CHI_ROUTES]
+    return [(g, n, chi(g, n, route).value, route) for route in CHI_ROUTES]
 
 
 def cmd_route(ns: argparse.Namespace) -> int:
@@ -132,7 +128,7 @@ def cmd_route(ns: argparse.Namespace) -> int:
         {"g": ns.g, "n": ns.n, "value": _fmt_rat(v, ns.decimal), "route": route}
         for route, v in values.items()
     ]
-    print(_emit(rows, ns.format, ns.decimal))
+    print(_emit(rows, ns.format))
     return 0
 
 
@@ -203,20 +199,22 @@ def cmd_table(ns: argparse.Namespace) -> int:
     else:
         blocks = [_chi_cell(c) for c in cells]
     rows = [
-        {"g": g, "n": n, "value": v, "route": route}
+        {"g": g, "n": n, "value": _fmt_rat(v, ns.decimal), "route": route}
         for block in blocks
         for g, n, v, route in block
     ]
     fmt = ns.format if ns.format != "text" else "csv"
-    print(_emit(rows, fmt, ns.decimal))
+    print(_emit(rows, fmt))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache", default=None, help=f"psi-integral cache file (or ${CACHE_ENV_VAR})")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument(
+    # verify prints JSON report lines and takes neither flag
+    output = argparse.ArgumentParser(add_help=False, parents=[common])
+    output.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    output.add_argument(
         "--decimal",
         type=_nonneg_int,
         default=None,
@@ -226,27 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tautint", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("chi", parents=[common], help="orbifold Euler characteristic of M_{g,n}")
+    c = sub.add_parser("chi", parents=[output], help="orbifold Euler characteristic of M_{g,n}")
     c.add_argument("g", type=_nonneg_int)
     c.add_argument("n", type=_nonneg_int)
     c.add_argument("--route", choices=CHI_ROUTES, default="harer_zagier")
     c.set_defaults(func=cmd_route, compute=chi, with_normalization=False)
 
-    m = sub.add_parser("mv", parents=[common], help="Masur-Veech volume over pi^{6g-6+2n}")
+    m = sub.add_parser("mv", parents=[output], help="Masur-Veech volume over pi^{6g-6+2n}")
     m.add_argument("g", type=_nonneg_int)
     m.add_argument("n", type=_nonneg_int)
     m.add_argument("--route", choices=MV_ROUTES, default="omega")
     m.add_argument("--with-normalization", action="store_true")
     m.set_defaults(func=cmd_route, compute=mv)
 
-    h = sub.add_parser("hodge", parents=[common], help="int lambda_i psi_1^{d_1}...psi_n^{d_n}")
+    h = sub.add_parser("hodge", parents=[output], help="int lambda_i psi_1^{d_1}...psi_n^{d_n}")
     h.add_argument("g", type=_nonneg_int)
     h.add_argument("n", type=_nonneg_int)
     h.add_argument("i", type=_nonneg_int, help="lambda index (0: no lambda class)")
     h.add_argument("d", nargs="?", type=_exponents, default=(), help="comma-separated psi powers")
     h.set_defaults(func=cmd_hodge)
 
-    o = sub.add_parser("omega", parents=[common], help="int Omega^{[x]}(r,s;a) * T")
+    o = sub.add_parser("omega", parents=[output], help="int Omega^{[x]}(r,s;a) * T")
     o.add_argument("g", type=_nonneg_int)
     o.add_argument("n", type=_nonneg_int)
     o.add_argument("r", type=int)
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid", choices=("small", "full"), default="small")
     v.set_defaults(func=cmd_verify)
 
-    t = sub.add_parser("table", parents=[common], help="chi by all three routes over a (g,n) range")
+    t = sub.add_parser("table", parents=[output], help="chi by all three routes over a (g,n) range")
     t.add_argument("--gmax", type=_nonneg_int, default=3)
     t.add_argument("--dimmax", type=_nonneg_int, default=4)
     t.add_argument("--jobs", type=_pos_int, default=1)
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     cache_path = os.environ.get(CACHE_ENV_VAR) if ns.cache is None else ns.cache
-    if ns.decimal is not None:
+    if getattr(ns, "decimal", None) is not None:
         print("warning: --decimal output is a float rendering, not exact", file=sys.stderr)
     if cache_path:
         try:
@@ -282,6 +280,11 @@ def main(argv: list[str] | None = None) -> int:
             return _usage_error(f"cannot read psi cache {cache_path}: {exc}")
     try:
         code = ns.func(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' recipe: the flush at exit then cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     finally:
         if cache_path:
             try:

@@ -91,9 +91,6 @@ class StableGraph:
         es = ",".join(f"({a + 1},{b + 1})" for a, b in self.edges)
         return f"V:{vs}|L:{ls}|E:{es}"
 
-    def __lt__(self, other: StableGraph) -> bool:
-        return (self.n_edges, self.serialize()) < (other.n_edges, other.serialize())
-
 
 def colour_pattern(colours: Sequence[Hashable]) -> tuple[int, ...]:
     """Each marking's colour renamed to the rank of its first occurrence, so
@@ -391,49 +388,34 @@ def _set_partitions(items: tuple[int, ...]):
 
 
 def _genus0_forms(n: int):
-    """Stable genus-0 trees with legs 1..n as (genera, legs, edges) tuples."""
+    """Stable genus-0 trees with legs 1..n as (genera, legs, edges) tuples.
+    The root carries leg 1; every vertex splits the legs below it into two
+    or more blocks, each single leg staying at the vertex and each larger
+    block hanging below it on a new vertex."""
 
-    def grow(block: tuple[int, ...], parent: int, genera, legs, edges):
-        """Attach a vertex for `block` (>= 2 legs) below vertex `parent`."""
+    def expand(pending, genera, legs, edges):
+        # `pending` lists (vertex, blocks) pairs: the first block becomes a
+        # new vertex below its vertex, then come its siblings, then its blocks
+        if not pending:
+            yield genera, tuple(legs), tuple(sorted(edges))
+            return
+        (parent, blocks), rest = pending[0], pending[1:]
+        if not blocks:
+            yield from expand(rest, genera, legs, edges)
+            return
         v = len(genera)
-        genera.append(0)
-        if parent >= 0:
-            edges.append((parent, v))
-        outcomes = []
-        for part in _set_partitions(block):
+        up = ((parent, v),) if v else ()
+        for part in _set_partitions(blocks[0]):
             if len(part) < 2:
                 continue
-            state = (list(genera), list(legs), list(edges))
-            stack = [(v, [b for b in part if len(b) >= 2])]
+            vlegs = list(legs)
             for b in part:
                 if len(b) == 1:
-                    state[1][b[0] - 1] = v
-            outcomes.append((state, stack))
-        return outcomes
+                    vlegs[b[0] - 1] = v
+            below = [b for b in part if len(b) >= 2]
+            yield from expand([(parent, blocks[1:]), (v, below)] + rest, genera + (0,), vlegs, edges + up)
 
-    def rec(genera, legs, edges, pending):
-        if not pending:
-            yield (tuple(genera), tuple(legs), tuple(sorted(edges)))
-            return
-        (vertex, blocks), rest = pending[0], pending[1:]
-        if not blocks:
-            yield from rec(genera, legs, edges, rest)
-            return
-        block, more = blocks[0], blocks[1:]
-        for (sg, sl, se), stack in grow(block, vertex, list(genera), list(legs), list(edges)):
-            yield from rec(sg, sl, se, [(vertex, more)] + stack + list(rest))
-
-    # root vertex carries leg 1 plus the blocks of a partition of {2..n}
-    for part in _set_partitions(tuple(range(2, n + 1))):
-        if len(part) < 2:
-            continue
-        genera = [0]
-        legs = [0] * n
-        for b in part:
-            if len(b) == 1:
-                legs[b[0] - 1] = 0
-        blocks = [b for b in part if len(b) >= 2]
-        yield from rec(genera, legs, [], [(0, blocks)])
+    return expand([(None, [tuple(range(2, n + 1))])], (), [0] * n, ())
 
 
 @lru_cache(maxsize=None)

@@ -92,21 +92,6 @@ class OmegaSpec:
 
 
 @lru_cache(maxsize=None)
-def _vertex_kexp(r: int, s: int, xn: int, xd: int, n_local: int, trunc: int) -> TautPolynomial:
-    x = Fraction(xn, xd)
-    return exp_kappa_series(bernoulli_series(Fraction(s, r), x, trunc), n_local, trunc)
-
-
-@lru_cache(maxsize=None)
-def _leg_factor(
-    r: int, ai: int, xn: int, xd: int, n_local: int, point: int, trunc: int
-) -> TautPolynomial:
-    x = Fraction(xn, xd)
-    coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), x, trunc).items()}
-    return exp_psi_series(point, coeffs, n_local, trunc)
-
-
-@lru_cache(maxsize=None)
 def _graph_plan(G: StableGraph):
     """What every graph-sum pass reads of one graph.  Local marked points per
     vertex are its legs first, then its half-edges.  Returns (dims, n_local,
@@ -140,9 +125,11 @@ def _vertex_base(
     """kappa-exponential times the leg factors of one vertex, its terms
     bucketed by degree; `leg_items` is the tuple of (local point, a_i) pairs.
     Shared across graphs and specs."""
-    P = _vertex_kexp(r, s, xn, xd, n_local, trunc)
+    x = Fraction(xn, xd)
+    P = exp_kappa_series(bernoulli_series(Fraction(s, r), x, trunc), n_local, trunc)
     for point, ai in leg_items:
-        P = P * _leg_factor(r, ai, xn, xd, n_local, point, trunc)
+        coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), x, trunc).items()}
+        P = P * exp_psi_series(point, coeffs, n_local, trunc)
     return P.by_degree()
 
 
@@ -231,24 +218,17 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
         nxt: dict[tuple, list[int]] = {}
         for cfg, coeffs in partial.items():
             for (i, j), qs in factors.items():
-                if va == vb:
-                    if sum(cfg[va]) + i + j > dims[va]:
-                        continue
-                    vec = list(cfg[va])
-                    vec[pa] += i
-                    vec[pb] += j
-                    ncfg = cfg[:va] + (tuple(vec),) + cfg[va + 1 :]
-                else:
-                    if sum(cfg[va]) + i > dims[va] or sum(cfg[vb]) + j > dims[vb]:
-                        continue
-                    veca = list(cfg[va])
-                    veca[pa] += i
-                    vecb = list(cfg[vb])
-                    vecb[pb] += j
-                    ncfg = list(cfg)
-                    ncfg[va] = tuple(veca)
-                    ncfg[vb] = tuple(vecb)
-                    ncfg = tuple(ncfg)
+                # on a self-loop (va == vb) the second read sees the first update
+                ncfg = list(cfg)
+                veca = list(ncfg[va])
+                veca[pa] += i
+                ncfg[va] = tuple(veca)
+                vecb = list(ncfg[vb])
+                vecb[pb] += j
+                ncfg[vb] = tuple(vecb)
+                if sum(ncfg[va]) > dims[va] or sum(ncfg[vb]) > dims[vb]:
+                    continue
+                ncfg = tuple(ncfg)
                 prods = [c * q for c, q in zip(coeffs, qs)]
                 acc = nxt.get(ncfg)
                 nxt[ncfg] = prods if acc is None else [t + u for t, u in zip(acc, prods)]

@@ -209,19 +209,9 @@ class TautPolynomial:
             return TautPolynomial(self.n_points, self.trunc)
         return self._like({m: c * v for m, v in self.terms.items()})
 
-    def _mul_terms(self, terms: Series) -> TautPolynomial:
-        return self._like(series_mul(self.terms, terms, self.trunc, monomial_degree, monomial_product))
-
     def __mul__(self, other: TautPolynomial) -> TautPolynomial:
         self._check_compatible(other)
-        return self._mul_terms(other.terms)
-
-    def mul_monomial(self, kappa: KappaPart, psi_powers: dict[int, int], c: Rat = 1) -> TautPolynomial:
-        """Multiply by c * prod kappa_m^e * prod psi_i^k (1-based point keys)."""
-        extra = [0] * self.n_points
-        for i, k in psi_powers.items():
-            extra[i - 1] += k
-        return self._mul_terms({(tuple(sorted(kappa)), tuple(extra)): Fraction(c)})
+        return self._like(series_mul(self.terms, other.terms, self.trunc, monomial_degree, monomial_product))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -39,7 +39,8 @@ def is_stable(g: int, n: int) -> bool:
 
 def stable_types(dimmax: int, gmax: int | None = None) -> list[tuple[int, int]]:
     """The stable (g, n) with 3g-3+n <= dimmax (and g <= gmax), sorted."""
-    top = dimmax // 3 + 1 if gmax is None else gmax
+    # 3g-3+n <= dimmax bounds g by dimmax // 3 + 1, whatever gmax says
+    top = dimmax // 3 + 1 if gmax is None else min(gmax, dimmax // 3 + 1)
     return [(g, n) for g in range(top + 1) for n in range(dimmax - 3 * g + 4) if is_stable(g, n)]
 
 

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line.  Every assertion is exact rational equality (tolerance zero)."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -93,8 +94,10 @@ def test_criterion_6_identity_suite():
     t0 = time.time()
     failures = []
     count = 0
+    digest = hashlib.sha256()
     for rep in iter_suite(FULL_GRID):
         count += 1
+        digest.update((rep.to_json() + "\n").encode())
         if not rep.passed:
             failures.append(rep)
     elapsed = time.time() - t0
@@ -104,6 +107,8 @@ def test_criterion_6_identity_suite():
         f"{count} checks, {elapsed:.1f}s"
         + (f"; first failure {failures[0].to_json()}" if failures else ""),
     )
+    # the stdout of `verify --grid full`, byte for byte
+    assert digest.hexdigest() == "7dac257d7f02f1d17bdda1029718249ff6cc44a4d726f262c34cf98f2d2cc55b"
 
 
 def test_criterion_7_footnote_counterexample():

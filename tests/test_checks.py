@@ -140,7 +140,7 @@ def test_suite_memo_holds_canonical_entries_only():
 def test_failing_reports_text(monkeypatch):
     # perturb every value the checks read by a fixed rational so that each
     # report-building path fails, and pin the got/details text of the failures
-    pairings, integral, hodge = checks.omega_pairings, checks.omega_integral, checks.hodge_pair
+    pairings, integral, hodge = checks.omega_pairings, checks.omega_integral, checks.hodge_pair_by_degree
     first, second = checks.stirling_generalized_first, checks.stirling_generalized_second
 
     def bump(g, spec):
@@ -156,7 +156,9 @@ def test_failing_reports_text(monkeypatch):
     monkeypatch.setattr(
         checks, "omega_integral", lambda g, n, spec, T=None: integral(g, n, spec, T) + bump(g, spec)
     )
-    monkeypatch.setattr(checks, "hodge_pair", lambda g, n, lam, poly: hodge(g, n, lam, poly) + F(1, 7))
+    monkeypatch.setattr(
+        checks, "hodge_pair_by_degree", lambda g, n, lam, buckets, mono: hodge(g, n, lam, buckets, mono) + F(1, 7)
+    )
     monkeypatch.setattr(checks, "stirling_generalized_first", lambda k, m, t: first(k, m, t) + (m == k))
     monkeypatch.setattr(checks, "stirling_generalized_second", lambda k, m, t: second(k, m, t) + (m == k))
     grid = CheckGrid(max_dim=1, max_r=2, s_values=(-2, -1, 1, 2), x_values=(F(1),))

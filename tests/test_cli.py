@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,44 @@ def test_decimal_warns(capsys):
     assert captured.out.strip() == "-0.0833333"
 
 
+def test_table_decimal_renders_floats(capsys):
+    _, exact = run_cli(["table", "--dimmax", "1"], capsys)
+    code = main(["table", "--dimmax", "1", "--decimal", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and "warning" in captured.err
+    want = [exact.splitlines()[0]]
+    for row in exact.splitlines()[1:]:
+        g, n, value, route = row.split(",")
+        want.append(f"{g},{n},{float(Fraction(value)):.3g},{route}")
+    assert captured.out.splitlines() == want
+    assert "-0.0833" in captured.out
+
+
+def test_table_huge_gmax_stops_at_the_dimension_bound(capsys):
+    # 3g-3+n <= dimmax bounds the genus, so a huge --gmax costs nothing
+    args = ["-m", "tautint", "table", "--gmax", "1000000000000", "--dimmax", "1"]
+    proc = run_python(args, timeout=30)
+    code, out = run_cli(["table", "--gmax", "1", "--dimmax", "1"], capsys)
+    assert proc.returncode == code == 0 and proc.stdout == out, proc.stderr
+
+
+def test_closed_pipe_exits_without_traceback():
+    # `tautint verify | head -1`: the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(tautint.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tautint", "verify"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["pass"] is True
+    assert proc.returncode == 1 and "Traceback" not in err, err
+
+
 def test_unwritable_cache_warns(tmp_path, capsys):
     path = tmp_path / "missing-dir" / "psi.txt"
     code = main(["chi", "1", "1", "--cache", str(path)])
@@ -175,6 +214,8 @@ def run_usage(args, capsys):
         ["table", "--jobs", "0"],
         ["table", "--jobs", "-2"],
         ["mv", "0", "3", "--with-normalization"],  # 4g-4+n < 0: no constant
+        ["verify", "--decimal", "3"],  # verify prints exact JSON reports only
+        ["verify", "--format", "json"],
     ],
 )
 def test_bad_input_is_a_usage_error(args, capsys):

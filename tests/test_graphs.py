@@ -81,7 +81,8 @@ def test_deterministic_order():
     a = enumerate_stable_graphs(1, 2)
     b = enumerate_stable_graphs(1, 2)
     assert [G.serialize() for G in a] == [G.serialize() for G in b]
-    assert list(a) == sorted(a)
+    # the documented order: by edge count, then by serialisation
+    assert list(a) == sorted(a, key=lambda G: (G.n_edges, G.serialize()))
 
 
 def test_weightings_r1_and_smooth():
@@ -236,6 +237,9 @@ PINNED_ORBITS = [
      "a06c19133c9bdc1e4838cf5f5cabe810558146f4c9236e075dd653cf74a62798"),
     (0, 6, (0, 0, 1, 1, 2, 2), 61,
      "c4ce58e3b8f51290d9cd0052b62fe76b07af9be842b12ee20fb78684ca23a3c9"),
+    # labelled genus 0 with n >= 8 takes the direct tree builder
+    (0, 8, tuple(range(8)), 39208,
+     "2241f8ee036b54f0f82dcb2cd0a092ecad4637fa2099eeeb8289a7a0f713ff94"),
 ]
 
 

@@ -10,7 +10,7 @@ from oracles import added_point_terms_by_compositions, integrate_exp_kappa
 from tautint.exact import interpolate_polynomial
 from tautint.hodge import hodge_pair
 from tautint.intersect import _added_point_terms, integrate_monomial
-from tautint.polys import compositions, exp_kappa_series
+from tautint.polys import TautPolynomial, compositions, exp_kappa_series
 from tautint.psi import is_stable
 
 
@@ -68,7 +68,7 @@ def test_lemma_two_routes_randomized():
             continue
         direct = integrate_exp_kappa(g, n, u, psi)
         poly = exp_kappa_series(u, n, dim)
-        poly = poly.mul_monomial((), {i + 1: d for i, d in enumerate(psi) if d})
+        poly = poly * TautPolynomial.from_monomial(n, dim, (), psi)
         term_by_term = hodge_pair(g, n, {(): F(1)}, poly)
         assert direct == term_by_term, (g, n, u, psi)
 

@@ -139,7 +139,7 @@ def test_closed_route_pairs_like_the_inverse_lambda_series(g, n):
             got = omega_pairings(g, n, OmegaSpec(1, s, a, x), basis, route="closed")
             lam, P = omega_r1_parts(g, n, s, a, x, dim, mumford_linear=False)
             for kap, psi in basis:
-                Pm = P.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
+                Pm = P * TautPolynomial.from_monomial(n, dim, kap, psi)
                 assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, x, kap, psi)
 
 
@@ -156,7 +156,7 @@ def test_closed_route_scales_like_the_literal_closed_form(g, n):
                 got = omega_pairings(g, n, OmegaSpec(1, s, a, x), basis, route="closed")
                 lam, P = omega_r1_parts(g, n, s, a, x, dim)
                 for kap, psi in basis:
-                    Pm = P.mul_monomial(kap, {i + 1: d for i, d in enumerate(psi) if d})
+                    Pm = P * TautPolynomial.from_monomial(n, dim, kap, psi)
                     assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, a, x, kap, psi)
 
 
