@@ -97,14 +97,18 @@ def _fmt_rat(v: Fraction, decimal: int | None) -> str:
     return str(v) if decimal is None else f"{float(v):.{decimal}g}"
 
 
-def _emit(rows: list[dict], fmt: str) -> str:
+def _emit(cells: list[tuple[int, int, Fraction, str]], fmt: str, decimal: int | None) -> str:
+    """The (g, n, value, route) cells as JSON lines, as CSV under a header, or
+    as text: a lone cell's value, else one "route: value" line per cell."""
+    keys = ("g", "n", "value", "route")
+    rows = [(g, n, _fmt_rat(v, decimal), route) for g, n, v, route in cells]
     if fmt == "json":
-        return "\n".join(
-            json.dumps({k: str(v) for k, v in row.items()}, sort_keys=True) for row in rows
-        )
+        return "\n".join(json.dumps(dict(zip(keys, map(str, row))), sort_keys=True) for row in rows)
     if fmt == "csv":
-        return "\n".join(["g,n,value,route"] + [f"{r['g']},{r['n']},{r['value']},{r['route']}" for r in rows])
-    return "\n".join(str(row["value"]) if "route" not in row or len(rows) == 1 else f"{row['route']}: {row['value']}" for row in rows)
+        return "\n".join([",".join(keys)] + [",".join(map(str, row)) for row in rows])
+    if len(rows) == 1:
+        return rows[0][2]
+    return "\n".join(f"{route}: {value}" for _, _, value, route in rows)
 
 
 def _chi_cell(args: tuple[int, int]) -> list[tuple[int, int, Fraction, str]]:
@@ -121,14 +125,10 @@ def cmd_route(ns: argparse.Namespace) -> int:
             norm = mv_normalization(ns.g, ns.n)
         except ValueError as exc:
             return _usage_error(str(exc))
-    values = {ns.route: ns.compute(ns.g, ns.n, ns.route).value}
+    cells = [(ns.g, ns.n, ns.compute(ns.g, ns.n, ns.route).value, ns.route)]
     if ns.with_normalization:
-        values["normalization_constant"] = norm
-    rows = [
-        {"g": ns.g, "n": ns.n, "value": _fmt_rat(v, ns.decimal), "route": route}
-        for route, v in values.items()
-    ]
-    print(_emit(rows, ns.format))
+        cells.append((ns.g, ns.n, norm, "normalization_constant"))
+    print(_emit(cells, ns.format, ns.decimal))
     return 0
 
 
@@ -198,13 +198,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
             blocks = list(pool.map(_chi_cell, cells))
     else:
         blocks = [_chi_cell(c) for c in cells]
-    rows = [
-        {"g": g, "n": n, "value": _fmt_rat(v, ns.decimal), "route": route}
-        for block in blocks
-        for g, n, v, route in block
-    ]
     fmt = ns.format if ns.format != "text" else "csv"
-    print(_emit(rows, fmt))
+    print(_emit([cell for block in blocks for cell in block], fmt, ns.decimal))
     return 0
 
 

@@ -146,17 +146,11 @@ def stirling_generalized_first(k: int, m: int, x: Rat) -> Fraction:
     return acc
 
 
-def interpolate_polynomial(points: list[tuple[Rat, Rat]]) -> list[Fraction]:
-    """Coefficients (low to high) of the unique polynomial of degree < len(points)
-    through the given points, by exact Gaussian elimination."""
-    n = len(points)
-    rows = []
-    for x, y in points:
-        x = Fraction(x)
-        row = [Fraction(1)]
-        for _ in range(n - 1):
-            row.append(row[-1] * x)
-        rows.append(row + [Fraction(y)])
+def solve_linear(rows: list[list[Rat]]) -> list[Fraction]:
+    """The solution of a nonsingular square system, each row its coefficients
+    followed by its right-hand side, by exact Gaussian elimination."""
+    n = len(rows)
+    rows = [list(map(Fraction, row)) for row in rows]
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col] != 0)
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -167,6 +161,13 @@ def interpolate_polynomial(points: list[tuple[Rat, Rat]]) -> list[Fraction]:
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
     return [rows[i][n] for i in range(n)]
+
+
+def interpolate_polynomial(points: list[tuple[Rat, Rat]]) -> list[Fraction]:
+    """Coefficients (low to high) of the unique polynomial of degree < len(points)
+    through the given points."""
+    n = len(points)
+    return solve_linear([[Fraction(x) ** k for k in range(n)] + [y] for x, y in points])
 
 
 def stirling_generalized_second(k: int, m: int, x: Rat) -> Fraction:

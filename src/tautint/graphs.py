@@ -124,23 +124,31 @@ def _relabeled(genera, legs, edges, perm, classes) -> tuple:
     return (tuple(ng), tuple(nl), ne)
 
 
-def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
+def _vertex_keys(genera, legs, edges, pattern) -> list[tuple]:
+    """Each vertex's isomorphism-invariant key: genus, sorted leg colours,
+    self-loops, and edges to other vertices."""
     nv = len(genera)
     leg_colours: list[list[int]] = [[] for _ in range(nv)]
     for c, v in zip(pattern, legs):
         leg_colours[v].append(c)
-    adj: list[dict[int, int]] = [{} for _ in range(nv)]
-    loops = [0] * nv
+    loops, links = [0] * nv, [0] * nv
     for a, b in edges:
         if a == b:
             loops[a] += 1
         else:
+            links[a] += 1
+            links[b] += 1
+    return [(genera[v], tuple(sorted(leg_colours[v])), loops[v], links[v]) for v in range(nv)]
+
+
+def _refine_colors(genera, legs, edges, pattern) -> list[tuple]:
+    nv = len(genera)
+    adj: list[dict[int, int]] = [{} for _ in range(nv)]
+    for a, b in edges:
+        if a != b:
             adj[a][b] = adj[a].get(b, 0) + 1
             adj[b][a] = adj[b].get(a, 0) + 1
-    colors = [
-        (genera[v], tuple(sorted(leg_colours[v])), loops[v], sum(adj[v].values()))
-        for v in range(nv)
-    ]
+    colors = _vertex_keys(genera, legs, edges, pattern)
     # a discrete colouring is final: refining it would keep its rank order
     while len(set(colors)) < nv:
         ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
@@ -281,23 +289,12 @@ def _is_canonical_child(parent: tuple, genera, legs, edges, added, pattern) -> b
     """Whether `parent`, a canonical form, is the canonical contraction of the
     child degenerated from it along `added`.  The candidate edges are those
     with the largest isomorphism-invariant key (loop flag, then the sorted
-    endpoint keys: genus, valence, loops, leg colours); the canonical
-    contraction is the least canonical form of a contraction along one of
-    them.  Contracting `added` gives the parent back, and contracting
-    parallel edges (or loops at one vertex) gives one graph, so only the
-    other endpoint pairs need a canonical form."""
-    nv = len(genera)
-    valence, loops = [0] * nv, [0] * nv
-    colours: list[list[int]] = [[] for _ in range(nv)]
-    for c, v in zip(pattern, legs):
-        colours[v].append(c)
-        valence[v] += 1
-    for a, b in edges:
-        valence[a] += 1
-        valence[b] += 1
-        if a == b:
-            loops[a] += 1
-    vkey = [(genera[v], valence[v], loops[v], sorted(colours[v])) for v in range(nv)]
+    endpoint keys of `_vertex_keys`); the canonical contraction is the least
+    canonical form of a contraction along one of them.  Contracting `added`
+    gives the parent back, and contracting parallel edges (or loops at one
+    vertex) gives one graph, so only the other endpoint pairs need a
+    canonical form."""
+    vkey = _vertex_keys(genera, legs, edges, pattern)
     keys = {(a, b): (a == b, sorted((vkey[a], vkey[b]))) for a, b in set(edges)}
     top = max(keys.values())
     if keys[added] != top:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iproduct
 from math import lcm
 
 from .exact import Rat, bernoulli_number
@@ -157,17 +158,10 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
 def _lambda_splits(lambdas: LambdaPart) -> tuple[tuple[LambdaPart, LambdaPart, int], ...]:
     """All ways to write each lambda_a as lambda_p (x) lambda_q with p+q=a:
     (left, right, degree of left)."""
-    if not lambdas:
-        return (((), (), 0),)
-    head, tail = lambdas[0], lambdas[1:]
-    out = []
-    for l1, l2, d1 in _lambda_splits(tail):
-        for p in range(head + 1):
-            q = head - p
-            n1 = _desc(l1 + ((p,) if p else ()))
-            n2 = _desc(l2 + ((q,) if q else ()))
-            out.append((n1, n2, d1 + p))
-    return tuple(out)
+    return tuple(
+        (_desc(p for p in ps if p), _desc(a - p for a, p in zip(lambdas, ps) if a > p), sum(ps))
+        for ps in iproduct(*(range(a + 1) for a in lambdas))
+    )
 
 
 def hodge_pair(g: int, n: int, lam: LambdaDict, p: TautPolynomial) -> Fraction:

@@ -70,8 +70,6 @@ def _integrate_core(g: int, n: int, kappa: KappaPart, psi: PsiPart) -> Fraction:
     if monomial_degree((kappa, psi)) != dim:
         return Fraction(0)
     if not kappa:
-        if n == 0:
-            return Fraction(1) if dim == 0 else Fraction(0)
         return psi_integral(g, psi)
     acc = Fraction(0)
     for coef, mu in _added_point_terms(kappa):

@@ -248,21 +248,26 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
     return tuple((hsum, tuple(group)) for hsum, group in groups.items())
 
 
+@lru_cache(maxsize=None)
 def _kappa_distributions(kappa: KappaPart, nv: int):
     """Ways to split each kappa_m^e across nv vertices (kappa restricts to the
-    sum of the vertex kappa classes), with multinomial multiplicities."""
-    out: list[tuple[int, list[KappaPart]]] = [(1, [() for _ in range(nv)])]
+    sum of the vertex kappa classes), as (multinomial multiplicity, the kappa
+    part of each vertex, the degree of each vertex's part).  kappa is sorted,
+    so each vertex part is too."""
+    out: list[tuple[int, tuple[KappaPart, ...]]] = [(1, ((),) * nv)]
     for m, e in kappa:
         nxt = []
         for counts in compositions(e, nv, 0):
             ways = factorial(e) // prod(map(factorial, counts))
             for mult, parts in out:
-                nparts = [
+                nparts = tuple(
                     parts[v] + (((m, counts[v]),) if counts[v] else ()) for v in range(nv)
-                ]
+                )
                 nxt.append((mult * ways, nparts))
         out = nxt
-    return [(mult, [tuple(sorted(p)) for p in parts]) for mult, parts in out]
+    return tuple(
+        (mult, parts, tuple(sum(m * e for m, e in p) for p in parts)) for mult, parts in out
+    )
 
 
 _pairing_cache: dict[tuple, dict[Monomial, Fraction]] = {}
@@ -408,7 +413,6 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
     # vertex values are kept as (numerator, denominator) so that the products
     # and sums below run on plain integers, reduced once per graph and monomial
     vertex_vals: dict[tuple, tuple[int, int]] = {}
-    kappa_dists: dict[tuple[KappaPart, int], list] = {}
     s_res, a_res = s % r, tuple(ai % r for ai in a)
     shapes = _config_cache.setdefault((r, s_res, x, dim), {})
     for G, aut_col in graph_orbits(g, n, a):
@@ -428,13 +432,7 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
             config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, x, dim)
         vrange = range(nv)
         for mono, stab, orbit in monos_upto[dim - G.n_edges]:
-            kap = mono[0]
-            dists = kappa_dists.get((kap, nv))
-            if dists is None:
-                dists = kappa_dists[(kap, nv)] = [
-                    (mult, parts, tuple(sum(m * e for m, e in p) for p in parts))
-                    for mult, parts in _kappa_distributions(kap, nv)
-                ]
+            dists = _kappa_distributions(mono[0], nv)
             num, den = 0, 1
             for psi, sup in orbit:
                 if sup & rigid:

@@ -229,9 +229,6 @@ class TautPolynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get(self._unit(), Fraction(0))
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(sorted(self.terms.items()))
-
     def by_degree(self) -> dict[int, tuple[tuple[Monomial, Fraction], ...]]:
         """The terms grouped by degree, for pairings that read one degree."""
         buckets: dict[int, list] = {}
@@ -262,7 +259,7 @@ class TautPolynomial:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for mono, c in self.items():
+        for mono, c in sorted(self.terms.items()):
             frag = _render_monomial(mono)
             mag = abs(c)
             if frag == "1":

@@ -34,7 +34,7 @@ _cache_lock = threading.Lock()
 
 
 def is_stable(g: int, n: int) -> bool:
-    return 2 * g - 2 + n > 0
+    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
 
 
 def stable_types(dimmax: int, gmax: int | None = None) -> list[tuple[int, int]]:
@@ -221,7 +221,7 @@ def load_cache(path: str | Path) -> int:
             d = tuple(int(t) for t in ds.split(",")) if ds else ()
             num, _, den = vs.partition("/")
             val = Fraction(int(num), int(den) if den else 1)
-            if not d or not is_stable(g, len(d)) or sum(d) != 3 * g - 3 + len(d):
+            if not d or min(d) < 0 or not is_stable(g, len(d)) or sum(d) != 3 * g - 3 + len(d):
                 raise ValueError("inconsistent index")
         except (ValueError, ZeroDivisionError) as exc:
             log.warning("skipping corrupted cache line %d (%s): %r", lineno, exc, line)

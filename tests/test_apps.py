@@ -133,3 +133,5 @@ def test_unstable_rejected():
         chi(0, 2)
     with pytest.raises(ValueError):
         mv_via_hodge(1, 0)
+    with pytest.raises(ValueError):  # 2g-2+n > 0, but n < 0
+        chi(2, -1)

@@ -11,6 +11,7 @@ from tautint.exact import (
     elementary_symmetric,
     interpolate_polynomial,
     power_sum,
+    solve_linear,
     stirling_generalized_first,
     stirling_generalized_second,
 )
@@ -140,6 +141,15 @@ def test_interpolation_roundtrip():
     coeffs = interpolate_polynomial(pts)
     assert coeffs[0] == F(1, 3) and coeffs[1] == -1 and coeffs[3] == 2
     assert coeffs[2] == 0 and coeffs[4] == 0
+
+
+def test_solve_linear_swaps_a_zero_pivot():
+    # not a Vandermonde system, and the first row has no x_1 term, so the
+    # elimination must swap rows; integer input still gives exact rationals
+    rows = [[0, 2, 1, -1], [1, 1, 0, F(-3, 2)], [2, 0, 3, 10]]
+    sol = solve_linear(rows)
+    assert sol == [F(1, 2), -2, 3]
+    assert all(isinstance(v, F) for v in sol)
 
 
 def test_bernoulli_cache_concurrent_reads():

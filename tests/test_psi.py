@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import descending_vectors
 
+from tautint.omega import OmegaSpec, omega_integral
 from tautint.psi import clear_cache, load_cache, psi_integral, save_cache, stable_types
 
 # classical values; the genus >= 2 ones match the standard tables
@@ -62,6 +63,8 @@ def test_unstable_raises():
         psi_integral(0, (0, 0))
     with pytest.raises(ValueError):
         psi_integral(1, ())
+    with pytest.raises(ValueError):  # 2g-2+n > 0, but there is no genus -1
+        psi_integral(-1, (0,) * 6)
 
 
 def _random_stable_indices(count, seed=20240817):
@@ -134,11 +137,19 @@ def test_concurrent_psi_queries_agree():
 
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
     path = tmp_path / "bad.txt"
-    path.write_text("# header\n1;1;1/24\nnot a line\n1;1;0/0\n9;1,2;3/4\n")
+    lines = ["# header", "1;1;1/24", "not a line", "1;1;0/0", "9;1,2;3/4"]
+    # these pass the degree gate (sum(d) = 3g-3+n, 2g-2+n > 0) but have a
+    # negative genus or exponent
+    lines += ["-1;0,0,0,0,0,0;5", "0;2,0,0,-1;7"]
+    path.write_text("\n".join(lines) + "\n")
     with caplog.at_level("WARNING"):
         loaded = load_cache(path)
     assert loaded == 1  # only the valid <tau_1>_1 line
     assert psi_integral(1, (1,)) == F(1, 24)
+    with pytest.raises(ValueError):
+        psi_integral(-1, (0,) * 6)
+    with pytest.raises(ValueError):
+        omega_integral(-1, 6, OmegaSpec(1, 0, (0,) * 6))
 
 
 def test_failed_save_keeps_previous_cache(tmp_path):
