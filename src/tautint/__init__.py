@@ -13,13 +13,10 @@ from .apps import (
     RouteResult,
     chi,
     chi_harer_zagier,
-    chi_recursion_check,
     chi_via_hodge,
     chi_via_omega,
-    dyz_identity_check,
     mv,
     mv_normalization,
-    mv_segre_check,
     mv_via_hodge,
     mv_via_omega,
 )
@@ -27,8 +24,6 @@ from .exact import (
     Rat,
     bernoulli_number,
     bernoulli_poly,
-    complete_homogeneous,
-    elementary_symmetric,
     power_sum,
     stirling_generalized_first,
     stirling_generalized_second,

@@ -1,8 +1,7 @@
 """Headline quantities, each a `RouteResult`: orbifold Euler characteristics
-of the open moduli spaces by the three routes of CHI_ROUTES and Masur-Veech
-volume polynomials (the pi-normalised rational part) by the two of
-MV_ROUTES; the chi recursion; and the Bernoulli identity for chi_{g,0},
-which checks the Hodge-sum route."""
+of the open moduli spaces by the three routes of CHI_ROUTES, and Masur-Veech
+volume polynomials (the pi-normalised rational part) by the two of MV_ROUTES
+together with the normalisation constant that the reported values leave out."""
 
 from __future__ import annotations
 
@@ -12,11 +11,10 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .exact import bernoulli_number
-from .hodge import hodge_monomial, hodge_pair, lambda_total
+from .hodge import hodge_monomial
 from .omega import OmegaSpec, omega_integral
-from .polys import exp_kappa_series, partitions
+from .polys import partitions
 from .psi import is_stable
-from .reports import CheckReport, first_failure
 
 CHI_ROUTES = ("harer_zagier", "hodge_sum", "omega")
 MV_ROUTES = ("omega", "hodge_sum")
@@ -93,38 +91,6 @@ def chi(g: int, n: int, route: str = "harer_zagier") -> RouteResult:
     return _CHI[route](g, n)
 
 
-def chi_recursion_check(g: int, n: int) -> CheckReport:
-    """chi_{g,n+1} = -(2g-2+n) chi_{g,n}, across all three routes."""
-    _require_stable(g, n)
-    vals_n = {r: chi(g, n, r).value for r in CHI_ROUTES}
-    vals_n1 = {r: chi(g, n + 1, r).value for r in CHI_ROUTES}
-    factor = -(2 * g - 2 + n)
-    details = [
-        f"route {r}: {vals_n1[r]} != {factor} * {vals_n[r]}"
-        for r in CHI_ROUTES
-        if vals_n1[r] != factor * vals_n[r]
-    ]
-    if len(set(vals_n.values())) != 1 or len(set(vals_n1.values())) != 1:
-        details.append(f"routes disagree: {vals_n} vs {vals_n1}")
-    expected = f"chi(g,n+1) = {factor} * chi(g,n) on all routes"
-    return first_failure("chi_recursion", {"g": g, "n": n}, expected, details, "holds")
-
-
-def dyz_identity_check(g: int) -> CheckReport:
-    """sum_{l>=1} (-1)^l/l! sum_mu int Lambda(-1) prod psi^{mu_i+1} over
-    Mbar_{g,l} equals B_{2g}/(2g(2g-2)) for g >= 2.
-
-    With e_i = mu_i + 1 the left side is, term by term, the Hodge sum of
-    `chi_via_hodge` at n = 0 (its l = 0 term vanishes for g >= 2), so that
-    sum is compared with the Bernoulli value.
-    """
-    if g < 2:
-        raise ValueError("the identity needs g >= 2")
-    lhs = chi_via_hodge(g, 0).value
-    rhs = bernoulli_number(2 * g) / (2 * g * (2 * g - 2))
-    return CheckReport("dyz_identity", {"g": g}, str(rhs), str(lhs), lhs == rhs)
-
-
 def mv_via_omega(g: int, n: int, route: str = "auto") -> RouteResult:
     """(-1)^{3g-3+n} int Omega(1, 2; 0, ..., 0): the volume over pi^{6g-6+2n}."""
     _require_stable(g, n)
@@ -158,27 +124,6 @@ def mv_normalization(g: int, n: int) -> Fraction:
     if 4 * g - 4 + n < 0 or 6 * g - 7 + 2 * n < 0:
         raise ValueError(f"normalisation constant undefined for (g,n)=({g},{n})")
     return Fraction(2 ** (2 * g + 1) * factorial(4 * g - 4 + n), factorial(6 * g - 7 + 2 * n))
-
-
-def mv_segre_check(g: int, n: int) -> CheckReport:
-    """Route equality for the inverse-class form of the volume.
-
-    (Omega(1,-1;0))^{-1} = Lambda(1) exp(+sum kappa_m/m) as a class; its
-    integral must match (-1)^{3g-3+n} int Omega(1,2;0).
-    """
-    _require_stable(g, n)
-    dim = 3 * g - 3 + n
-    kexp = exp_kappa_series({m: Fraction(1, m) for m in range(1, dim + 1)}, n, dim)
-    inverse_form = hodge_pair(g, n, lambda_total(Fraction(1), g, dim), kexp)
-    direct = mv_via_omega(g, n).value
-    ok = inverse_form == direct
-    return CheckReport(
-        check="mv_segre",
-        parameters={"g": g, "n": n},
-        expected=str(direct),
-        got=str(inverse_form),
-        passed=ok,
-    )
 
 
 _CHI = dict(zip(CHI_ROUTES, (chi_harer_zagier, chi_via_hodge, chi_via_omega)))

@@ -197,7 +197,10 @@ def _pullback_family(
     g: int, n: int, r: int, s: int, a: tuple[int, ...], x
 ) -> tuple[CheckReport, CheckReport, CheckReport]:
     """The pullback, string and dilaton reports: consequences of
-    Omega(r,s;a,s) = pi^* Omega(r,s;a).  All three read one batch of its
+    Omega(r,s;a,s) = pi^* Omega(r,s;a).  Pullback: int_{g,n+1} Omega(r,s;a,s)
+    = 0, and <Omega(..,s) psi_{n+1}^{k+1} prod psi^d>_{g,n+1} = <Omega(r,s;a)
+    kappa_k prod psi^d>_{g,n} for k <= 2 (kappa_0 = 2g-2+n); string and
+    dilaton: their equations, coefficientwise.  All three read one batch of its
     pairings on Mbar_{g,n+1} with every psi monomial of degree <= dim + 1
     whose last exponent is at most 3, and one batch of Omega(r,s;a) pairings
     on Mbar_{g,n}, so each graph sum runs once for the three."""
@@ -229,23 +232,6 @@ def _pullback_family(
         first_failure("string", params, "string equation coefficientwise", string, "holds"),
         first_failure("dilaton", params, "dilaton equation coefficientwise", dilaton, "holds"),
     )
-
-
-def check_pullback(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
-    """int_{g,n+1} Omega(r,s;a,s) = 0, and int_{g,n+1} Omega(..,s) psi_{n+1}^{k+1} prod psi^d =
-    int_{g,n} Omega(r,s;a) kappa_k prod psi^d for k <= 2 (kappa_0 = 2g-2+n)."""
-    return _pullback_family(g, n, r, s, a, x)[0]
-
-
-def check_string(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
-    """String equation: <Omega(a,s) prod psi^d>_{g,n+1} = sum_j <Omega(a) psi^{d-e_j}>_{g,n}
-    coefficientwise in the formal leg weights, up to total degree dim+1."""
-    return _pullback_family(g, n, r, s, a, x)[1]
-
-
-def check_dilaton(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
-    """Dilaton equation: <Omega(a,s) psi_{n+1} prod psi^d> = (2g-2+n) <Omega(a) prod psi^d>."""
-    return _pullback_family(g, n, r, s, a, x)[2]
 
 
 def check_vanishing_thm(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:

@@ -1,6 +1,6 @@
-"""Exact scalar layer: Bernoulli numbers and polynomials, symmetric functions
-of the progression (base, base+1, ..., base+count-1), taken as the two
-arguments `base, count`, and generalised Stirling numbers.
+"""Exact scalar layer: Bernoulli numbers and polynomials, power sums of the
+progression (base, base+1, ..., base+count-1), taken as the two arguments
+`base, count`, generalised Stirling numbers and exact linear solving.
 
 Every function returns a `fractions.Fraction`; nothing here ever rounds.
 Sign convention, fixed once for the whole package: B_1 = -1/2, i.e. B_m is
@@ -70,41 +70,14 @@ def binomial_ext(a: Rat, i: int) -> Fraction:
     return num
 
 
-def _progression(base: Rat, count: int) -> list[Fraction]:
-    """The variables base, base+1, ..., base+count-1 (none when count = 0)."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return [Fraction(base) + t for t in range(count)]
-
-
 def power_sum(m: int, base: Rat, count: int) -> Fraction:
-    """p_m = sum_i X_i^m over the progression; 0 on the empty set."""
+    """p_m = sum_i X_i^m over the progression X = base, base+1, ...,
+    base+count-1; 0 on the empty set (count = 0)."""
     if m < 1:
         raise ValueError("power sum degree must be positive")
-    return sum((v ** m for v in _progression(base, count)), Fraction(0))
-
-
-def elementary_symmetric(l: int, base: Rat, count: int) -> Fraction:
-    """sigma_l, read off from the product prod_i (1 + X_i u)."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    coeffs = [Fraction(1)] + [Fraction(0)] * l
-    for v in _progression(base, count):
-        for k in range(l, 0, -1):
-            coeffs[k] += v * coeffs[k - 1]
-    return coeffs[l]
-
-
-def complete_homogeneous(l: int, base: Rat, count: int) -> Fraction:
-    """h_l, read off from the series prod_i 1/(1 - X_i u)."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    coeffs = [Fraction(1)] + [Fraction(0)] * l
-    for v in _progression(base, count):
-        # multiply by 1/(1 - v u) = sum_k v^k u^k, truncated at u^l
-        for k in range(1, l + 1):
-            coeffs[k] += v * coeffs[k - 1]
-    return coeffs[l]
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return sum(((Fraction(base) + t) ** m for t in range(count)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +121,14 @@ def stirling_generalized_first(k: int, m: int, x: Rat) -> Fraction:
 
 def solve_linear(rows: list[list[Rat]]) -> list[Fraction]:
     """The solution of a nonsingular square system, each row its coefficients
-    followed by its right-hand side, by exact Gaussian elimination."""
+    followed by its right-hand side, by exact Gaussian elimination; a
+    singular system raises ValueError."""
     n = len(rows)
     rows = [list(map(Fraction, row)) for row in rows]
     for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
         rows[col], rows[piv] = rows[piv], rows[col]
         inv = rows[col][col]
         rows[col] = [v / inv for v in rows[col]]

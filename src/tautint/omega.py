@@ -133,28 +133,22 @@ def _vertex_base(
     return P.by_degree()
 
 
-@lru_cache(maxsize=None)
-def _vertex_integral(
-    r: int,
-    s: int,
-    xn: int,
-    xd: int,
-    gv: int,
-    n_local: int,
-    trunc: int,
-    leg_items: tuple,
-    kap: KappaPart,
-    extra: tuple[int, ...],
-) -> Fraction:
-    """Integral of the vertex base times an extra kappa/psi monomial: only
-    the base terms of the complementary degree contribute."""
+def _vertex_integral(r: int, s: int, xn: int, xd: int, key: tuple) -> tuple[int, int]:
+    """Integral of the vertex base times an extra kappa/psi monomial, as
+    (numerator, denominator): only the base terms of the complementary degree
+    contribute.  `key` is (vertex type (g_v, local point count), sorted
+    (a_i, psi_i) leg pairs, kappa part, half-edge exponents)."""
+    (gv, n_local), vlegs, kap, cfg = key
+    dim = 3 * gv - 3 + n_local
+    leg_items = tuple((k, ai) for k, (ai, _) in enumerate(vlegs, start=1))
+    extra = tuple(d for _, d in vlegs) + cfg
     off = sum(m * e for m, e in kap) + sum(extra)
-    base = _vertex_base(r, s, xn, xd, n_local, trunc, leg_items)
-    bucket = base.get(3 * gv - 3 + n_local - off, ())
+    base = _vertex_base(r, s, xn, xd, n_local, dim, leg_items)
+    bucket = base.get(dim - off, ())
     acc = Fraction(0)
     for mono, c in bucket:
         acc += c * integrate_monomial(gv, n_local, *monomial_product(mono, (kap, extra)))
-    return acc
+    return acc.numerator, acc.denominator
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +172,11 @@ def _residue_denominator(w: int, r: int, xn: int, xd: int, trunc: int) -> int:
 
 # edge configurations per graph shape: {(r, s mod r, x, dim): {shape: configs}}
 _config_cache: dict[tuple, dict[tuple, tuple]] = {}
+
+# vertex integrals: {(r, s, xn, xd): {key of _vertex_integral: (numerator,
+# denominator)}}, so that the products and sums of the graph sum run on plain
+# integers; keyed by the true s, since the kappa factor reads B_{m+1}(s/r)
+_vertex_cache: dict[tuple, dict[tuple, tuple[int, int]]] = {}
 
 
 def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, dim: int) -> tuple:
@@ -409,10 +408,7 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
         )
         for room in range(monomial_degree(mono), dim + 1):
             monos_upto[room].append(entry)
-    # per-pass memos keyed by small integers and tuples only (x is fixed here);
-    # vertex values are kept as (numerator, denominator) so that the products
-    # and sums below run on plain integers, reduced once per graph and monomial
-    vertex_vals: dict[tuple, tuple[int, int]] = {}
+    vertex_vals = _vertex_cache.setdefault((r, s, xn, xd), {})
     s_res, a_res = s % r, tuple(ai % r for ai in a)
     shapes = _config_cache.setdefault((r, s_res, x, dim), {})
     for G, aut_col in graph_orbits(g, n, a):
@@ -454,15 +450,7 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
                                 key = (vtypes[v], vlegs[v], parts[v], cfg[v])
                                 vv = vertex_vals.get(key)
                                 if vv is None:
-                                    gv, nl = vtypes[v]
-                                    leg_items = tuple(
-                                        (k, ai) for k, (ai, _) in enumerate(vlegs[v], start=1)
-                                    )
-                                    extra = tuple(d for _, d in vlegs[v]) + cfg[v]
-                                    val = _vertex_integral(
-                                        r, s, xn, xd, gv, nl, dims[v], leg_items, parts[v], extra
-                                    )
-                                    vertex_vals[key] = vv = (val.numerator, val.denominator)
+                                    vv = vertex_vals[key] = _vertex_integral(r, s, xn, xd, key)
                                 if not vv[0]:
                                     break
                                 pnum *= vv[0]

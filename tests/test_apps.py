@@ -5,18 +5,19 @@ import pytest
 from oracles import chi_by_ordered_compositions
 
 from tautint.apps import (
+    CHI_ROUTES,
     chi,
     chi_harer_zagier,
-    chi_recursion_check,
     chi_via_hodge,
     chi_via_omega,
-    dyz_identity_check,
     mv_normalization,
-    mv_segre_check,
     mv_via_hodge,
     mv_via_omega,
 )
 from tautint.cli import _chi_cell
+from tautint.exact import bernoulli_number
+from tautint.hodge import hodge_pair, lambda_total
+from tautint.polys import exp_kappa_series
 from tautint.psi import stable_types
 
 HZ_VALUES = {
@@ -81,17 +82,24 @@ def test_chi_omega_graph_route_small():
 
 
 def test_recursion_check():
+    # chi_{g,n+1} = -(2g-2+n) chi_{g,n} on every route, and the routes agree
     for (g, n) in [(0, 3), (1, 1), (2, 0), (2, 1)]:
-        assert chi_recursion_check(g, n).passed
+        factor = -(2 * g - 2 + n)
+        vals = {route: (chi(g, n, route).value, chi(g, n + 1, route).value) for route in CHI_ROUTES}
+        assert len(set(vals.values())) == 1, (g, n, vals)
+        for route, (v, v1) in vals.items():
+            assert v1 == factor * v, (g, n, route)
 
 
 def test_dyz_identity():
-    assert dyz_identity_check(2).got == str(F(-1, 240))
+    # sum_{l>=1} (-1)^l/l! sum_mu int Lambda(-1) prod psi^{mu_i+1} over
+    # Mbar_{g,l} equals B_{2g}/(2g(2g-2)) for g >= 2; with e_i = mu_i + 1 the
+    # left side is, term by term, the Hodge sum of chi_via_hodge at n = 0 (its
+    # l = 0 term vanishes for g >= 2)
+    assert chi_via_hodge(2, 0).value == F(-1, 240)
     for g in range(2, 6):
-        rep = dyz_identity_check(g)
-        assert rep.passed and rep.got == rep.expected == str(chi_harer_zagier(g, 0).value), g
-    with pytest.raises(ValueError):
-        dyz_identity_check(1)
+        dyz = bernoulli_number(2 * g) / (2 * g * (2 * g - 2))
+        assert chi_via_hodge(g, 0).value == dyz == chi_harer_zagier(g, 0).value, g
 
 
 def test_mv_routes_and_known_normalized_values():
@@ -107,8 +115,12 @@ def test_mv_routes_and_known_normalized_values():
 def test_mv_trivial_and_segre():
     assert mv_via_omega(0, 3).value == F(1)
     assert mv_via_hodge(0, 3).value == F(1)
+    # (Omega(1,-1;0))^{-1} = Lambda(1) exp(+sum kappa_m/m) as a class; its
+    # integral must match (-1)^{3g-3+n} int Omega(1,2;0)
     for (g, n) in [(0, 3), (0, 4), (1, 1), (1, 2)]:
-        assert mv_segre_check(g, n).passed
+        dim = 3 * g - 3 + n
+        kexp = exp_kappa_series({m: F(1, m) for m in range(1, dim + 1)}, n, dim)
+        assert hodge_pair(g, n, lambda_total(F(1), g, dim), kexp) == mv_via_omega(g, n).value
 
 
 def test_mv_normalization_domain():

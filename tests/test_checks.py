@@ -7,15 +7,13 @@ from tautint.checks import (
     SMALL_GRID,
     CheckGrid,
     admissible_a,
+    _pullback_family,
     check_counterexample_footnote,
-    check_dilaton,
     check_multi_shift_a,
     check_multi_shift_s,
-    check_pullback,
     check_segre_chern,
     check_shift_a,
     check_shift_s,
-    check_string,
     check_vanishing_corollary,
     check_vanishing_thm,
     check_zero_r_symmetry,
@@ -57,16 +55,17 @@ def test_shift_checks_examples():
 def test_zero_r_and_pullback():
     assert check_zero_r_symmetry(1, 1, 2, (2,)).passed
     assert check_zero_r_symmetry(0, 4, 2, admissible_a(0, 4, 2, 0)).passed
-    assert check_pullback(1, 1, 2, 3, (1,)).passed  # s outside [0, r]
-    assert check_pullback(1, 1, 2, 0, (2,)).passed  # flat-unit case
-    assert check_pullback(0, 3, 3, 1, admissible_a(0, 3, 3, 1)).passed
+    # _pullback_family returns the pullback, string and dilaton reports
+    assert _pullback_family(1, 1, 2, 3, (1,), 1)[0].passed  # s outside [0, r]
+    assert _pullback_family(1, 1, 2, 0, (2,), 1)[0].passed  # flat-unit case
+    assert _pullback_family(0, 3, 3, 1, admissible_a(0, 3, 3, 1), 1)[0].passed
 
 
 def test_string_dilaton():
-    assert check_string(1, 1, 2, 0, (2,)).passed
-    assert check_string(0, 3, 2, 1, admissible_a(0, 3, 2, 1)).passed
-    assert check_dilaton(0, 3, 2, 0, (2, 2, 2)).passed
-    assert check_dilaton(1, 1, 3, -1, admissible_a(1, 1, 3, -1), F(1, 2)).passed
+    assert _pullback_family(1, 1, 2, 0, (2,), 1)[1].passed
+    assert _pullback_family(0, 3, 2, 1, admissible_a(0, 3, 2, 1), 1)[1].passed
+    assert _pullback_family(0, 3, 2, 0, (2, 2, 2), 1)[2].passed
+    assert _pullback_family(1, 1, 3, -1, admissible_a(1, 1, 3, -1), F(1, 2))[2].passed
 
 
 def test_vanishings():

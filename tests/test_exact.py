@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,6 @@ from tautint.exact import (
     bernoulli_number,
     bernoulli_poly,
     binomial_ext,
-    complete_homogeneous,
-    elementary_symmetric,
     interpolate_polynomial,
     power_sum,
     solve_linear,
@@ -73,19 +73,29 @@ def test_power_sum_examples():
     assert power_sum(7, F(3), 0) == 0
 
 
+def _progression(base, count):
+    return [F(base) + t for t in range(count)]
+
+
 def test_symmetric_examples():
-    assert elementary_symmetric(0, F(1), 3) == 1
-    assert complete_homogeneous(0, F(1), 3) == 1
-    assert elementary_symmetric(2, F(1), 3) == 11
-    assert complete_homogeneous(2, F(1), 2) == 7
+    # sigma_l and h_l of 1, 2, 3 and of 1, 2
+    assert product_expansion(_progression(1, 3), 0)[0] == 1
+    assert geometric_expansion(_progression(1, 3), 0)[0] == 1
+    assert product_expansion(_progression(1, 3), 2)[2] == 11
+    assert geometric_expansion(_progression(1, 2), 2)[2] == 7
+    # sigma_2 = (p_1^2 - p_2)/2 and h_2 = (p_1^2 + p_2)/2
+    assert (power_sum(1, F(1), 3) ** 2 - power_sum(2, F(1), 3)) / 2 == 11
+    assert (power_sum(1, F(1), 2) ** 2 + power_sum(2, F(1), 2)) / 2 == 7
 
 
 @given(rationals, st.integers(0, 5), st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_sigma_h_match_expansions(base, count, l):
-    vals = [F(base) + t for t in range(count)]
-    assert elementary_symmetric(l, F(base), count) == product_expansion(vals, l)[l]
-    assert complete_homogeneous(l, F(base), count) == geometric_expansion(vals, l)[l]
+    # the series coefficients against the sums over l-subsets and l-multisets
+    vals = _progression(base, count)
+    assert product_expansion(vals, l)[l] == sum(map(prod, combinations(vals, l)), F(0))
+    h = sum(map(prod, combinations_with_replacement(vals, l)), F(0))
+    assert geometric_expansion(vals, l)[l] == h
 
 
 @given(rationals, st.integers(0, 4))
@@ -98,9 +108,9 @@ def test_newton_identities(base, count):
         ps[m] = power_sum(m, F(base), count)
     sig_series = exp_series([F(0)] + [(-1) ** (m + 1) * ps[m] / m for m in range(1, T + 1)], T)
     h_series = exp_series([F(0)] + [ps[m] / m for m in range(1, T + 1)], T)
-    for l in range(T + 1):
-        assert sig_series[l] == elementary_symmetric(l, F(base), count)
-        assert h_series[l] == complete_homogeneous(l, F(base), count)
+    vals = _progression(base, count)
+    assert sig_series == product_expansion(vals, T)
+    assert h_series == geometric_expansion(vals, T)
 
 
 def test_stirling_first_trivial_and_value():
@@ -141,6 +151,9 @@ def test_interpolation_roundtrip():
     coeffs = interpolate_polynomial(pts)
     assert coeffs[0] == F(1, 3) and coeffs[1] == -1 and coeffs[3] == 2
     assert coeffs[2] == 0 and coeffs[4] == 0
+    # two points with one x: no polynomial of degree < 2 passes through both
+    with pytest.raises(ValueError):
+        interpolate_polynomial([(1, 2), (1, 3)])
 
 
 def test_solve_linear_swaps_a_zero_pivot():
@@ -150,6 +163,9 @@ def test_solve_linear_swaps_a_zero_pivot():
     sol = solve_linear(rows)
     assert sol == [F(1, 2), -2, 3]
     assert all(isinstance(v, F) for v in sol)
+    # a singular system has no pivot in its second column
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2, 3], [2, 4, 6]])
 
 
 def test_bernoulli_cache_concurrent_reads():

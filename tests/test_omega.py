@@ -227,16 +227,23 @@ def test_pairings_cache_consistency():
 
 def test_graph_sum_values_do_not_depend_on_cache_state():
     # these specs agree mod r up to moving markings, so their graph sums share
-    # edge-configuration entries: values computed after the others filled the
+    # edge-configuration entries, and the first two share (r, s), so they share
+    # vertex-integral entries too: values computed after the others filled the
     # shared entries must equal values computed from empty caches
     from tautint import omega
 
-    specs = [OmegaSpec(3, 1, (1, 3, 2)), OmegaSpec(3, 4, (3, 1, 5)), OmegaSpec(3, -2, (4, 0, 2))]
+    specs = [
+        OmegaSpec(3, 1, (1, 3, 2)),
+        OmegaSpec(3, 1, (3, 1, 2)),
+        OmegaSpec(3, 4, (3, 1, 5)),
+        OmegaSpec(3, -2, (4, 0, 2)),
+    ]
     basis = flat_basis(1, 3)
 
     def clear():
         omega._pairing_cache.clear()
         omega._config_cache.clear()
+        omega._vertex_cache.clear()
 
     cold = {}
     for spec in specs:
