@@ -19,8 +19,14 @@ value checked:
 - the stable-graph enumeration frontier: `graph_orbits` on (3,3) with all
   colours equal, (4,1), (1,6) with all colours distinct, (0,8) with one equal
   pair and (0,8) with all colours distinct (the labelled genus-0 path), each
-  cold, its orbit count and digest compared with pinned ones.
+  cold, its orbit count and digest compared with pinned ones;
+- the many-marking frontier, two `tautint omega` calls whose degree-9 test
+  class reads only degree 2 of Omega on spaces with tens of thousands of
+  graph orbits, each cold, its printed value compared with a pinned one.
 
+Beside the times it records a measure of the work that does not depend on
+the machine: per workload, the cProfile total call count of one cold
+`perfbench/workload.py --workload W --seed 0` run (the count CI reports).
 The file also records nproc, the Python version, the commit and
 `wc -l src/tautint/*.py`.
 
@@ -41,9 +47,11 @@ import glob
 import json
 import os
 import platform
+import pstats
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
@@ -142,6 +150,35 @@ print(json.dumps({{
 """
 
 
+# (name, tautint argv, expected stdout): a test class of degree 9 on spaces of
+# dimension 11 and 12, so only the degree-2 part of Omega pairs with it
+MANY_MARKING = (
+    ("omega (2,6) a=(1,1,0,0,0,0) psi1^4*psi2^3",
+     ["omega", "2", "6", "2", "0", "1,1,0,0,0,0", "--test-class", "psi1^4*psi2^3"], "55/576"),
+    ("omega (1,9) a=(1,1,0,...,0) psi1^4*psi2^3",
+     ["omega", "1", "9", "2", "0", "1,1,0,0,0,0,0,0,0", "--test-class", "psi1^4*psi2^3"], "0"),
+)
+
+MANY_MARKING_CASE = """
+import contextlib, io, json, resource, time
+from tautint.cli import main
+
+out = io.StringIO()
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main({argv!r})
+t1 = time.perf_counter()
+print(json.dumps({{
+    "name": {name!r},
+    "cold_s": t1 - t0,
+    "exit": code,
+    "value": out.getvalue().strip(),
+    "correct": code == 0 and out.getvalue() == {expected!r} + "\\n",
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}}))
+"""
+
+
 def git(checkout: Path, *args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True
@@ -155,6 +192,17 @@ def last_json_line(cmd: list[str], cwd: Path, env: dict[str, str]) -> dict:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"failed: {' '.join(cmd)}")
     return json.loads(lines[-1])
+
+
+def call_count(checkout: Path, workload: str, env: dict[str, str]) -> dict:
+    """The cProfile total call count of one cold workload.py run, and whether
+    the run's values were correct."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prof = str(Path(tmp) / "calls.prof")
+        cmd = [sys.executable, "-m", "cProfile", "-o", prof, "perfbench/workload.py",
+               "--workload", workload, "--seed", "0"]
+        run = last_json_line(cmd, checkout, {**env, "PYTHONPATH": str(checkout / "src")})
+        return {"calls": pstats.Stats(prof).total_calls, "correct": run["correct"]}
 
 
 def src_line_counts(checkout: Path) -> dict[str, int]:
@@ -177,6 +225,8 @@ def new_record(checkout: Path) -> dict:
         "perfbench": {},
         "frontier_chi_mv": [],
         "frontier_enumeration": [],
+        "frontier_many_marking": [],
+        "call_counts": {},
     }
 
 
@@ -235,6 +285,15 @@ def main(argv: list[str] | None = None) -> int:
             case = run_case(checkout, code)
             case["correct"] = case["orbits"] == count and case["digest"] == digest
             record["frontier_enumeration"].append(case)
+    for name, argv, expected in MANY_MARKING:
+        code = MANY_MARKING_CASE.format(name=name, argv=argv, expected=expected)
+        for checkout, record in each_side():
+            print(f"{bench_name(record)}: {name}", flush=True)
+            record["frontier_many_marking"].append(run_case(checkout, code))
+    for workload in WORKLOADS:
+        for checkout, record in each_side():
+            print(f"{bench_name(record)}: {workload} cProfile call count", flush=True)
+            record["call_counts"][workload] = call_count(checkout, workload, env)
 
     status = 0
     for checkout, record in sides:
@@ -256,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         checks.append(record["frontier"]["correct"])
         checks += [case["correct"] for case in record["frontier_chi_mv"]]
         checks += [case["correct"] for case in record["frontier_enumeration"]]
+        checks += [case["correct"] for case in record["frontier_many_marking"]]
+        checks += [entry["correct"] for entry in record["call_counts"].values()]
         if not all(checks):
             print(f"{path.name}: a benchmarked value is wrong", file=sys.stderr)
             status = 1

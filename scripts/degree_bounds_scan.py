@@ -3,7 +3,7 @@
 
 Finds parameter tuples where the bound bites below the dimension (the
 non-vacuous cases) and verifies the predicted vanishing of the graded
-pairings there.
+pairings there.  Exits 1 when any case prints FAIL.
 
     python3 scripts/degree_bounds_scan.py --dimmax 2 --rmax 3
 """
@@ -11,17 +11,19 @@ pairings there.
 from __future__ import annotations
 
 import argparse
+import sys
 from itertools import product
 
 from tautint.omega import OmegaSpec, degree_bound_check
 from tautint.psi import is_stable
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--dimmax", type=int, default=2)
     ap.add_argument("--rmax", type=int, default=3)
     args = ap.parse_args()
+    failed = 0
 
     # genus-zero (section-free) bound: s = 0, positive a_i
     for n in range(3, args.dimmax + 4):
@@ -32,6 +34,7 @@ def main() -> None:
                 if sum(a) % r != 0:
                     continue
                 rep = degree_bound_check(0, n, OmegaSpec(r, 0, a), "jkv")
+                failed += not rep.passed
                 tag = "vacuous" if "vacuous" in rep.got else "NONVACUOUS"
                 print(f"jkv        (0,{n}) r={r} a={a}: {'ok' if rep.passed else 'FAIL'} [{tag}]")
 
@@ -46,12 +49,14 @@ def main() -> None:
                         if (sum(a) - (2 * g - 2 + n) * s) % r != 0:
                             continue
                         rep = degree_bound_check(g, n, OmegaSpec(r, s, a), "negative-s")
+                        failed += not rep.passed
                         tag = "vacuous" if "vacuous" in rep.got else "NONVACUOUS"
                         print(
                             f"negative-s ({g},{n}) r={r} s={s} a={a}: "
                             f"{'ok' if rep.passed else 'FAIL'} [{tag}]"
                         )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,8 +16,11 @@ class T:
   over the edges for all r^h1 weightings at once, each partial
   configuration carrying one integer coefficient per weighting over a
   common denominator; the half-edge exponent configurations are merged up
-  to order at each vertex and grouped by per-vertex degree, so a monomial
-  tests each degree group once;
+  to order at each vertex and grouped by per-vertex degree, and per graph
+  the configs that fit a vertex room vector are found once per room.  A
+  vertex integral reads one degree of its integrand, and only that degree
+  is built: the kappa-exponential terms of each degree and each leg's
+  coefficient list are convolved into one bucket per (leg a_i, degree);
 
 * for r = 1 the pushforward is trivial and the class factors in closed form
   as Lambda(-x) * exp(kappa series) * per-leg psi series, evaluated by the
@@ -39,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm, prod
-from operator import le
+from operator import gt, le
 
 from .exact import Rat, bernoulli_series
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
@@ -81,7 +84,7 @@ class OmegaSpec:
             raise ValueError(f"a-vector has length {len(self.a)}, expected {n}")
         if (sum(self.a) - (2 * g - 2 + n) * self.s) % self.r != 0:
             raise OmegaConstraintError(
-                f"sum(a) != (2g-2+n)s mod r for g={g}, n={n}, spec={self}"
+                f"sum(a) != (2g-2+n)s mod r for g={g}, n={n}, r={self.r}, s={self.s}, a={self.a}"
             )
 
 
@@ -119,36 +122,78 @@ def _graph_plan(G: StableGraph):
 
 
 @lru_cache(maxsize=None)
-def _vertex_base(
-    r: int, s: int, xn: int, xd: int, n_local: int, trunc: int, leg_items: tuple
-) -> dict[int, tuple[tuple[Monomial, Fraction], ...]]:
-    """kappa-exponential times the leg factors of one vertex, its terms
-    bucketed by degree; `leg_items` is the tuple of (local point, a_i) pairs.
-    Shared across graphs and specs."""
-    x = Fraction(xn, xd)
-    P = exp_kappa_series(bernoulli_series(Fraction(s, r), x, trunc), n_local, trunc)
-    for point, ai in leg_items:
-        coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), x, trunc).items()}
-        P = P * exp_psi_series(point, coeffs, n_local, trunc)
-    return P.by_degree()
+def _kappa_terms(r: int, s: int, xn: int, xd: int, trunc: int) -> dict[int, tuple]:
+    """The terms of the vertex kappa factor exp(sum_m K_m kappa_m), K the
+    Bernoulli series at s/r, by degree: {degree: ((kappa part, numerator,
+    denominator), ...)}."""
+    P = exp_kappa_series(bernoulli_series(Fraction(s, r), Fraction(xn, xd), trunc), 0, trunc)
+    return {
+        d: tuple((kap, c.numerator, c.denominator) for (kap, _), c in terms)
+        for d, terms in P.by_degree().items()
+    }
 
 
-def _vertex_integral(r: int, s: int, xn: int, xd: int, key: tuple) -> tuple[int, int]:
+@lru_cache(maxsize=None)
+def _leg_coeffs(r: int, ai: int, xn: int, xd: int, trunc: int) -> tuple[tuple[int, int], ...]:
+    """The coefficients of psi^0, ..., psi^trunc in the leg factor
+    exp(-sum_m B_m psi^m), B the Bernoulli series at a_i/r, as (numerator,
+    denominator) pairs."""
+    coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), Fraction(xn, xd), trunc).items()}
+    terms = exp_psi_series(1, coeffs, 1, trunc).terms
+    return tuple(
+        (c.numerator, c.denominator)
+        for c in (terms.get(((), (k,)), Fraction(0)) for k in range(trunc + 1))
+    )
+
+
+@lru_cache(maxsize=None)
+def _vertex_bucket(r: int, s: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
+    """The terms of one degree of a vertex base, the kappa factor times one
+    leg factor per a_i in `legs`: ((kappa part, leg psi exponents, numerator,
+    denominator), ...), the fractions not reduced.  Built by convolution over
+    the legs, so only the terms of that degree are formed; shared by every
+    vertex with these leg a_i, whatever its genus and half-edges."""
+    by_deg: dict[int, list] = {0: [((), 1, 1)]}
+    for ai in legs:
+        coeffs = _leg_coeffs(r, ai, xn, xd, degree)
+        nxt: dict[int, list] = {}
+        for d, terms in by_deg.items():
+            for k, (cn, cd) in enumerate(coeffs[: degree - d + 1]):
+                if cn:
+                    nxt.setdefault(d + k, []).extend(
+                        (psi + (k,), pn * cn, pd * cd) for psi, pn, pd in terms
+                    )
+        by_deg = nxt
+    kterms = _kappa_terms(r, s, xn, xd, degree)
+    return tuple(
+        (kap, psi, kn * pn, kd * pd)
+        for d, terms in by_deg.items()
+        for kap, kn, kd in kterms.get(degree - d, ())
+        for psi, pn, pd in terms
+    )
+
+
+def _vertex_integral(r: int, s: int, xn: int, xd: int, vkey: tuple, cfg: tuple) -> tuple[int, int]:
     """Integral of the vertex base times an extra kappa/psi monomial, as
     (numerator, denominator): only the base terms of the complementary degree
-    contribute.  `key` is (vertex type (g_v, local point count), sorted
-    (a_i, psi_i) leg pairs, kappa part, half-edge exponents)."""
-    (gv, n_local), vlegs, kap, cfg = key
-    dim = 3 * gv - 3 + n_local
-    leg_items = tuple((k, ai) for k, (ai, _) in enumerate(vlegs, start=1))
-    extra = tuple(d for _, d in vlegs) + cfg
-    off = sum(m * e for m, e in kap) + sum(extra)
-    base = _vertex_base(r, s, xn, xd, n_local, dim, leg_items)
-    bucket = base.get(dim - off, ())
-    acc = Fraction(0)
-    for mono, c in bucket:
-        acc += c * integrate_monomial(gv, n_local, *monomial_product(mono, (kap, extra)))
-    return acc.numerator, acc.denominator
+    contribute.  `vkey` is (vertex type (g_v, local point count), sorted
+    (a_i, psi_i) leg pairs, kappa part) and `cfg` the half-edge exponents.
+    The terms are summed as integer numerators per denominator and reduced
+    once."""
+    (gv, n_local), vlegs, kap = vkey
+    legs = tuple(ai for ai, _ in vlegs)
+    leg_psi = tuple(d for _, d in vlegs)
+    off = sum(m * e for m, e in kap) + sum(leg_psi) + sum(cfg)
+    sums: dict[int, int] = {}
+    for bkap, bpsi, cnum, cden in _vertex_bucket(r, s, xn, xd, legs, 3 * gv - 3 + n_local - off):
+        kappa, psi = monomial_product((bkap, bpsi), (kap, leg_psi))
+        q = integrate_monomial(gv, n_local, kappa, psi + cfg)
+        if q:
+            den = cden * q.denominator
+            sums[den] = sums.get(den, 0) + cnum * q.numerator
+    den = lcm(*sums)
+    q = Fraction(sum(num * (den // d) for d, num in sums.items()), den)
+    return q.numerator, q.denominator
 
 
 @lru_cache(maxsize=None)
@@ -173,10 +218,11 @@ def _residue_denominator(w: int, r: int, xn: int, xd: int, trunc: int) -> int:
 # edge configurations per graph shape: {(r, s mod r, x, dim): {shape: configs}}
 _config_cache: dict[tuple, dict[tuple, tuple]] = {}
 
-# vertex integrals: {(r, s, xn, xd): {key of _vertex_integral: (numerator,
-# denominator)}}, so that the products and sums of the graph sum run on plain
-# integers; keyed by the true s, since the kappa factor reads B_{m+1}(s/r)
-_vertex_cache: dict[tuple, dict[tuple, tuple[int, int]]] = {}
+# vertex integrals: {(r, s, xn, xd): {(vertex type, legs, kappa part):
+# {half-edge exponents: (numerator, denominator)}}}, so that the products and
+# sums of the graph sum run on plain integers; keyed by the true s, since the
+# kappa factor reads B_{m+1}(s/r)
+_vertex_cache: dict[tuple, dict[tuple, dict[tuple, tuple[int, int]]]] = {}
 
 
 def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, dim: int) -> tuple:
@@ -248,11 +294,13 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
 
 
 @lru_cache(maxsize=None)
-def _kappa_distributions(kappa: KappaPart, nv: int):
-    """Ways to split each kappa_m^e across nv vertices (kappa restricts to the
-    sum of the vertex kappa classes), as (multinomial multiplicity, the kappa
-    part of each vertex, the degree of each vertex's part).  kappa is sorted,
-    so each vertex part is too."""
+def _kappa_distributions(kappa: KappaPart, dims: tuple[int, ...]):
+    """Ways to split each kappa_m^e across the vertices of dimensions `dims`
+    (kappa restricts to the sum of the vertex kappa classes), as (multinomial
+    multiplicity, the kappa part of each vertex, the degree of each vertex's
+    part), keeping only the splits whose degree fits every vertex.  kappa is
+    sorted, so each vertex part is too."""
+    nv = len(dims)
     out: list[tuple[int, tuple[KappaPart, ...]]] = [(1, ((),) * nv)]
     for m, e in kappa:
         nxt = []
@@ -264,12 +312,38 @@ def _kappa_distributions(kappa: KappaPart, nv: int):
                 )
                 nxt.append((mult * ways, nparts))
         out = nxt
-    return tuple(
-        (mult, parts, tuple(sum(m * e for m, e in p) for p in parts)) for mult, parts in out
-    )
+    dists = ((mult, parts, tuple(sum(m * e for m, e in p) for p in parts)) for mult, parts in out)
+    return tuple(dist for dist in dists if all(map(le, dist[2], dims)))
 
 
+# pairings at x = 1 on the closed and graph routes, and per x on graph-raw:
+# {(g, n, r, s, a, route[, xn, xd]): {canonical monomial: value}}
 _pairing_cache: dict[tuple, dict[Monomial, Fraction]] = {}
+
+
+@lru_cache(maxsize=None)
+def _classes_of(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The classes of markings with equal a_i: Omega cannot tell them apart."""
+    return colour_classes(colour_pattern(a))
+
+
+@lru_cache(maxsize=None)
+def _powers(xn: int, xd: int, dim: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(xn, xd) ** k for k in range(dim + 1))
+
+
+@lru_cache(maxsize=None)
+def _monomial_form(mono, classes) -> tuple[Monomial, Monomial, int]:
+    """A monomial in any hashable form: its normalised form (kappa pairs
+    sorted, psi a tuple), its canonical form (psi exponents sorted, largest
+    first, within each class of markings carrying the same a_i) and its
+    degree."""
+    kap, psi = tuple(sorted(mono[0])), tuple(mono[1])
+    out = list(psi)
+    for cls in classes:
+        for i, v in zip(cls, sorted((psi[i] for i in cls), reverse=True)):
+            out[i] = v
+    return (kap, psi), (kap, tuple(out)), monomial_degree((kap, psi))
 
 
 def omega_pairings(
@@ -291,51 +365,42 @@ def omega_pairings(
     call and never stored, and per x on the graph-raw route.
     """
     spec.validate(g, n)
+    r, s, a, x = spec.r, spec.s, spec.a, spec.x
     if route == "auto":
-        route = "closed" if spec.r == 1 else "graph"
+        route = "closed" if r == 1 else "graph"
     elif route not in ("closed", "graph", "graph-raw"):
         raise ValueError(f"unknown route {route!r}")
-    elif route == "closed" and spec.r != 1:
-        raise ValueError(f"the closed route needs r = 1, not r = {spec.r}")
-    dim = 3 * g - 3 + n
-    x = spec.x
-    scaled = route != "graph-raw" and x != 1
-    if scaled:
-        spec = OmegaSpec(spec.r, spec.s, spec.a)
-    elif route == "graph-raw" and x == 1:
+    elif route == "closed" and r != 1:
+        raise ValueError(f"the closed route needs r = 1, not r = {r}")
+    xn, xd = x.numerator, x.denominator
+    unit = xn == 1 == xd
+    if route == "graph-raw" and unit:
         route = "graph"
-    cache = _pairing_cache.setdefault((g, n, spec, route), {})
-    # the class is symmetric under permutations of markings with equal a_i
-    classes = colour_classes(colour_pattern(spec.a))
-    canon: dict[Monomial, Monomial] = {}
-    for kap, psi in monomials:
-        mono = (tuple(sorted(kap)), tuple(psi))
-        canon[mono] = (mono[0], _sym_canonical(mono[1], classes)) if classes else mono
-    missing = sorted(set(m for m in canon.values() if m not in cache))
+    xkey = (xn, xd) if route == "graph-raw" else ()
+    cache = _pairing_cache.setdefault((g, n, r, s, a, route) + xkey, {})
+    classes = _classes_of(a)
+    forms = []
+    for mono in monomials:
+        try:
+            forms.append(_monomial_form(mono, classes))
+        except TypeError:  # a part given as a list is not hashable
+            forms.append(_monomial_form((tuple(mono[0]), tuple(mono[1])), classes))
+    missing = sorted({c for _, c, _ in forms if c not in cache})
     if missing:
         if route == "closed":
-            cache.update(_pairings_closed(g, n, spec.s, spec.a, missing))
+            cache.update(_pairings_closed(g, n, s, a, missing))
         else:
-            cache.update(_pairings_graph(g, n, spec, missing))
-    if not scaled:
-        return {m: cache[c] for m, c in canon.items()}
-    powers = [x ** k for k in range(dim + 1)]
+            cache.update(_pairings_graph(g, n, r, s, a, xkey or (1, 1), missing))
+    if unit or xkey:
+        return {m: cache[c] for m, c, _ in forms}
+    dim = 3 * g - 3 + n
+    powers = _powers(xn, xd, dim)
     out = {}
-    for m, c in canon.items():
-        deg = monomial_degree(m)
-        out[m] = powers[dim - deg] * cache[c] if deg <= dim else Fraction(0)
+    for m, c, d in forms:
+        v = cache[c]
+        # x^0 and a zero value leave the value as it is
+        out[m] = v if d == dim or not v else powers[dim - d] * v if d < dim else Fraction(0)
     return out
-
-
-@lru_cache(maxsize=None)
-def _sym_canonical(psi: tuple[int, ...], classes) -> tuple[int, ...]:
-    """Sort psi exponents, largest first, within each class of markings
-    carrying the same a_i."""
-    out = list(psi)
-    for cls in classes:
-        for i, v in zip(cls, sorted((psi[i] for i in cls), reverse=True)):
-            out[i] = v
-    return tuple(out)
 
 
 def omega_integral(
@@ -364,24 +429,25 @@ def _distinct_perms(vals: tuple[int, ...]):
             yield (v,) + tail
 
 
-def _psi_orbit(psi: tuple[int, ...], classes) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _psi_orbit(psi: tuple[int, ...], classes) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The distinct psi vectors obtained by permuting the exponents within
-    each class of markings."""
+    each class of markings, each with its support (a bitmask of markings)."""
     orbit = []
     for choice in product(*(_distinct_perms(tuple(psi[i] for i in cls)) for cls in classes)):
         vec = list(psi)
         for cls, vals in zip(classes, choice):
             for i, v in zip(cls, vals):
                 vec[i] = v
-        orbit.append(tuple(vec))
-    return orbit
+        orbit.append((tuple(vec), sum(1 << i for i, d in enumerate(vec) if d)))
+    return tuple(orbit)
 
 
-def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial, Fraction]:
-    """The stable-graph sum over one representative G0 per orbit of stable
-    graphs under H, the permutations of markings with equal a_i.  Omega is
-    H-invariant, so the labelled graphs of the orbit of G0, each weighted by
-    1/|Aut|, add up to
+def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomials) -> dict:
+    """The stable-graph sum at x = xn/xd, xq = (xn, xd), over one
+    representative G0 per orbit of stable graphs under H, the permutations of
+    markings with equal a_i.  Omega is H-invariant, so the labelled graphs of
+    the orbit of G0, each weighted by 1/|Aut|, add up to
 
         |Stab_H(d)| / |Aut_col(G0)| * sum over d' in Hd of contrib(G0, d'),
 
@@ -389,9 +455,8 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
     contrib is the term of one graph without its 1/|Aut|.  With all a_i
     distinct H is trivial and this is the sum over labelled graphs."""
     dim = 3 * g - 3 + n
-    r, s, x, a = spec.r, spec.s, spec.x, spec.a
-    xn, xd = x.numerator, x.denominator
-    classes = colour_classes(colour_pattern(a))
+    xn, xd = xq
+    classes = _classes_of(a)
     h_order = prod(factorial(len(cls)) for cls in classes)
     result = {mono: Fraction(0) for mono in monomials}
     # a term supported on a graph with E edges has class degree >= E, so a
@@ -401,21 +466,17 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
     monos_upto: list[list] = [[] for _ in range(dim + 1)]
     for mono in monomials:
         orbit = _psi_orbit(mono[1], classes)
-        entry = (
-            mono,
-            h_order // len(orbit),
-            [(psi, sum(1 << i for i, d in enumerate(psi) if d)) for psi in orbit],
-        )
+        entry = (mono, h_order // len(orbit), orbit)
         for room in range(monomial_degree(mono), dim + 1):
             monos_upto[room].append(entry)
     vertex_vals = _vertex_cache.setdefault((r, s, xn, xd), {})
     s_res, a_res = s % r, tuple(ai % r for ai in a)
+    x = Fraction(xn, xd)
     shapes = _config_cache.setdefault((r, s_res, x, dim), {})
     for G, aut_col in graph_orbits(g, n, a):
         if G.n_edges > dim or not monos_upto[dim - G.n_edges]:
             continue
         dims, n_local, legs, rigid, _, exp_pref = _graph_plan(G)
-        nv = len(dims)
         pref_num, pref_den = (
             (r ** exp_pref, aut_col) if exp_pref >= 0 else (1, aut_col * r ** -exp_pref)
         )
@@ -426,40 +487,49 @@ def _pairings_graph(g: int, n: int, spec: OmegaSpec, monomials) -> dict[Monomial
         config_groups = shapes.get(shape)
         if config_groups is None:
             config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, x, dim)
-        vrange = range(nv)
+        # the configs whose per-vertex degrees fit a room vector, per room
+        fits: dict[tuple[int, ...], tuple] = {}
         for mono, stab, orbit in monos_upto[dim - G.n_edges]:
-            dists = _kappa_distributions(mono[0], nv)
+            dists = _kappa_distributions(mono[0], dims)
             num, den = 0, 1
             for psi, sup in orbit:
                 if sup & rigid:
+                    continue
+                legdeg = [sum(map(psi.__getitem__, lv)) for lv in legs]
+                if any(map(gt, legdeg, dims)):
                     continue
                 # the vertex base is symmetric in its legs: a vertex value
                 # depends on the legs only through their (a_i, psi) pairs
                 vlegs = [
                     tuple(sorted(zip(la, map(psi.__getitem__, lv)))) for la, lv in zip(leg_a, legs)
                 ]
-                legdeg = [sum(map(psi.__getitem__, lv)) for lv in legs]
                 for mult, parts, kdeg in dists:
-                    room = [d - ld - kd for d, ld, kd in zip(dims, legdeg, kdeg)]
-                    for hsum, group in config_groups:
-                        if not all(map(le, hsum, room)):
-                            continue
-                        for cfg, cnum, cden in group:
-                            pnum, pden = cnum * mult, cden
-                            for v in vrange:
-                                key = (vtypes[v], vlegs[v], parts[v], cfg[v])
-                                vv = vertex_vals.get(key)
-                                if vv is None:
-                                    vv = vertex_vals[key] = _vertex_integral(r, s, xn, xd, key)
-                                if not vv[0]:
-                                    break
-                                pnum *= vv[0]
-                                pden *= vv[1]
+                    room = tuple(d - ld - kd for d, ld, kd in zip(dims, legdeg, kdeg))
+                    fit = fits.get(room)
+                    if fit is None:
+                        fit = fits[room] = tuple(
+                            item for hsum, group in config_groups if all(map(le, hsum, room))
+                            for item in group
+                        )
+                    if not fit:
+                        continue
+                    vkeys = zip(vtypes, vlegs, parts)
+                    tables = [(vkey, vertex_vals.setdefault(vkey, {})) for vkey in vkeys]
+                    for cfg, cnum, cden in fit:
+                        pnum, pden = cnum * mult, cden
+                        for (vkey, table), c in zip(tables, cfg):
+                            vv = table.get(c)
+                            if vv is None:
+                                vv = table[c] = _vertex_integral(r, s, xn, xd, vkey, c)
+                            if not vv[0]:
+                                break
+                            pnum *= vv[0]
+                            pden *= vv[1]
+                        else:
+                            if pden == den:
+                                num += pnum
                             else:
-                                if pden == den:
-                                    num += pnum
-                                else:
-                                    num, den = num * pden + pnum * den, den * pden
+                                num, den = num * pden + pnum * den, den * pden
             if num:
                 result[mono] += Fraction(pref_num * stab * num, pref_den * den)
     return result

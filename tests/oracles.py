@@ -4,7 +4,8 @@ enumeration with half-edge automorphism counting, mod-r weightings by
 filtering every residue tuple, direct product/series expansions for the
 symmetric-function and Stirling layers, the Hodge boundary sum over every
 degeneration and split with no term skipped, the graph sum's edge
-configurations one weighting at a time, kappa classes by added points summed
+configurations one weighting at a time, its vertex integrals from the fully
+multiplied-out vertex product, kappa classes by added points summed
 over ordered compositions of u-series coefficients, chi_{g,n} by the Hodge
 sum over ordered compositions of the added points' exponents, lambda classes
 by x-interpolation of Omega pairings, and the sorted exponent vectors that
@@ -14,7 +15,8 @@ Nothing here shares code paths with the package internals, except public
 entry points that the routes are built on (`psi_integral` under the
 composition sum, `hodge_monomial` under the chi sum, `omega_integral` under
 the interpolation, `enumerate_weightings` and `edge_local_factor` under the
-edge configurations) and the polynomial helpers at the end: small
+edge configurations, the series builders and `integrate_monomial` under the
+literal vertex product) and the polynomial helpers at the end: small
 constructions on the public `tautint.polys` API that the polynomial tests
 exercise and the package itself does not need.
 """
@@ -26,15 +28,19 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
-from tautint.exact import interpolate_polynomial
+from tautint.exact import bernoulli_series, interpolate_polynomial
 from tautint.graphs import enumerate_weightings
 from tautint.hodge import hodge_monomial
+from tautint.intersect import integrate_monomial
 from tautint.omega import OmegaSpec, omega_integral
 from tautint.polys import (
     EdgeSeries,
     PsiPart,
     TautPolynomial,
     edge_local_factor,
+    exp_kappa_series,
+    exp_psi_series,
+    monomial_product,
     series_mul,
     vector_add,
 )
@@ -270,6 +276,37 @@ def edge_configs_per_weighting(G, r: int, s: int, a: tuple[int, ...], x, dim: in
             cfg = tuple(tuple(sorted(exps[e][side] for e, side in hs)) for hs in halves)
             out[cfg] = out.get(cfg, 0) + c
     return {cfg: c for cfg, c in out.items() if c}
+
+
+# -- vertex integrals from the literal vertex product ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def _literal_vertex_base(r: int, s: int, x: Fraction, n_local: int, trunc: int, leg_items: tuple):
+    """exp of the kappa series at s/r times the leg factor of each (local
+    point, a_i) in `leg_items`, every factor a full series on n_local points."""
+    P = exp_kappa_series(bernoulli_series(Fraction(s, r), x, trunc), n_local, trunc)
+    for point, ai in leg_items:
+        coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), x, trunc).items()}
+        P = P * exp_psi_series(point, coeffs, n_local, trunc)
+    return P
+
+
+def vertex_integral_literal(r: int, s: int, x, vkey: tuple, cfg: tuple[int, ...]) -> Fraction:
+    """One vertex integral of the graph sum (see `omega._vertex_integral`):
+    the vertex product multiplied out in full, each of its terms times the
+    extra monomial integrated.  `vkey` is (vertex type (g_v, local point
+    count), sorted (a_i, psi_i) leg pairs, kappa part), `cfg` the half-edge
+    exponents."""
+    (gv, n_local), vlegs, kap = vkey
+    leg_items = tuple((k, ai) for k, (ai, _) in enumerate(vlegs, start=1))
+    P = _literal_vertex_base(r, s, Fraction(x), n_local, 3 * gv - 3 + n_local, leg_items)
+    extra = (kap, tuple(d for _, d in vlegs) + cfg)
+    terms = P.terms.items()
+    return sum(
+        (c * integrate_monomial(gv, n_local, *monomial_product(m, extra)) for m, c in terms),
+        Fraction(0),
+    )
 
 
 # -- unpruned Hodge boundary sum ----------------------------------------------------

@@ -225,6 +225,16 @@ def test_bad_input_is_a_usage_error(args, capsys):
     assert err.count("error:") == 1
 
 
+def test_inadmissible_omega_spec_error_line(capsys):
+    # sum(a) = 6 is not (2g-2+n)s = 2 mod 3; the line names r, s and a as
+    # plain integers, not through the repr of the spec with its Fraction x
+    code, err = run_usage(["omega", "0", "4", "3", "1", "1,1,1,3"], capsys)
+    assert code == 2
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "Fraction(" not in err and "Traceback" not in err
+    assert "g=0, n=4, r=3, s=1, a=(1, 1, 1, 3)" in err
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -2,7 +2,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from oracles import edge_configs_per_weighting, hodge_integral_via_omega
+from oracles import edge_configs_per_weighting, hodge_integral_via_omega, vertex_integral_literal
 
 from tautint import omega
 from tautint.checks import admissible_a, flat_basis
@@ -244,6 +244,9 @@ def test_graph_sum_values_do_not_depend_on_cache_state():
         omega._pairing_cache.clear()
         omega._config_cache.clear()
         omega._vertex_cache.clear()
+        omega._kappa_terms.cache_clear()
+        omega._leg_coeffs.cache_clear()
+        omega._vertex_bucket.cache_clear()
 
     cold = {}
     for spec in specs:
@@ -386,3 +389,37 @@ def test_edge_configs_match_per_weighting_sums(g, n, r, s):
         got = {cfg: F(num, den) for _, group in groups for cfg, num, den in group}
         assert all(hsum == tuple(map(sum, cfg)) for hsum, group in groups for cfg, _, _ in group)
         assert got == edge_configs_per_weighting(G, r, s, a, F(1), 3 * g - 3 + n), (G, r, s, a)
+
+
+# The vertex integrals of a graph sum, built one degree at a time from the
+# kappa and leg factors, against the vertex product multiplied out in full,
+# on every (vertex, half-edge exponents) key the sum visits: all a_i equal;
+# a repeated a_i with a_i outside 0..r-1 (4 and -2 at r = 3) and s < 0; kappa
+# monomials on genus-2 graphs; and literal sums at x = 1/2 and x = -1.
+VERTEX_CASES = [
+    (0, 6, OmegaSpec(2, 3, (1,) * 6), "graph", True),
+    (1, 4, OmegaSpec(3, -2, (1, 1, 4, -2)), "graph", True),
+    (2, 3, OmegaSpec(3, 1, (2, 3, 3)), "graph", True),
+    (2, 2, OmegaSpec(3, 1, (1, 3), F(1, 2)), "graph-raw", True),
+    (2, 2, OmegaSpec(3, 1, (1, 3), F(-1)), "graph-raw", True),
+]
+
+
+@pytest.mark.parametrize(
+    "g,n,spec,route,kappa",
+    VERTEX_CASES,
+    ids=["M06-r2", "M14-r3", "M23-r3", "M22-half", "M22-minus1"],
+)
+def test_vertex_integrals_match_the_literal_product(g, n, spec, route, kappa):
+    omega._pairing_cache.clear()
+    omega._vertex_cache.clear()
+    omega_pairings(g, n, spec, flat_basis(g, n, include_kappa=kappa), route=route)
+    x = spec.x if route == "graph-raw" else F(1)
+    (key, tables), = omega._vertex_cache.items()
+    assert key == (spec.r, spec.s, x.numerator, x.denominator)
+    seen = 0
+    for vkey, table in tables.items():
+        for cfg, (num, den) in table.items():
+            assert F(num, den) == vertex_integral_literal(spec.r, spec.s, x, vkey, cfg), (vkey, cfg)
+            seen += 1
+    assert seen >= 40
