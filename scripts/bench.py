@@ -37,7 +37,12 @@ checkout whose src/ or perfbench/ differs from its HEAD commit is written as
 BENCH_<short-commit>-dirty.json.  With `--against`, a second checkout is
 measured in the same session, every run alternating between the two (A B,
 B A, A B, ...) so that drift of the machine falls on both, and both files
-are written.  The script exits 1 when a checked value is wrong.
+are written.  Every run reads a fresh copy of its checkout's src/ and
+perfbench/, each side at the same path depth under one temporary directory
+and with its bytecode compiled before the first timed run, so that neither
+the place of a checkout nor a cold bytecode cache reads as a difference
+between the two; the commit and dirty flag come from the checkouts
+themselves.  The script exits 1 when a checked value is wrong.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import json
 import os
 import platform
 import pstats
+import shutil
 import statistics
 import subprocess
 import sys
@@ -215,6 +221,19 @@ def src_line_counts(checkout: Path) -> dict[str, int]:
     return counts
 
 
+def fresh_copy(checkout: Path, dest: Path, env: dict[str, str]) -> Path:
+    """dest with a copy of the checkout's src/ and perfbench/, their bytecode
+    compiled both beside the sources and under the cache prefix that
+    perfbench/run.py gives its children."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(checkout / part, dest / part, ignore=shutil.ignore_patterns("__pycache__"))
+    prefix = dest / ".bench_build" / "perfbench" / "pycache"
+    for extra in ({}, {"PYTHONPYCACHEPREFIX": str(prefix)}):
+        cmd = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+        subprocess.run(cmd, cwd=dest, env={**env, **extra}, check=True)
+    return dest
+
+
 def new_record(checkout: Path) -> dict:
     return {
         "commit": git(checkout, "rev-parse", "--short", "HEAD"),
@@ -234,22 +253,13 @@ def bench_name(record: dict) -> str:
     return f"BENCH_{record['commit']}{'-dirty' if record['dirty'] else ''}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--against", type=Path, default=None)
-    ap.add_argument("--out", type=Path, default=None)
-    args = ap.parse_args(argv)
-    checkouts = [args.checkout.resolve()]
-    if args.against is not None:
-        checkouts.append(args.against.resolve())
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TAUTINT_CACHE")}
-    env["PYTHONHASHSEED"] = "0"
-    sides = [(checkout, new_record(checkout)) for checkout in checkouts]
+def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
+    """Run every benchmark on each (directory, record) side, alternating the
+    order of the sides from one step to the next, and fill in the records."""
     turn = 0
 
     def each_side():
-        """The checkouts with their records, in alternating order per call."""
+        """The sides, in alternating order per call."""
         nonlocal turn
         turn += 1
         return sides if turn % 2 else sides[::-1]
@@ -294,9 +304,30 @@ def main(argv: list[str] | None = None) -> int:
         for checkout, record in each_side():
             print(f"{bench_name(record)}: {workload} cProfile call count", flush=True)
             record["call_counts"][workload] = call_count(checkout, workload, env)
+    return [record for _, record in sides]
 
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--against", type=Path, default=None)
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args(argv)
+    checkouts = [args.checkout.resolve()]
+    if args.against is not None:
+        checkouts.append(args.against.resolve())
+    dropped = ("PYTHONPATH", "TAUTINT_CACHE", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+    env = {k: v for k, v in os.environ.items() if k not in dropped}
+    env["PYTHONHASHSEED"] = "0"
+    with tempfile.TemporaryDirectory(prefix="tautint-bench-") as tmp:
+        # the sides are named A and B, so their paths have one length
+        sides = [
+            (fresh_copy(checkout, Path(tmp).resolve() / name, env), new_record(checkout))
+            for name, checkout in zip("AB", checkouts)
+        ]
+        records = measure(sides, env)
     status = 0
-    for checkout, record in sides:
+    for record in records:
         for workload in WORKLOADS:
             entry = record["perfbench"][f"{workload}/trace0"]
             runs = entry["runs"]

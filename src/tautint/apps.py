@@ -78,11 +78,11 @@ def chi_via_hodge(g: int, n: int) -> RouteResult:
     return RouteResult(g, n, (-1) ** dim * total, "hodge_sum")
 
 
-def chi_via_omega(g: int, n: int, route: str = "auto") -> RouteResult:
+def chi_via_omega(g: int, n: int) -> RouteResult:
     """int Omega(1, -1; 0, ..., 0) over Mbar_{g,n}."""
     _require_stable(g, n)
     spec = OmegaSpec(1, -1, (0,) * n, Fraction(1))
-    return RouteResult(g, n, omega_integral(g, n, spec, route=route), "omega")
+    return RouteResult(g, n, omega_integral(g, n, spec), "omega")
 
 
 def chi(g: int, n: int, route: str = "harer_zagier") -> RouteResult:
@@ -91,12 +91,12 @@ def chi(g: int, n: int, route: str = "harer_zagier") -> RouteResult:
     return _CHI[route](g, n)
 
 
-def mv_via_omega(g: int, n: int, route: str = "auto") -> RouteResult:
+def mv_via_omega(g: int, n: int) -> RouteResult:
     """(-1)^{3g-3+n} int Omega(1, 2; 0, ..., 0): the volume over pi^{6g-6+2n}."""
     _require_stable(g, n)
     dim = 3 * g - 3 + n
     spec = OmegaSpec(1, 2, (0,) * n, Fraction(1))
-    return RouteResult(g, n, (-1) ** dim * omega_integral(g, n, spec, route=route), "omega")
+    return RouteResult(g, n, (-1) ** dim * omega_integral(g, n, spec), "omega")
 
 
 def mv_via_hodge(g: int, n: int) -> RouteResult:

@@ -22,7 +22,7 @@ from .exact import (
     stirling_generalized_first,
     stirling_generalized_second,
 )
-from .hodge import hodge_pair_by_degree, lambda_dict_mul
+from .hodge import hodge_pair_by_degree, lambda_dict_mul, lambda_total_inverse
 from .intersect import integrate_monomial
 from .omega import OmegaSpec, omega_integral, omega_pairings, omega_r1_parts
 from .polys import (
@@ -124,8 +124,9 @@ def _linear_product(n: int, i: int, trunc: int, roots: Iterable[Fraction], inver
 # -- Omega-class property checks --------------------------------------------------
 
 
-def _shift_s(name: str, g: int, n: int, r: int, s: int, a: tuple[int, ...], N: int, x, /, **extra) -> CheckReport:
-    """The shift in s by N r, reported with the `extra` parameters beside g, n, r, s, a, x."""
+def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x, N: int = 1) -> CheckReport:
+    """Omega(r, s+Nr; a) = Omega(r, s; a) * exp(sum (-x)^m/m p_m kappa_m), p_m the power sum
+    of s/r, ..., s/r+N-1: reported as shift_s at N = 1, else as multi_shift_s with N."""
     x = Fraction(x)
     dim = 3 * g - 3 + n
     basis = flat_basis(g, n)
@@ -133,23 +134,13 @@ def _shift_s(name: str, g: int, n: int, r: int, s: int, a: tuple[int, ...], N: i
     coeffs = {m: (-x) ** m * power_sum(m, Fraction(s, r), N) / m for m in range(1, dim + 1)}
     factor = exp_kappa_series(coeffs, n, dim)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
+    name, extra = ("shift_s", {}) if N == 1 else ("multi_shift_s", {"N": N})
     return _compare_pairings(name, {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x, **extra}, lhs, rhs)
 
 
-def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> CheckReport:
-    """Omega(r, s+r; a) = Omega(r, s; a) * exp(sum (-x)^m/m (s/r)^m kappa_m): the multi-shift at N = 1."""
-    return _shift_s("shift_s", g, n, r, s, a, 1, x)
-
-
-def check_multi_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], N: int, x) -> CheckReport:
-    """Omega(r, s+Nr; a) = Omega(r, s; a) * exp(sum (-x)^m/m p_m(s/r..s/r+N-1) kappa_m)."""
-    return _shift_s("multi_shift_s", g, n, r, s, a, N, x, N=N)
-
-
-def _shift_a(
-    name: str, g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, N: int, x, /, **extra
-) -> CheckReport:
-    """The shift in a_i by N r, reported with the `extra` parameters beside g, n, r, s, a, i, x."""
+def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x, N: int = 1) -> CheckReport:
+    """Omega(r, s; .., a_i + Nr, ..) = Omega(r, s; a) * prod_{t<N} (1 + x(a_i/r + t) psi_i):
+    reported as shift_a at N = 1, else as multi_shift_a with N."""
     x = Fraction(x)
     basis = flat_basis(g, n)
     a2 = a[: i - 1] + (a[i - 1] + N * r,) + a[i:]
@@ -157,20 +148,9 @@ def _shift_a(
     roots = [x * (Fraction(a[i - 1], r) + t) for t in range(N)]
     factor = _linear_product(n, i, 3 * g - 3 + n, roots, False)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
+    name, extra = ("shift_a", {}) if N == 1 else ("multi_shift_a", {"N": N})
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "i": i, "x": x, **extra}
     return _compare_pairings(name, params, lhs, rhs)
-
-
-def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x) -> CheckReport:
-    """Omega(r, s; .., a_i + r, ..) = Omega(r, s; a) * (1 + x a_i/r psi_i): the multi-shift at N = 1."""
-    return _shift_a("shift_a", g, n, r, s, a, i, 1, x)
-
-
-def check_multi_shift_a(
-    g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, N: int, x
-) -> CheckReport:
-    """Omega(r, s; .., a_i + Nr, ..) = Omega(r, s; a) * prod_t (1 + x(a_i/r + t) psi_i)."""
-    return _shift_a("multi_shift_a", g, n, r, s, a, i, N, x, N=N)
 
 
 def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckReport:
@@ -193,17 +173,16 @@ def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckRe
     return rep
 
 
-def _pullback_family(
-    g: int, n: int, r: int, s: int, a: tuple[int, ...], x
-) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """The pullback, string and dilaton reports: consequences of
-    Omega(r,s;a,s) = pi^* Omega(r,s;a).  Pullback: int_{g,n+1} Omega(r,s;a,s)
-    = 0, and <Omega(..,s) psi_{n+1}^{k+1} prod psi^d>_{g,n+1} = <Omega(r,s;a)
-    kappa_k prod psi^d>_{g,n} for k <= 2 (kappa_0 = 2g-2+n); string and
-    dilaton: their equations, coefficientwise.  All three read one batch of its
+def _pullback_family(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> tuple[CheckReport, ...]:
+    """The pullback, string, dilaton and vanishing_pullback_class reports:
+    consequences of Omega(r,s;a,s) = pi^* Omega(r,s;a).  Vanishing:
+    int_{g,n+1} Omega(r,s;a,s) = 0 for every integer s; pullback: that, and
+    <Omega(..,s) psi_{n+1}^{k+1} prod psi^d>_{g,n+1} = <Omega(r,s;a) kappa_k
+    prod psi^d>_{g,n} for k <= 2 (kappa_0 = 2g-2+n); string and dilaton:
+    their equations, coefficientwise.  All four read one batch of its
     pairings on Mbar_{g,n+1} with every psi monomial of degree <= dim + 1
     whose last exponent is at most 3, and one batch of Omega(r,s;a) pairings
-    on Mbar_{g,n}, so each graph sum runs once for the three."""
+    on Mbar_{g,n}, so each graph sum runs once for the four."""
     x = Fraction(x)
     dim1 = 3 * g - 2 + n
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
@@ -231,19 +210,7 @@ def _pullback_family(
         first_failure("pullback", params, expected, pullback, "hold"),
         first_failure("string", params, "string equation coefficientwise", string, "holds"),
         first_failure("dilaton", params, "dilaton equation coefficientwise", dilaton, "holds"),
-    )
-
-
-def check_vanishing_thm(g: int, n: int, r: int, s: int, a: tuple[int, ...], x=1) -> CheckReport:
-    """int_{Mbar_{g,n+1}} Omega^{[x]}(r, s; a, s) = 0 for every integer s."""
-    x = Fraction(x)
-    val = omega_integral(g, n + 1, OmegaSpec(r, s, a + (s,), x))
-    return CheckReport(
-        check="vanishing_pullback_class",
-        parameters={"g": g, "n": n, "r": r, "s": s, "a": a, "x": x},
-        expected="0",
-        got=str(val),
-        passed=val == 0,
+        CheckReport("vanishing_pullback_class", params, "0", str(total), total == 0),
     )
 
 
@@ -254,13 +221,9 @@ def check_vanishing_corollary(g: int, n: int, r: int, s: int, a: tuple[int, ...]
     x = Fraction(x)
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
     if 0 <= s < r:
-        return CheckReport(
-            check="vanishing_corollary",
-            parameters=params,
-            expected="degenerate to the pullback-class vanishing",
-            got="covered by vanishing_pullback_class",
-            passed=check_vanishing_thm(g, n, r, s, a, x).passed,
-        )
+        passed = omega_integral(g, n + 1, OmegaSpec(r, s, a + (s,), x)) == 0
+        expected, got = "degenerate to the pullback-class vanishing", "covered by vanishing_pullback_class"
+        return CheckReport("vanishing_corollary", params, expected, got, passed)
     dim1 = 3 * g - 2 + n
     q, rem = divmod(s, r)  # s = r*q + rem with 0 <= rem < r
     if s >= r:
@@ -303,9 +266,9 @@ def check_segre_chern(g: int, n: int, s: int, x) -> CheckReport:
     """
     x = Fraction(x)
     dim = 3 * g - 3 + n
-    lamA, polyA = omega_r1_parts(g, n, 1 - s, (0,) * n, -x, dim, mumford_linear=False)
-    lamB, polyB = omega_r1_parts(g, n, s, (0,) * n, x, dim, mumford_linear=False)
-    lam = lambda_dict_mul(lamA, lamB, dim).items()
+    _, polyA = omega_r1_parts(g, n, 1 - s, (0,) * n, -x, dim)
+    _, polyB = omega_r1_parts(g, n, s, (0,) * n, x, dim)
+    lam = lambda_dict_mul(lambda_total_inverse(-x, g, dim), lambda_total_inverse(x, g, dim), dim).items()
     buckets = (polyA * polyB).by_degree()
     details = []
     for kap, psi in flat_basis(g, n):
@@ -405,14 +368,12 @@ def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
                     continue
                 a = admissible_a(g, n, r, s)
                 for x in grid.x_values:
-                    yield check_shift_s(g, n, r, s, a, x)
-                    for N in (2, 3):
-                        yield check_multi_shift_s(g, n, r, s, a, N, x)
+                    for N in (1, 2, 3):
+                        yield check_shift_s(g, n, r, s, a, x, N)
                     if n >= 1:
-                        yield check_shift_a(g, n, r, s, a, 1, x)
-                        yield check_multi_shift_a(g, n, r, s, a, 1, 2, x)
+                        for N in (1, 2):
+                            yield check_shift_a(g, n, r, s, a, 1, x, N)
                     yield from _pullback_family(g, n, r, s, a, x)
-                    yield check_vanishing_thm(g, n, r, s, a, x)
                     yield check_vanishing_corollary(g, n, r, s, a, x)
             a0 = admissible_a(g, n, r, 0)
             yield check_zero_r_symmetry(g, n, r, a0)

@@ -140,7 +140,7 @@ def cmd_hodge(ns: argparse.Namespace) -> int:
         return _usage_error("need one psi exponent per marked point")
     lam = (ns.i,) if ns.i else ()
     val = hodge_monomial(ns.g, ns.n, lam, (), d)
-    print(_fmt_rat(val, ns.decimal))
+    print(_emit([(ns.g, ns.n, val, "hodge")], ns.format, ns.decimal))
     return 0
 
 
@@ -160,7 +160,7 @@ def cmd_omega(ns: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     T = _test_class(ns.test_class, ns.g, ns.n) if ns.test_class else None
     val = omega_integral(ns.g, ns.n, spec, T, route=ns.route)
-    print(_fmt_rat(val, ns.decimal))
+    print(_emit([(ns.g, ns.n, val, ns.route)], ns.format, ns.decimal))
     return 0
 
 

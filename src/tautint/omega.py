@@ -46,7 +46,7 @@ from operator import gt, le
 
 from .exact import Rat, bernoulli_series
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
-from .hodge import LambdaDict, hodge_pair_by_degree, lambda_total, lambda_total_inverse
+from .hodge import LambdaDict, hodge_pair_by_degree, lambda_total
 from .intersect import integrate_monomial
 from .polys import (
     KappaPart,
@@ -197,25 +197,15 @@ def _vertex_integral(r: int, s: int, xn: int, xd: int, vkey: tuple, cfg: tuple) 
 
 
 @lru_cache(maxsize=None)
-def _filtered_edge_terms(
-    w: int, r: int, xn: int, xd: int, trunc: int, cap_a: int, cap_b: int, same: bool, den: int
-):
-    """Edge series terms surviving the per-side capacity bounds, as integer
-    numerators over `den`, a multiple of every denominator of the series."""
-    return tuple(
-        ((i, j), q.numerator * (den // q.denominator))
-        for (i, j), q in edge_local_factor(w, r, Fraction(xn, xd), trunc).terms
-        if (i + j <= cap_a if same else i <= cap_a and j <= cap_b)
-    )
+def _edge_terms(w: int, r: int, xn: int, xd: int, trunc: int) -> tuple[int, tuple]:
+    """The edge series at residue w as (den, (((i, j), numerator), ...)): its
+    terms as integer numerators over den, their least common denominator."""
+    terms = edge_local_factor(w, r, Fraction(xn, xd), trunc).terms
+    den = lcm(*(q.denominator for _, q in terms))
+    return den, tuple((ij, q.numerator * (den // q.denominator)) for ij, q in terms)
 
 
-@lru_cache(maxsize=None)
-def _residue_denominator(w: int, r: int, xn: int, xd: int, trunc: int) -> int:
-    """The least common denominator of the edge series at residue w."""
-    return lcm(*(q.denominator for _, q in edge_local_factor(w, r, Fraction(xn, xd), trunc).terms))
-
-
-# edge configurations per graph shape: {(r, s mod r, x, dim): {shape: configs}}
+# edge configurations per graph shape: {(r, s mod r, xn, xd, dim): {shape: configs}}
 _config_cache: dict[tuple, dict[tuple, tuple]] = {}
 
 # vertex integrals: {(r, s, xn, xd): {(vertex type, legs, kappa part):
@@ -225,7 +215,7 @@ _config_cache: dict[tuple, dict[tuple, tuple]] = {}
 _vertex_cache: dict[tuple, dict[tuple, dict[tuple, tuple[int, int]]]] = {}
 
 
-def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, dim: int) -> tuple:
+def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, xd: int, dim: int) -> tuple:
     """Half-edge exponent configurations of G with their edge-series
     coefficients summed over its weightings (s and a taken mod r), grouped by
     per-vertex degree: a tuple of (degrees, ((config, numerator, denominator),
@@ -244,22 +234,28 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], x: Rat, di
     zero_cfg = tuple((0,) * (k - len(lv)) for k, lv in zip(n_local, legs))
     weightings = enumerate_weightings(G, r, s, a)
     # one denominator for the residues these weightings use, not all r of them
-    used = {res for w in weightings for res in w}
-    xn, xd = x.numerator, x.denominator
-    den = lcm(*(_residue_denominator(w, r, xn, xd, dim) for w in used))
+    series = {res: _edge_terms(res, r, xn, xd, dim) for res in {v for w in weightings for v in w}}
+    den = lcm(*[d for d, _ in series.values()])
     partial: dict[tuple, list[int]] = {zero_cfg: [1] * len(weightings)}
     for e, (va, vb, pa, pb) in enumerate(edges):
-        # each term (i, j) of this edge's series, with its numerator under
-        # each weighting (0 where that weighting's residue lacks the term)
+        # each term (i, j) of this edge's series within the vertex caps, with
+        # its numerator under each weighting (0 where that weighting's residue
+        # lacks the term)
+        cap_a, cap_b, same = dims[va], dims[vb], va == vb
         column = [w[e] for w in weightings]
         factors: dict[tuple[int, int], list[int]] = {}
         for res in dict.fromkeys(column):
             ks = [k for k, rk in enumerate(column) if rk == res]
-            terms = _filtered_edge_terms(res, r, xn, xd, dim, dims[va], dims[vb], va == vb, den)
-            for ij, q in terms:
-                row = factors.setdefault(ij, [0] * len(weightings))
-                for k in ks:
-                    row[k] = q
+            d, terms = series[res]
+            scale = den // d
+            for (i, j), q in terms:  # sorted, so no later term fits once i > cap_a
+                if i > cap_a:
+                    break
+                if i + j <= cap_a if same else j <= cap_b:
+                    row = factors.setdefault((i, j), [0] * len(weightings))
+                    q *= scale
+                    for k in ks:
+                        row[k] = q
         nxt: dict[tuple, list[int]] = {}
         for cfg, coeffs in partial.items():
             for (i, j), qs in factors.items():
@@ -471,8 +467,7 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
             monos_upto[room].append(entry)
     vertex_vals = _vertex_cache.setdefault((r, s, xn, xd), {})
     s_res, a_res = s % r, tuple(ai % r for ai in a)
-    x = Fraction(xn, xd)
-    shapes = _config_cache.setdefault((r, s_res, x, dim), {})
+    shapes = _config_cache.setdefault((r, s_res, xn, xd, dim), {})
     for G, aut_col in graph_orbits(g, n, a):
         if G.n_edges > dim or not monos_upto[dim - G.n_edges]:
             continue
@@ -486,7 +481,7 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
         shape = (G.genera, G.edges, n_local, leg_res)
         config_groups = shapes.get(shape)
         if config_groups is None:
-            config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, x, dim)
+            config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, xn, xd, dim)
         # the configs whose per-vertex degrees fit a room vector, per room
         fits: dict[tuple[int, ...], tuple] = {}
         for mono, stab, orbit in monos_upto[dim - G.n_edges]:
@@ -539,18 +534,16 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
 
 
 def omega_r1_parts(
-    g: int, n: int, s: int, a: tuple[int, ...], x: Rat, trunc: int, mumford_linear: bool = True
+    g: int, n: int, s: int, a: tuple[int, ...], x: Rat, trunc: int
 ) -> tuple[LambdaDict, TautPolynomial]:
     """Omega^{[x]}(1, s; a) = Lambda(-x) * exp(kappa series) * leg series.
 
     The lambda part is Lambda(x)^{-1}, which equals Lambda(-x) =
     sum_i lambda_i (-x)^i by Mumford's relation c(E) c(E^dual) = 1: g+1 terms,
-    each a single lambda_i.  `mumford_linear=False` gives the inverse series
-    instead, whose terms are arbitrary lambda monomials; it assumes no
-    total-Chern-class relation (both forms are exercised by the tests).
+    each a single lambda_i.
     """
     x = Fraction(x)
-    lam = lambda_total(-x, g, trunc) if mumford_linear else lambda_total_inverse(x, g, trunc)
+    lam = lambda_total(-x, g, trunc)
     # the residue-0 parts of the kappa, leg and edge series assemble into
     # Lambda(x)^{-1} (Mumford's formula); the differences remain
     zero = bernoulli_series(0, x, trunc)

@@ -17,6 +17,7 @@ from tautint.apps import (
 from tautint.cli import _chi_cell
 from tautint.exact import bernoulli_number
 from tautint.hodge import hodge_pair, lambda_total
+from tautint.omega import OmegaSpec, omega_integral
 from tautint.polys import exp_kappa_series
 from tautint.psi import stable_types
 
@@ -78,7 +79,8 @@ def test_chi_hodge_multisets_match_ordered_compositions(g, n):
 
 def test_chi_omega_graph_route_small():
     for (g, n) in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 0)]:
-        assert chi_via_omega(g, n, route="graph").value == HZ_VALUES[(g, n)]
+        spec = OmegaSpec(1, -1, (0,) * n)
+        assert omega_integral(g, n, spec, route="graph") == HZ_VALUES[(g, n)]
 
 
 def test_recursion_check():

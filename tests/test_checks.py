@@ -9,13 +9,10 @@ from tautint.checks import (
     admissible_a,
     _pullback_family,
     check_counterexample_footnote,
-    check_multi_shift_a,
-    check_multi_shift_s,
     check_segre_chern,
     check_shift_a,
     check_shift_s,
     check_vanishing_corollary,
-    check_vanishing_thm,
     check_zero_r_symmetry,
     flat_basis,
     iter_suite,
@@ -47,15 +44,16 @@ def test_shift_checks_examples():
     assert check_shift_s(0, 4, 2, 0, (2, 2, 2, 2), F(1)).passed  # (s/r)^m = 0 branch
     assert check_shift_a(1, 1, 2, 0, (2,), 1, F(1)).passed
     assert check_shift_a(1, 1, 2, 1, (1,), 1, F(1, 2)).passed
-    assert check_multi_shift_s(1, 1, 2, 1, (1,), 2, F(1)).passed
-    assert check_multi_shift_s(0, 4, 3, -1, admissible_a(0, 4, 3, -1), 3, F(-1)).passed
-    assert check_multi_shift_a(1, 1, 2, 1, (1,), 1, 2, F(1)).passed
+    assert check_shift_s(1, 1, 2, 1, (1,), F(1), N=2).passed
+    assert check_shift_s(0, 4, 3, -1, admissible_a(0, 4, 3, -1), F(-1), N=3).passed
+    assert check_shift_a(1, 1, 2, 1, (1,), 1, F(1), N=2).passed
 
 
 def test_zero_r_and_pullback():
     assert check_zero_r_symmetry(1, 1, 2, (2,)).passed
     assert check_zero_r_symmetry(0, 4, 2, admissible_a(0, 4, 2, 0)).passed
-    # _pullback_family returns the pullback, string and dilaton reports
+    # _pullback_family returns the pullback, string, dilaton and
+    # vanishing_pullback_class reports
     assert _pullback_family(1, 1, 2, 3, (1,), 1)[0].passed  # s outside [0, r]
     assert _pullback_family(1, 1, 2, 0, (2,), 1)[0].passed  # flat-unit case
     assert _pullback_family(0, 3, 3, 1, admissible_a(0, 3, 3, 1), 1)[0].passed
@@ -69,8 +67,8 @@ def test_string_dilaton():
 
 
 def test_vanishings():
-    assert check_vanishing_thm(1, 1, 2, -1, (1,)).passed
-    assert check_vanishing_thm(1, 2, 2, 3, admissible_a(1, 2, 2, 3), F(-1)).passed
+    assert _pullback_family(1, 1, 2, -1, (1,), 1)[3].passed
+    assert _pullback_family(1, 2, 2, 3, admissible_a(1, 2, 2, 3), F(-1))[3].passed
     assert check_vanishing_corollary(1, 1, 2, 3, (1,)).passed
     assert check_vanishing_corollary(1, 1, 2, -1, (1,)).passed
     assert check_vanishing_corollary(0, 4, 3, 5, admissible_a(0, 4, 3, 5), F(1, 2)).passed

@@ -49,6 +49,21 @@ def test_mv_and_hodge_and_omega(capsys):
     assert code == 0 and out.strip() == "1/48"
 
 
+def test_hodge_and_omega_honour_format(capsys):
+    # one (g, n, value, route) cell, as chi and mv print it; the route column
+    # is "hodge" for hodge and the --route value for omega
+    code, out = run_cli(["hodge", "2", "1", "2", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"g": "2", "n": "1", "value": "7/5760", "route": "hodge"}
+    args = ["omega", "1", "2", "2", "1", "0,2", "--test-class", "k1", "--route", "graph"]
+    code, out = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0 and out == "g,n,value,route\n1,2,1/48,graph\n"
+    code, out = run_cli(["omega", "1", "1", "1", "--format", "json", "--", "-1", "0"], capsys)
+    assert code == 0 and json.loads(out)["route"] == "auto"
+    code, out = run_cli(["hodge", "2", "1", "2", "2", "--format", "text"], capsys)
+    assert code == 0 and out == "7/5760\n"
+
+
 def test_usage_errors(capsys):
     code, _ = run_cli(["chi", "0", "2"], capsys)
     assert code == 2
@@ -319,6 +334,8 @@ def argvs(draw):
             argv += ["--route", draw(st.sampled_from(["auto", "graph", "graph-raw", "closed"]))]
     if draw(st.booleans()):
         argv += ["--decimal", draw(st.sampled_from(["4", "0", "-2", "abc"]))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "xml"]))]
     return argv
 
 

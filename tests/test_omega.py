@@ -7,7 +7,7 @@ from oracles import edge_configs_per_weighting, hodge_integral_via_omega, vertex
 from tautint import omega
 from tautint.checks import admissible_a, flat_basis
 from tautint.graphs import graph_orbits
-from tautint.hodge import hodge_monomial, hodge_pair
+from tautint.hodge import hodge_monomial, hodge_pair, lambda_total_inverse
 from tautint.omega import (
     OmegaConstraintError,
     OmegaSpec,
@@ -122,8 +122,8 @@ def test_closed_form_r1_parts():
     assert P.terms[(((1, 1),), (0,))] == F(-1)
     # the default linear (Mumford) form and the inverse series agree
     assert omega_integral(1, 2, CHI_SPEC(2), route="closed") == F(1, 12)
-    lam, P = omega_r1_parts(1, 2, -1, (0, 0), F(1), 2, mumford_linear=False)
-    assert hodge_pair(1, 2, lam, P) == F(1, 12)
+    _, P = omega_r1_parts(1, 2, -1, (0, 0), F(1), 2)
+    assert hodge_pair(1, 2, lambda_total_inverse(F(1), 1, 2), P) == F(1, 12)
 
 
 @pytest.mark.parametrize("g,n", stable_types(5))
@@ -137,7 +137,8 @@ def test_closed_route_pairs_like_the_inverse_lambda_series(g, n):
         a = admissible_a(g, n, 1, s)
         for x in (F(1), F(-1, 2)):
             got = omega_pairings(g, n, OmegaSpec(1, s, a, x), basis, route="closed")
-            lam, P = omega_r1_parts(g, n, s, a, x, dim, mumford_linear=False)
+            _, P = omega_r1_parts(g, n, s, a, x, dim)
+            lam = lambda_total_inverse(x, g, dim)
             for kap, psi in basis:
                 Pm = P * TautPolynomial.from_monomial(n, dim, kap, psi)
                 assert got[(kap, psi)] == hodge_pair(g, n, lam, Pm), (g, n, s, x, kap, psi)
@@ -215,6 +216,39 @@ def test_degree_bound_checks():
     assert rep.passed
     with pytest.raises(ValueError):
         degree_bound_check(1, 1, OmegaSpec(2, 0, (0,)), "jkv")
+
+
+@pytest.mark.parametrize(
+    "g,n,spec,formula,want",
+    [
+        # non-vacuous cases with every pairing shifted by r/7: the first detail line
+        (0, 6, OmegaSpec(3, 0, (1,) * 6), "jkv", "k=2 T=psi^(0, 0, 0, 0, 0, 1): coefficient 3/7"),
+        (0, 6, OmegaSpec(5, -1, (1,) * 6), "negative-s", "k=2 T=psi^(0, 0, 0, 0, 0, 1): coefficient 5/7"),
+        # refusals: the hypotheses of each bound, and an unknown formula
+        (1, 1, OmegaSpec(2, 0, (2,)), "jkv", "jkv bound needs g = 0 and s = 0"),
+        (0, 4, OmegaSpec(2, 1, (1, 1, 1, 1)), "jkv", "jkv bound needs g = 0 and s = 0"),
+        (0, 4, OmegaSpec(2, 0, (0, 0, 1, 1)), "jkv", "jkv bound needs a_i > 0 except"),
+        (0, 4, OmegaSpec(2, 0, (-2, 1, 1, 2)), "jkv", "jkv bound needs a_i > 0 except"),
+        (1, 1, OmegaSpec(2, 0, (2,)), "negative-s", "negative-s bound needs s < 0 and a_i > 0"),
+        (1, 1, OmegaSpec(2, -1, (-1,)), "negative-s", "negative-s bound needs s < 0 and a_i > 0"),
+        (0, 4, OmegaSpec(2, 0, (1, 1, 1, 1)), "rank", "unknown bound formula 'rank'"),
+    ],
+)
+def test_degree_bound_check_failures(g, n, spec, formula, want, monkeypatch):
+    if not want.startswith("k="):
+        with pytest.raises(ValueError, match=want):
+            degree_bound_check(g, n, spec, formula)
+        return
+    assert degree_bound_check(g, n, spec, formula).passed
+    pairings = omega.omega_pairings
+    monkeypatch.setattr(
+        omega,
+        "omega_pairings",
+        lambda g, n, spec, monos: {m: v + F(spec.r, 7) for m, v in pairings(g, n, spec, monos).items()},
+    )
+    rep = degree_bound_check(g, n, spec, formula)
+    assert not rep.passed and rep.got == rep.details[0] == want
+    assert len(rep.details) == 5
 
 
 def test_pairings_cache_consistency():
@@ -385,7 +419,7 @@ def test_edge_configs_match_per_weighting_sums(g, n, r, s):
     head = tuple(i % r for i in range(1, n))
     a = head + (((2 * g - 2 + n) * s - sum(head)) % r,)
     for G, _ in graph_orbits(g, n, range(n)):
-        groups = omega._edge_configs(G, r, s, a, F(1), 3 * g - 3 + n)
+        groups = omega._edge_configs(G, r, s, a, 1, 1, 3 * g - 3 + n)
         got = {cfg: F(num, den) for _, group in groups for cfg, num, den in group}
         assert all(hsum == tuple(map(sum, cfg)) for hsum, group in groups for cfg, _, _ in group)
         assert got == edge_configs_per_weighting(G, r, s, a, F(1), 3 * g - 3 + n), (G, r, s, a)
