@@ -25,8 +25,9 @@ value checked:
   graph orbits, each cold, its printed value compared with a pinned one.
 
 Beside the times it records a measure of the work that does not depend on
-the machine: per workload, the cProfile total call count of one cold
-`perfbench/workload.py --workload W --seed 0` run (the count CI reports).
+the machine: per workload, the function calls of one cold
+`perfbench/workload.py --workload W --seed 0` run, as scripts/call_count.py
+counts them (the count CI reports).
 The file also records nproc, the Python version, the commit and
 `wc -l src/tautint/*.py`.
 
@@ -52,7 +53,6 @@ import glob
 import json
 import os
 import platform
-import pstats
 import shutil
 import statistics
 import subprocess
@@ -61,6 +61,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
+CALL_COUNT = Path(__file__).resolve().parent / "call_count.py"
 TRACE0_RUNS = 3
 
 # the digest that tests/test_omega.py::PINNED_BATCHES pins for this batch (M23-r7)
@@ -201,14 +202,11 @@ def last_json_line(cmd: list[str], cwd: Path, env: dict[str, str]) -> dict:
 
 
 def call_count(checkout: Path, workload: str, env: dict[str, str]) -> dict:
-    """The cProfile total call count of one cold workload.py run, and whether
-    the run's values were correct."""
-    with tempfile.TemporaryDirectory() as tmp:
-        prof = str(Path(tmp) / "calls.prof")
-        cmd = [sys.executable, "-m", "cProfile", "-o", prof, "perfbench/workload.py",
-               "--workload", workload, "--seed", "0"]
-        run = last_json_line(cmd, checkout, {**env, "PYTHONPATH": str(checkout / "src")})
-        return {"calls": pstats.Stats(prof).total_calls, "correct": run["correct"]}
+    """The function calls of one cold workload.py run, by scripts/call_count.py,
+    and whether the run's values were correct."""
+    cmd = [sys.executable, str(CALL_COUNT), "--workload", workload, "--seed", "0"]
+    run = last_json_line(cmd, checkout, {**env, "PYTHONPATH": str(checkout / "src")})
+    return {"calls": run["calls"], "correct": run["correct"]}
 
 
 def src_line_counts(checkout: Path) -> dict[str, int]:

@@ -7,6 +7,13 @@ identity in the monomial pairing, stated as such in the reports).  Failures
 record the first differing pairing with both exact values.  A single shift
 in s or a_i is checked as the N = 1 case of its multi-shift, and reports
 that pass or show their first failure share one builder.
+
+The comparisons run on integers.  A batch of pairings is read as integer
+numerators over its least common denominator, so a sum of c * pairing is an
+integer dot product; each side of a compared row is a (numerator,
+denominator) pair, the two compared by cross-multiplying, and a row's label
+and fractions are formatted only when it fails.  The (1 + t psi_i) products
+and their inverses are integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator
 
 from .exact import (
@@ -74,51 +82,76 @@ def flat_basis(g: int, n: int, include_kappa: bool = True) -> list[Monomial]:
 # -- helpers ----------------------------------------------------------------------
 
 
+def _common_denominator(values: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """The values as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {m: v.numerator * (den // v.denominator) for m, v in values.items()}, den
+
+
 def _pair_with_factor(
     g: int, n: int, spec: OmegaSpec, factor: TautPolynomial, monos: Iterable[Monomial]
-) -> dict[Monomial, Fraction]:
-    """int Omega_spec * factor * mono for each basis monomial.
+) -> tuple[dict[Monomial, int], int]:
+    """int Omega_spec * factor * mono for each basis monomial, as integer
+    numerators over one denominator.
 
     Each product factor * mono keeps the factor's terms of degree
     <= factor.trunc - deg(mono), as its truncation at factor.trunc would,
-    and one `omega_pairings` batch covers every monomial the products reach."""
-    terms = [(m, c, monomial_degree(m)) for m, c in factor.terms.items()]
-    prods: dict[Monomial, list[tuple[Monomial, Fraction]]] = {}
+    and one `omega_pairings` batch covers every monomial the products reach.
+    With the factor and the pairings each over a common denominator, each
+    sum of c * pairing is an integer dot product."""
+    coeffs, fden = _common_denominator(factor.terms)
+    terms = [(m, c, monomial_degree(m)) for m, c in coeffs.items()]
+    prods: dict[Monomial, list[tuple[Monomial, int]]] = {}
     for mono in monos:
         room = factor.trunc - monomial_degree(mono)
         prods[mono] = [(monomial_product(m, mono), c) for m, c, d in terms if d <= room]
     needed = {m for prod_terms in prods.values() for m, _ in prod_terms}
-    pair = omega_pairings(g, n, spec, needed) if needed else {}
-    return {
-        mono: sum((c * pair[m] for m, c in prod_terms), Fraction(0))
-        for mono, prod_terms in prods.items()
-    }
+    pair, pden = _common_denominator(omega_pairings(g, n, spec, needed) if needed else {})
+    return {mono: sum(c * pair[m] for m, c in prod_terms) for mono, prod_terms in prods.items()}, fden * pden
 
 
-def _differing(rows: Iterable[tuple[str, Fraction, Fraction]]) -> list[str]:
-    """The line "label: lhs=.. rhs=.." of each (label, lhs, rhs) whose sides differ."""
-    return [f"{label}: lhs={lhs} rhs={rhs}" for label, lhs, rhs in rows if lhs != rhs]
+def _differing(template: str, rows: Iterable[tuple]) -> list[str]:
+    """The line "label: lhs=.. rhs=.." of each row (key, lhs, rhs) whose sides
+    differ, each side a (numerator, denominator) pair and the two compared by
+    cross-multiplying.  The label template.format(*key) and the fractions are
+    formatted for those rows only."""
+    return [
+        f"{template.format(*key)}: lhs={Fraction(ln, ld)} rhs={Fraction(rn, rd)}"
+        for key, (ln, ld), (rn, rd) in rows
+        if ln * rd != rn * ld
+    ]
 
 
-def _compare_pairings(
-    name: str,
-    params: dict,
-    lhs: dict[Monomial, Fraction],
-    rhs: dict[Monomial, Fraction],
-) -> CheckReport:
-    diffs = _differing((f"pairing {mono}", lhs[mono], rhs[mono]) for mono in sorted(lhs))
+def _compare_pairings(name: str, params: dict, lhs: tuple[dict, int], rhs: tuple[dict, int]) -> CheckReport:
+    """Pairings compared per monomial, each side numerators over one denominator."""
+    (lnums, lden), (rnums, rden) = lhs, rhs
+    rows = (((mono,), (lnums[mono], lden), (rnums[mono], rden)) for mono in sorted(lnums))
     expected = "all pairings equal (pairing-certified identity)"
-    return first_failure(name, params, expected, diffs, "equal")
+    return first_failure(name, params, expected, _differing("pairing {}", rows), "equal")
 
 
-def _linear_product(n: int, i: int, trunc: int, roots: Iterable[Fraction], invert: bool) -> TautPolynomial:
+def _linear_product(n: int, i: int, trunc: int, roots: list[Fraction], invert: bool) -> TautPolynomial:
     """prod_t (1 + t psi_i) over the roots t on n points, truncated above
-    degree trunc, and its inverse when `invert` is set."""
-    one, psi_i = TautPolynomial.one(n, trunc), TautPolynomial.psi(i, n, trunc)
-    out = one
+    degree trunc, and its inverse when `invert` is set.  Built as the
+    coefficient list of psi_i^0, ..., psi_i^trunc: with the roots t = T/D
+    over their common denominator D, the psi_i^k coefficient is N_k / D^k,
+    and the integers N_k are multiplied by one factor 1 + T psi_i at a time
+    (N_k += T N_{k-1}, descending), or divided by it (N_k -= T N_{k-1},
+    ascending)."""
+    den = lcm(*(t.denominator for t in roots))
+    c = [1] + [0] * trunc
     for t in roots:
-        out = out * (one + psi_i.scale(t))
-    return out.inverse() if invert else out
+        T = t.numerator * (den // t.denominator)
+        if invert:
+            for k in range(1, trunc + 1):
+                c[k] -= T * c[k - 1]
+        else:
+            for k in range(trunc, 0, -1):
+                c[k] += T * c[k - 1]
+    out = TautPolynomial(n, trunc)
+    unit = (0,) * n
+    out.terms = {((), unit[: i - 1] + (k,) + unit[i:]): Fraction(ck, den**k) for k, ck in enumerate(c) if ck}
+    return out
 
 
 # -- Omega-class property checks --------------------------------------------------
@@ -130,7 +163,7 @@ def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x, N: int 
     x = Fraction(x)
     dim = 3 * g - 3 + n
     basis = flat_basis(g, n)
-    lhs = omega_pairings(g, n, OmegaSpec(r, s + N * r, a, x), basis)
+    lhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, s + N * r, a, x), basis))
     coeffs = {m: (-x) ** m * power_sum(m, Fraction(s, r), N) / m for m in range(1, dim + 1)}
     factor = exp_kappa_series(coeffs, n, dim)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
@@ -144,7 +177,7 @@ def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x,
     x = Fraction(x)
     basis = flat_basis(g, n)
     a2 = a[: i - 1] + (a[i - 1] + N * r,) + a[i:]
-    lhs = omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis)
+    lhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis))
     roots = [x * (Fraction(a[i - 1], r) + t) for t in range(N)]
     factor = _linear_product(n, i, 3 * g - 3 + n, roots, False)
     rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
@@ -156,14 +189,14 @@ def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x,
 def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckReport:
     """Omega(r, 0; a) = Omega(r, r; a), plus the leaf version 0 <-> r."""
     basis = flat_basis(g, n)
-    lhs = omega_pairings(g, n, OmegaSpec(r, 0, a), basis)
-    rhs = omega_pairings(g, n, OmegaSpec(r, r, a), basis)
+    lhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, 0, a), basis))
+    rhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, r, a), basis))
     rep = _compare_pairings("zero_r_symmetry", {"g": g, "n": n, "r": r, "a": a}, lhs, rhs)
     if rep.passed:
         for i, ai in enumerate(a):
             if ai % r == 0:
                 a2 = a[:i] + (ai + r if ai == 0 else ai - r,) + a[i + 1 :]
-                alt = omega_pairings(g, n, OmegaSpec(r, 0, a2), basis)
+                alt = _common_denominator(omega_pairings(g, n, OmegaSpec(r, 0, a2), basis))
                 leaf = _compare_pairings(
                     "zero_r_symmetry_leaf", {"g": g, "n": n, "r": r, "a": a, "i": i + 1}, lhs, alt
                 )
@@ -189,22 +222,26 @@ def _pullback_family(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> t
     ds = _psi_upto(n, dim1)
     cases = [(k, d) for k in range(3) for d in _psi_upto(n, dim1 - k - 1)]
     monos = [((), d + (k,)) for k in range(4) for d in _psi_upto(n, dim1 + 1 - k)]
-    up = omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos)
+    # each batch as integer numerators over one denominator
+    up, uden = _common_denominator(omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos))
     kappa_monos = [(((k, 1),), d) for k, d in cases if k]
-    down = omega_pairings(g, n, OmegaSpec(r, s, a, x), [((), d) for d in ds] + kappa_monos)
+    down_monos = [((), d) for d in ds] + kappa_monos
+    down, dden = _common_denominator(omega_pairings(g, n, OmegaSpec(r, s, a, x), down_monos))
     euler = 2 * g - 2 + n
-    total = up[((), (0,) * (n + 1))]
+    total = Fraction(up[((), (0,) * (n + 1))], uden)
     pullback = [f"int Omega(..., s) = {total} != 0"] if total != 0 else []
-    pullback += _differing(
-        (f"k={k} d={d}", up[((), d + (k + 1,))], down[(((k, 1),), d)] if k else euler * down[((), d)])
+    pullback += _differing("k={} d={}", (
+        ((k, d), (up[((), d + (k + 1,))], uden), (down[(((k, 1),), d)] if k else euler * down[((), d)], dden))
         for k, d in cases
-    )
-    string = _differing(
-        (f"d={d}", up[((), d + (0,))] if sum(d) <= dim1 else Fraction(0),
-         sum((down[((), d[:j] + (d[j] - 1,) + d[j + 1 :])] for j in range(n) if d[j]), Fraction(0)))
+    ))
+    string = _differing("d={}", (
+        ((d,), (up[((), d + (0,))] if sum(d) <= dim1 else 0, uden),
+         (sum(down[((), d[:j] + (d[j] - 1,) + d[j + 1 :])] for j in range(n) if d[j]), dden))
         for d in _psi_upto(n, dim1 + 1)
-    )
-    dilaton = _differing((f"d={d}", up[((), d + (1,))], euler * down[((), d)]) for d in ds)
+    ))
+    dilaton = _differing("d={}", (
+        ((d,), (up[((), d + (1,))], uden), (euler * down[((), d)], dden)) for d in ds
+    ))
     expected = "pullback consequences (vanishing and kappa transport)"
     return (
         first_failure("pullback", params, expected, pullback, "hold"),
@@ -301,8 +338,9 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
     unit, kappa2 = ((), (0, 0)), (((2, 1),), (0, 0))
     span = [unit, ((), (1, 0)), (((1, 1),), (0, 0)), ((), (2, 0))]
 
-    def pair(terms: dict[Monomial, Fraction], q: Monomial) -> Fraction:
-        return sum(c * integrate_monomial(g, n, *monomial_product(m, q)) for m, c in terms.items())
+    def pair(terms: dict[Monomial, Fraction], q: Monomial) -> tuple[int, int]:
+        value = sum(c * integrate_monomial(g, n, *monomial_product(m, q)) for m, c in terms.items())
+        return value.as_integer_ratio()
 
     gram = [[integrate_monomial(g, n, *monomial_product(p, q)) for p in span] for q in span]
     details: list[str] = []
@@ -316,14 +354,14 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
             if coeffs[0] != c0:
                 details.append(f"x={x}: degree-0 part of {name} is not {c0}")
             terms = dict(zip(span, coeffs))
-            rows = ((f"x={x}: {name} rebuilt against {q}", pair(terms, q), pairs[q]) for q in basis)
-            details += _differing(rows)
+            rows = (((x, name, q), pair(terms, q), pairs[q].as_integer_ratio()) for q in basis)
+            details += _differing("x={}: {} rebuilt against {}", rows)
             factors.append(TautPolynomial(n, 3 * g - 3 + n, terms))
         product = (factors[0] * factors[1]).terms
         want = {unit: c0**2, kappa2: -Fraction(3, 4) * x**2}
-        rows = ((f"x={x}: product against {q}", pair(product, q), pair(want, q)) for q in basis)
-        details += _differing(rows)
-        vanished = vanished or pair(product, unit) == 0
+        rows = (((x, q), pair(product, q), pair(want, q)) for q in basis)
+        details += _differing("x={}: product against {}", rows)
+        vanished = vanished or pair(product, unit)[0] == 0
     if vanished:
         details.append("kappa_2 correction vanished: duality did NOT fail")
     params = {"g": g, "n": n, "x": tuple(str(Fraction(x)) for x in xs), "deg0": str(c0)}

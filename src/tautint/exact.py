@@ -1,6 +1,7 @@
 """Exact scalar layer: Bernoulli numbers and polynomials, power sums of the
 progression (base, base+1, ..., base+count-1), taken as the two arguments
-`base, count`, generalised Stirling numbers and exact linear solving.
+`base, count`, generalised Stirling numbers, exact linear solving, and the
+sum of many fractions as integer numerators per denominator.
 
 Every function returns a `fractions.Fraction`; nothing here ever rounds.
 Sign convention, fixed once for the whole package: B_1 = -1/2, i.e. B_m is
@@ -12,7 +13,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 Rat = Fraction
 
@@ -57,6 +58,7 @@ def bernoulli_series(u: Rat, x: Rat, mmax: int) -> dict[int, Fraction]:
     return {m: (-x) ** m * bernoulli_poly(m + 1, u) / (m * (m + 1)) for m in range(1, mmax + 1)}
 
 
+@lru_cache(maxsize=None)
 def binomial_ext(a: Rat, i: int) -> Fraction:
     """C(a, i) = a(a-1)...(a-i+1)/i! for arbitrary rational a, i >= 0."""
     if i < 0:
@@ -70,6 +72,7 @@ def binomial_ext(a: Rat, i: int) -> Fraction:
     return num
 
 
+@lru_cache(maxsize=None)
 def power_sum(m: int, base: Rat, count: int) -> Fraction:
     """p_m = sum_i X_i^m over the progression X = base, base+1, ...,
     base+count-1; 0 on the empty set (count = 0)."""
@@ -100,6 +103,7 @@ def stirling_second(n: int, k: int) -> int:
     return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
 
 
+@lru_cache(maxsize=None)
 def stirling_generalized_first(k: int, m: int, x: Rat) -> Fraction:
     """(-1)^k s(k, k-m, x) = sum_i C(k+i-m, i) * c(k, k-m+i) * x^i.
 
@@ -117,6 +121,14 @@ def stirling_generalized_first(k: int, m: int, x: Rat) -> Fraction:
         acc += binomial_ext(k + i - m, i) * stirling_first(k, k - m + i) * xpow
         xpow *= x
     return acc
+
+
+def sum_by_denominator(sums: dict[int, int]) -> Fraction:
+    """The sum of num/den over a table {den: num} of integer numerators
+    summed per denominator, over their least common denominator and reduced
+    once: a sum of many fractions without a Fraction per term.  0 when empty."""
+    den = lcm(*sums)
+    return Fraction(sum(num * (den // d) for d, num in sums.items()), den)
 
 
 def solve_linear(rows: list[list[Rat]]) -> list[Fraction]:
@@ -146,6 +158,7 @@ def interpolate_polynomial(points: list[tuple[Rat, Rat]]) -> list[Fraction]:
     return solve_linear([[Fraction(x) ** k for k in range(n)] + [y] for x, y in points])
 
 
+@lru_cache(maxsize=None)
 def stirling_generalized_second(k: int, m: int, x: Rat) -> Fraction:
     """S(-k+m, -k, x) = sum_i C(m+k-1, i) (-1)^i S2(m-i+k, k) x^i.
 

@@ -20,7 +20,10 @@ class T:
   the configs that fit a vertex room vector are found once per room.  A
   vertex integral reads one degree of its integrand, and only that degree
   is built: the kappa-exponential terms of each degree and each leg's
-  coefficient list are convolved into one bucket per (leg a_i, degree);
+  coefficient list are convolved into one bucket per (leg a_i, degree).
+  Vertex integrals and the per-graph terms of each monomial are summed as
+  integer numerators per denominator and reduced once at the end
+  (`exact.sum_by_denominator`), not as one Fraction per term;
 
 * for r = 1 the pushforward is trivial and the class factors in closed form
   as Lambda(-x) * exp(kappa series) * per-leg psi series, evaluated by the
@@ -44,7 +47,7 @@ from itertools import product
 from math import factorial, lcm, prod
 from operator import gt, le
 
-from .exact import Rat, bernoulli_series
+from .exact import Rat, bernoulli_series, sum_by_denominator
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
 from .hodge import LambdaDict, hodge_pair_by_degree, lambda_total
 from .intersect import integrate_monomial
@@ -77,7 +80,8 @@ class OmegaSpec:
         if self.r < 1:
             raise ValueError("r must be a positive integer")
         object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "x", Fraction(self.x))
+        if not isinstance(self.x, Fraction):
+            object.__setattr__(self, "x", Fraction(self.x))
 
     def validate(self, g: int, n: int) -> None:
         if len(self.a) != n:
@@ -191,9 +195,7 @@ def _vertex_integral(r: int, s: int, xn: int, xd: int, vkey: tuple, cfg: tuple) 
         if q:
             den = cden * q.denominator
             sums[den] = sums.get(den, 0) + cnum * q.numerator
-    den = lcm(*sums)
-    q = Fraction(sum(num * (den // d) for d, num in sums.items()), den)
-    return q.numerator, q.denominator
+    return sum_by_denominator(sums).as_integer_ratio()
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +456,8 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
     xn, xd = xq
     classes = _classes_of(a)
     h_order = prod(factorial(len(cls)) for cls in classes)
-    result = {mono: Fraction(0) for mono in monomials}
+    # per monomial, its graph terms as integer numerators per denominator
+    sums: dict[Monomial, dict[int, int]] = {mono: {} for mono in monomials}
     # a term supported on a graph with E edges has class degree >= E, so a
     # graph with E edges meets only the monomials of degree <= dim - E; the
     # psi support (a bitmask of markings) rules out a graph at once when it
@@ -526,8 +529,9 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
                             else:
                                 num, den = num * pden + pnum * den, den * pden
             if num:
-                result[mono] += Fraction(pref_num * stab * num, pref_den * den)
-    return result
+                acc, d = sums[mono], pref_den * den
+                acc[d] = acc.get(d, 0) + pref_num * stab * num
+    return {mono: sum_by_denominator(acc) for mono, acc in sums.items()}
 
 
 # -- closed form for r = 1 ------------------------------------------------------

@@ -15,7 +15,6 @@ side of a split is fixed by its dimension.
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from fractions import Fraction
@@ -25,7 +24,6 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
 
-log = logging.getLogger(__name__)
 
 CACHE_VERSION = "tautint-psi-cache v1"
 
@@ -224,7 +222,11 @@ def load_cache(path: str | Path) -> int:
             if not d or min(d) < 0 or not is_stable(g, len(d)) or sum(d) != 3 * g - 3 + len(d):
                 raise ValueError("inconsistent index")
         except (ValueError, ZeroDivisionError) as exc:
-            log.warning("skipping corrupted cache line %d (%s): %r", lineno, exc, line)
+            import logging  # only here, so that importing tautint does not load logging
+
+            logging.getLogger(__name__).warning(
+                "skipping corrupted cache line %d (%s): %r", lineno, exc, line
+            )
             continue
         with _cache_lock:
             _cache.setdefault((g, tuple(sorted(d, reverse=True))), val)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -16,6 +15,8 @@ class CheckReport:
     details: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
+        import json  # only here, so that importing tautint does not load json
+
         payload = {
             "check": self.check,
             "parameters": {k: str(v) for k, v in sorted(self.parameters.items())},

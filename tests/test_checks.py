@@ -2,6 +2,8 @@ import hashlib
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from tautint import checks, omega
 from tautint.checks import (
     SMALL_GRID,
@@ -18,6 +20,7 @@ from tautint.checks import (
     iter_suite,
     pairing_basis,
 )
+from tautint.polys import TautPolynomial
 
 
 def test_pairing_basis_shape():
@@ -184,3 +187,55 @@ def test_failing_reports_text(monkeypatch):
         "4362a382e2844490a88952f8ba51821e6fad3a3cab99d43c649182a830941061"
     )
     assert digest(footnote) == "410007d0b48a85374ff07c3845da7fd1e8731cd3fe28c6c0e8a8ed8e40257c5d"
+
+
+def test_linear_product_matches_polynomial_product():
+    # the product and inverse in the ring, one multiply per root, as the
+    # oracle of the coefficient-list recurrences
+    def ring_product(n, i, trunc, roots, invert):
+        one, psi_i = TautPolynomial.one(n, trunc), TautPolynomial.psi(i, n, trunc)
+        out = one
+        for t in roots:
+            out = out * (one + psi_i.scale(t))
+        return out.inverse() if invert else out
+
+    root_lists = ([], [F(0)], [F(-2)], [F(-3, 2), F(1, 3)], [F(2, 3), F(2, 3)], [F(5, 4), F(0), F(-5, 4), 2])
+    for n in range(1, 5):
+        for trunc in range(7):
+            for roots in root_lists:
+                for invert in (False, True):
+                    for i in {1, n}:
+                        want = ring_product(n, i, trunc, roots, invert)
+                        assert checks._linear_product(n, i, trunc, roots, invert) == want
+
+
+@pytest.mark.parametrize(
+    "k, d, failing",
+    [
+        (0, (1,), {"string"}),  # <psi^d> upstairs: the left side of the string row d
+        (1, (1,), {"pullback", "dilaton"}),  # <psi^d psi_2>: pullback k=0 and dilaton, row d
+        (1, (0,), {"pullback", "dilaton"}),
+    ],
+)
+def test_one_wrong_pairing_fails_the_rows_that_read_it(monkeypatch, k, d, failing):
+    # move one Mbar_{g,n+1} pairing by 10^-12: the rows that read it, and no
+    # others, must fail, each with its own detail line; a cross-multiplication
+    # of the wrong pair of numerators and denominators would not show this
+    g, n, r, s, x = 1, 1, 2, 1, F(-1, 2)
+    a = admissible_a(g, n, r, s)
+    target, eps = ((), d + (k,)), F(1, 10**12)
+    pairings = checks.omega_pairings
+
+    def moved(g_, n_, spec, monos):
+        out = pairings(g_, n_, spec, monos)
+        if n_ == n + 1 and target in out:
+            out[target] += eps
+        return out
+
+    true = pairings(g, n + 1, checks.OmegaSpec(r, s, a + (s,), x), [target])[target]
+    monkeypatch.setattr(checks, "omega_pairings", moved)
+    reports = {rep.check: rep for rep in _pullback_family(g, n, r, s, a, x)}
+    assert {name for name, rep in reports.items() if not rep.passed} == failing
+    row = f"d={d}: lhs={true + eps} rhs={true}"
+    for name in failing:
+        assert reports[name].details == [f"k=0 {row}" if name == "pullback" else row]

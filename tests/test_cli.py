@@ -174,6 +174,16 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.returncode == 1 and "Traceback" not in err, err
 
 
+def test_import_loads_neither_json_nor_logging():
+    # both are imported where they are used (a report's to_json, a corrupted
+    # psi cache line), so a bare `import tautint` starts without them; -S
+    # keeps site from importing anything on its own
+    env = dict(os.environ, PYTHONPATH=str(Path(tautint.__file__).parents[1]))
+    code = "import tautint, sys; print(sorted({'json', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+
+
 def test_unwritable_cache_warns(tmp_path, capsys):
     path = tmp_path / "missing-dir" / "psi.txt"
     code = main(["chi", "1", "1", "--cache", str(path)])
@@ -372,6 +382,17 @@ def test_test_class_power_above_dimension_is_zero_at_once():
     args = ["-m", "tautint", "omega", "1", "1", "2", "0", "2", "--test-class", "k1^1000000000"]
     proc = run_python(args, timeout=10)
     assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
+def test_call_count_repeats_exactly():
+    # every code object counts, so two cold runs of one workload agree
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    cmd = [sys.executable, str(root / "scripts" / "call_count.py"), "--workload", "closed_form"]
+    runs = [subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=120) for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr
+    first, second = (json.loads(run.stdout) for run in runs)
+    assert first == second and first["correct"] is True and first["calls"] > 0
 
 
 @pytest.mark.parametrize(

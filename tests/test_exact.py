@@ -14,6 +14,7 @@ from tautint.exact import (
     solve_linear,
     stirling_generalized_first,
     stirling_generalized_second,
+    sum_by_denominator,
 )
 
 from oracles import (
@@ -65,6 +66,17 @@ def test_bernoulli_reflection_and_minus_one():
         assert bernoulli_poly(m, F(0)) == (-1) ** m * bernoulli_poly(m, F(1))
     for m in range(13):
         assert bernoulli_poly(m, F(-1)) == bernoulli_number(m) + (-1) ** m * m
+
+
+def test_sum_by_denominator():
+    # a table {denominator: summed integer numerator}
+    assert sum_by_denominator({}) == 0
+    assert sum_by_denominator({4: 1, 2: -1, 8: 2}) == 0  # 1/4 - 1/2 + 2/8
+    assert sum_by_denominator({2: 1, 3: 1}) == F(5, 6)
+    half = sum_by_denominator({6: 3})
+    assert half == F(1, 2) and (half.numerator, half.denominator) == (1, 2)
+    assert sum_by_denominator({3: -7, 5: 2, 1: -1}) == F(-7, 3) + F(2, 5) - 1
+    assert sum_by_denominator({9: -3}).denominator == 3
 
 
 def test_power_sum_examples():
