@@ -24,6 +24,12 @@ value checked:
   class reads only degree 2 of Omega on spaces with tens of thousands of
   graph orbits, each cold, its printed value compared with a pinned one.
 
+With `--against` it also runs 12 alternating pairs of cold
+`perfbench/workload.py --workload W --seed 0` runs per workload, each in a
+fresh interpreter, and records per side the `run_s` of every run, their
+median and quartiles, and the number of pairs in which that side was the
+faster one: three runs per side cannot resolve a change of 10-30 %.
+
 Beside the times it records a measure of the work that does not depend on
 the machine: per workload, the function calls of one cold
 `perfbench/workload.py --workload W --seed 0` run, as scripts/call_count.py
@@ -63,6 +69,7 @@ from pathlib import Path
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
 CALL_COUNT = Path(__file__).resolve().parent / "call_count.py"
 TRACE0_RUNS = 3
+COLD_PAIRS = 12
 
 # the digest that tests/test_omega.py::PINNED_BATCHES pins for this batch (M23-r7)
 FRONTIER_DIGEST = "05645631499edc2b9844995c8e6e4846fb0d15df5c6d553399d94d61fe5c3fbf"
@@ -244,6 +251,7 @@ def new_record(checkout: Path) -> dict:
         "frontier_enumeration": [],
         "frontier_many_marking": [],
         "call_counts": {},
+        "cold_pairs": {},
     }
 
 
@@ -262,9 +270,12 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
         turn += 1
         return sides if turn % 2 else sides[::-1]
 
+    def run_src(checkout: Path, cmd: list[str]) -> dict:
+        """The final JSON line of cmd, run in the checkout on its src/."""
+        return last_json_line(cmd, checkout, {**env, "PYTHONPATH": str(checkout / "src")})
+
     def run_case(checkout: Path, code: str) -> dict:
-        src_env = {**env, "PYTHONPATH": str(checkout / "src")}
-        return last_json_line([sys.executable, "-c", code], checkout, src_env)
+        return run_src(checkout, [sys.executable, "-c", code])
 
     for workload in WORKLOADS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace"]
@@ -302,6 +313,24 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
         for checkout, record in each_side():
             print(f"{bench_name(record)}: {workload} cProfile call count", flush=True)
             record["call_counts"][workload] = call_count(checkout, workload, env)
+    if len(sides) == 2:
+        for workload in WORKLOADS:
+            cmd = [sys.executable, "perfbench/workload.py", "--workload", workload, "--seed", "0"]
+            for k in range(COLD_PAIRS):
+                for checkout, record in each_side():
+                    step = f"{workload} cold ({k + 1}/{COLD_PAIRS})"
+                    print(f"{bench_name(record)}: {step}", flush=True)
+                    run = run_src(checkout, cmd)
+                    entry = record["cold_pairs"].setdefault(workload, {"run_s": []})
+                    entry["run_s"].append(run["run_s"])
+                    entry["correct"] = entry.get("correct", True) and run["correct"]
+        for (_, mine), (_, other) in zip(sides, sides[::-1]):
+            for workload, entry in mine["cold_pairs"].items():
+                theirs = other["cold_pairs"][workload]["run_s"]
+                entry["median"] = statistics.median(entry["run_s"])
+                entry["quartiles"] = statistics.quantiles(entry["run_s"], n=4)
+                entry["wins"] = sum(a < b for a, b in zip(entry["run_s"], theirs))
+                entry["pairs"] = len(theirs)
     return [record for _, record in sides]
 
 
@@ -346,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         checks += [case["correct"] for case in record["frontier_enumeration"]]
         checks += [case["correct"] for case in record["frontier_many_marking"]]
         checks += [entry["correct"] for entry in record["call_counts"].values()]
+        checks += [entry["correct"] for entry in record["cold_pairs"].values()]
         if not all(checks):
             print(f"{path.name}: a benchmarked value is wrong", file=sys.stderr)
             status = 1

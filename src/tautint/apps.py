@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .exact import bernoulli_number
+from .exact import bernoulli_number, sum_by_denominator
 from .hodge import hodge_monomial
 from .omega import OmegaSpec, omega_integral
 from .polys import partitions
@@ -55,27 +55,28 @@ def chi_via_hodge(g: int, n: int) -> RouteResult:
 
     The integrand is symmetric in the added points, so each multiset of
     their exponents is integrated once, weighted by its l!/prod mult!
-    orderings."""
+    orderings: 1/prod mult! after the 1/l!.  The terms are summed as integer
+    numerators per denominator."""
     _require_stable(g, n)
     dim = 3 * g - 3 + n
-    total = Fraction(0)
+    sums: dict[int, int] = {}
     # l = 0: the integrand is the bare lambda_dim, which exists when dim <= g
     if dim <= g:
-        total += hodge_monomial(g, n, (dim,) if dim else (), (), (0,) * n)
+        v = hodge_monomial(g, n, (dim,) if dim else (), (), (0,) * n)
+        sums[v.denominator] = (-1) ** dim * v.numerator
     for ell in range(1, dim + 1):
-        block = Fraction(0)
         # each added point carries sum_{e>=2} (-1)^e psi^e
         for i in range(g + 1):
             starget = dim + ell - i
             if starget < 2 * ell:
                 continue
             lam = (i,) if i else ()
-            sign = (-1) ** starget
+            sign = (-1) ** (dim + starget)
             for exps in partitions(starget, ell, 2):
-                orderings = factorial(ell) // prod(map(factorial, Counter(exps).values()))
-                block += sign * orderings * hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
-        total += block / factorial(ell)
-    return RouteResult(g, n, (-1) ** dim * total, "hodge_sum")
+                v = hodge_monomial(g, n + ell, lam, (), (0,) * n + exps)
+                den = prod(map(factorial, Counter(exps).values())) * v.denominator
+                sums[den] = sums.get(den, 0) + sign * v.numerator
+    return RouteResult(g, n, sum_by_denominator(sums), "hodge_sum")
 
 
 def chi_via_omega(g: int, n: int) -> RouteResult:

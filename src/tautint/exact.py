@@ -128,7 +128,7 @@ def sum_by_denominator(sums: dict[int, int]) -> Fraction:
     summed per denominator, over their least common denominator and reduced
     once: a sum of many fractions without a Fraction per term.  0 when empty."""
     den = lcm(*sums)
-    return Fraction(sum(num * (den // d) for d, num in sums.items()), den)
+    return Fraction(sum([num * (den // d) for d, num in sums.items()]), den)
 
 
 def solve_linear(rows: list[list[Rat]]) -> list[Fraction]:

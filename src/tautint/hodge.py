@@ -21,8 +21,14 @@ psi'^i (-psi'')^j, lambda splits that put lambda_p
 with p > h on a side of genus h are skipped, and hodge_pair pairs each lambda
 term only with the kappa/psi terms of complementary degree.  Every term left
 out is exactly 0.  The stability of both sides bounds the genus range once
-per marked-point split, and the products of the two sides are summed as
-integers per denominator and reduced once per sum.
+per marked-point split.
+
+Every sum of the recursion (the kappa, string, Newton and boundary sums) and
+of `hodge_pair_by_degree` adds integer numerators per denominator and is
+reduced once at its end; the memo holds reduced Fractions.  Keys reach
+`_hodge_core` canonical (`hodge_monomial` sorts the public arguments), and
+the lambda-free integrals go straight to the memoised kappa/psi kernel,
+which checks each of its keys once.
 """
 
 from __future__ import annotations
@@ -30,10 +36,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import lcm
 
-from .exact import Rat, bernoulli_number
-from .intersect import _added_point_terms, integrate_monomial
+from .exact import Rat, bernoulli_number, sum_by_denominator
+from .intersect import _added_point_terms, _integrate_core
 from .polys import (
     KappaPart,
     Monomial,
@@ -44,7 +49,7 @@ from .polys import (
     series_inverse,
     series_mul,
 )
-from .psi import is_stable, multiset_splits, runs
+from .psi import _desc, is_stable, multiset_splits, runs
 
 LambdaPart = tuple[int, ...]  # sorted descending, indices >= 1
 LambdaDict = dict[LambdaPart, Fraction]
@@ -60,10 +65,6 @@ def hodge_monomial(g: int, n: int, lambdas, kappa: KappaPart = (), psi: PsiPart 
     return _hodge_core(g, n, _desc(lambdas), tuple(sorted(kappa)), _desc(psi))
 
 
-def _desc(t) -> tuple[int, ...]:
-    return tuple(sorted(t, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiPart) -> Fraction:
     """hodge_monomial on canonical keys: lambdas and psi sorted descending,
@@ -76,45 +77,46 @@ def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiP
     if sum(lambdas) + monomial_degree((kappa, psi)) != dim:
         return Fraction(0)
     if not lambdas:
-        return integrate_monomial(g, n, kappa, psi)
+        return _integrate_core(g, n, kappa, psi)
+    sums: dict[int, int] = {}
     if kappa:
-        acc = Fraction(0)
         for coef, mu in _added_point_terms(kappa):
-            acc += coef * _hodge_core(
-                g, n + len(mu), lambdas, (), _desc(psi + tuple(m + 1 for m in mu))
-            )
-        return acc
+            v = _hodge_core(g, n + len(mu), lambdas, (), _desc(psi + tuple(m + 1 for m in mu)))
+            sums[v.denominator] = sums.get(v.denominator, 0) + coef * v.numerator
+        return sum_by_denominator(sums)
 
     # lambda classes pull back along the map forgetting a point, so the
     # string and dilaton equations hold as for pure psi integrals
     if psi and psi[-1] == 0 and is_stable(g, n - 1):
         rest = psi[:-1]
-        acc = Fraction(0)
         for i, e, c in runs(rest):
             if e >= 1:
                 j = i + c - 1
-                acc += c * _hodge_core(g, n - 1, lambdas, (), rest[:j] + (e - 1,) + rest[j + 1 :])
-        return acc
+                v = _hodge_core(g, n - 1, lambdas, (), rest[:j] + (e - 1,) + rest[j + 1 :])
+                sums[v.denominator] = sums.get(v.denominator, 0) + c * v.numerator
+        return sum_by_denominator(sums)
     if 1 in psi and is_stable(g, n - 1):
         i = psi.index(1)
         return (2 * g - 3 + n) * _hodge_core(g, n - 1, lambdas, (), psi[:i] + psi[i + 1 :])
 
     k = lambdas[0]
     rest = lambdas[1:]
-    acc = Fraction(0)
     for m in range(1, k + 1):
         bval = bernoulli_number(m + 1)
         if bval == 0:
             continue
-        coef = Fraction((-1) ** (m - 1), k) * bval / (m + 1)
+        # the Newton coefficient (-1)^(m-1) B_{m+1} / (k (m+1)) as num / den
+        num = (-1) ** (m - 1) * bval.numerator
+        den = k * (m + 1) * bval.denominator
         sub = rest if m == k else _desc(rest + (k - m,))
-
-        term = _hodge_core(g, n, sub, ((m, 1),), psi)
+        v = _hodge_core(g, n, sub, ((m, 1),), psi)
+        sums[den * v.denominator] = sums.get(den * v.denominator, 0) + num * v.numerator
         for i, e, c in runs(psi):  # symmetric in equal exponents
-            term -= c * _hodge_core(g, n, sub, (), _desc(psi[:i] + (e + m,) + psi[i + 1 :]))
-        term += Fraction(1, 2) * _boundary_terms(g, n, sub, psi, m)
-        acc += coef * term
-    return acc
+            v = _hodge_core(g, n, sub, (), _desc(psi[:i] + (e + m,) + psi[i + 1 :]))
+            sums[den * v.denominator] = sums.get(den * v.denominator, 0) - c * num * v.numerator
+        v = _boundary_terms(g, n, sub, psi, m)  # enters with weight 1/2
+        sums[2 * den * v.denominator] = sums.get(2 * den * v.denominator, 0) + num * v.numerator
+    return sum_by_denominator(sums)
 
 
 def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -> Fraction:
@@ -150,8 +152,7 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
                     b = _hodge_core(g2, n2, lam2, (), _desc(right + (j,)))
                     den = a.denominator * b.denominator
                     sums[den] = sums.get(den, 0) + (-1) ** j * ways * a.numerator * b.numerator
-    den = lcm(*sums)
-    return Fraction(sum(num * (den // d) for d, num in sums.items()), den)
+    return sum_by_denominator(sums)
 
 
 @lru_cache(maxsize=None)
@@ -183,14 +184,17 @@ def hodge_pair_by_degree(
     forming the product: each lambda term meets only the terms of P of
     complementary degree."""
     room = 3 * g - 3 + n - (monomial_degree(mono) if mono else 0)
-    acc = Fraction(0)
+    sums: dict[int, int] = {}
     for ltuple, lc in lam:
         if lc == 0:
             continue
         for term, c in by_degree.get(room - sum(ltuple), ()):
             kappa, psi = monomial_product(term, mono) if mono else term
-            acc += lc * c * hodge_monomial(g, n, ltuple, kappa, psi)
-    return acc
+            v = hodge_monomial(g, n, ltuple, kappa, psi)
+            if v:
+                den = lc.denominator * c.denominator * v.denominator
+                sums[den] = sums.get(den, 0) + lc.numerator * c.numerator * v.numerator
+    return sum_by_denominator(sums)
 
 
 # -- lambda-series helpers -----------------------------------------------------

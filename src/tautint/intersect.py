@@ -12,6 +12,12 @@ ride along (psi_B^{b_B+1} kills the boundary corrections of their pullbacks),
 so int kappa-monomial * prod psi^d is a signed sum of pure psi integrals on
 Mbar_{g,n+|P|}.  For n = 0 only kappa monomials occur, and the same expansion
 applies.
+
+The terms of that sum are added as integer numerators per denominator and
+reduced once.  Each memo entry checks its key once (stable, psi exponents
+nonnegative, degree equal to the dimension); the psi integrals it then
+reads are valid keys by construction, so they are looked up without the
+checks of `psi_integral`.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact import sum_by_denominator
 from .polys import KappaPart, PsiPart, monomial_degree
-from .psi import is_stable, multiset_splits, psi_integral
+from .psi import _desc, _psi_value, is_stable, multiset_splits
 
 
 def _added_point_terms(kappa: KappaPart) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -66,12 +73,15 @@ def integrate_monomial(g: int, n: int, kappa: KappaPart, psi: PsiPart) -> Fracti
 def _integrate_core(g: int, n: int, kappa: KappaPart, psi: PsiPart) -> Fraction:
     if not is_stable(g, n):
         raise ValueError(f"unstable moduli space (g={g}, n={n})")
+    if psi and psi[-1] < 0:
+        raise ValueError("psi exponents must be nonnegative")
     dim = 3 * g - 3 + n
     if monomial_degree((kappa, psi)) != dim:
         return Fraction(0)
     if not kappa:
-        return psi_integral(g, psi)
-    acc = Fraction(0)
+        return _psi_value(g, psi)
+    sums: dict[int, int] = {}
     for coef, mu in _added_point_terms(kappa):
-        acc += coef * psi_integral(g, psi + tuple(m + 1 for m in mu))
-    return acc
+        val = _psi_value(g, _desc(psi + tuple(m + 1 for m in mu)))
+        sums[val.denominator] = sums.get(val.denominator, 0) + coef * val.numerator
+    return sum_by_denominator(sums)

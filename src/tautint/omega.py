@@ -548,16 +548,22 @@ def omega_r1_parts(
     """
     x = Fraction(x)
     lam = lambda_total(-x, g, trunc)
-    # the residue-0 parts of the kappa, leg and edge series assemble into
-    # Lambda(x)^{-1} (Mumford's formula); the differences remain
-    zero = bernoulli_series(0, x, trunc)
-    kser = bernoulli_series(s, x, trunc)
-    P = exp_kappa_series({m: kser[m] - c0 for m, c0 in zero.items()}, n, trunc)
+    P = exp_kappa_series(dict(_r1_shift(s, x, trunc)), n, trunc)
     for i, ai in enumerate(a, start=1):
         if ai != 0:
-            leg = bernoulli_series(ai, x, trunc)
-            P = P * exp_psi_series(i, {m: c0 - leg[m] for m, c0 in zero.items()}, n, trunc)
+            leg = {m: -c for m, c in _r1_shift(ai, x, trunc)}
+            P = P * exp_psi_series(i, leg, n, trunc)
     return lam, P
+
+
+@lru_cache(maxsize=None)
+def _r1_shift(u: int, x: Fraction, trunc: int) -> tuple[tuple[int, Fraction], ...]:
+    """(m, c_m(u) - c_m(0)) for the coefficients c_m of bernoulli_series(u, x,
+    trunc).  The residue-0 parts of the kappa, leg and edge series assemble
+    into Lambda(x)^{-1} (Mumford's formula); these differences remain, the
+    kappa series at u = s and each leg series at u = a_i."""
+    zero = bernoulli_series(0, x, trunc)
+    return tuple((m, c - zero[m]) for m, c in bernoulli_series(u, x, trunc).items())
 
 
 @lru_cache(maxsize=None)

@@ -296,21 +296,23 @@ def exp_kappa_series(coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautP
     if any(m < 1 for m in coeffs):
         raise ValueError("kappa indices start at 1")
     parts = sorted((m, Fraction(c)) for m, c in coeffs.items() if c and m <= trunc)
-    # (kappa part, degree, coefficient), extended one index at a time
-    acc: list[tuple[KappaPart, int, Fraction]] = [((), 0, Fraction(1))]
+    # (kappa part, degree, numerator, denominator), extended one index at a
+    # time; each coefficient is reduced once, at the end
+    acc: list[tuple[KappaPart, int, int, int]] = [((), 0, 1, 1)]
     for m, c in parts:
         nxt = []
-        for kappa, deg, coef in acc:
-            nxt.append((kappa, deg, coef))
+        for kappa, deg, num, den in acc:
+            nxt.append((kappa, deg, num, den))
             e = 1
             while deg + e * m <= trunc:
-                coef = coef * c / e
-                nxt.append((kappa + ((m, e),), deg + e * m, coef))
+                num *= c.numerator
+                den *= c.denominator * e
+                nxt.append((kappa + ((m, e),), deg + e * m, num, den))
                 e += 1
         acc = nxt
     out = TautPolynomial(n_points, trunc)
     unit = (0,) * n_points
-    out.terms = {(kappa, unit): coef for kappa, _, coef in acc}
+    out.terms = {(kappa, unit): Fraction(num, den) for kappa, _, num, den in acc}
     return out
 
 

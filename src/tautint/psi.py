@@ -11,6 +11,14 @@ quadratic term runs over sub-multisets of the remaining exponents, the split
 taking t_k of the c_k points with the k-th exponent weighted by
 prod_k comb(c_k, t_k), instead of over all 2^m subsets.  The genus of each
 side of a split is fixed by its dimension.
+
+Within one memo entry every term adds its integer numerator to a
+{denominator: numerator} table, which is brought over one denominator and
+reduced once (`exact.sum_by_denominator`); the memo holds reduced Fractions.
+The recursion, and the kappa and Hodge kernels built on it, look values up
+through `_psi_value`, which takes a key already known to be valid and
+checks nothing; `psi_integral` validates its arguments for every other
+caller.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from itertools import product as iproduct
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .exact import sum_by_denominator
 
 
 CACHE_VERSION = "tautint-psi-cache v1"
@@ -67,13 +77,19 @@ def psi_integral(g: int, d: Iterable[int]) -> Fraction:
         raise ValueError(f"unstable moduli space (g={g}, n={n})")
     if sum(d) != 3 * g - 3 + n:
         return Fraction(0)
-    key = (g, tuple(sorted(d, reverse=True)))
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
-    val = _compute(g, key[1])
-    with _cache_lock:
-        _cache.setdefault(key, val)
+    return _psi_value(g, tuple(sorted(d, reverse=True)))
+
+
+def _psi_value(g: int, d: tuple[int, ...]) -> Fraction:
+    """psi_integral on a key that is already valid: (g, len(d)) stable, d
+    sorted descending, nonnegative and of total degree 3g-3+n.  Nothing is
+    checked; the recursions here and in the kappa and Hodge kernels only
+    build such keys."""
+    val = _cache.get((g, d))
+    if val is None:
+        val = _compute(g, d)
+        with _cache_lock:
+            val = _cache.setdefault((g, d), val)
     return val
 
 
@@ -122,50 +138,52 @@ def _compute(g: int, d: tuple[int, ...]) -> Fraction:
     if (g, n) == (1, 1):
         return Fraction(1, 24)  # seeded: L_0 central term
 
+    sums: dict[int, int] = {}
     if d[-1] == 0 and is_stable(g, n - 1):
         # string: lower the last copy of each exponent >= 1, keeping the order
         rest = d[:-1]
-        acc = Fraction(0)
         for i, v, c in runs(rest):
             if v >= 1:
                 j = i + c - 1
-                acc += c * psi_integral(g, rest[:j] + (v - 1,) + rest[j + 1 :])
-        return acc
+                val = _psi_value(g, rest[:j] + (v - 1,) + rest[j + 1 :])
+                sums[val.denominator] = sums.get(val.denominator, 0) + c * val.numerator
+        return sum_by_denominator(sums)
 
     if 1 in d and is_stable(g, n - 1):
         i = d.index(1)
-        return (2 * g - 3 + n) * psi_integral(g, d[:i] + d[i + 1 :])
+        return (2 * g - 3 + n) * _psi_value(g, d[:i] + d[i + 1 :])
 
-    # all exponents >= 2: DVV on the largest one
+    # all exponents >= 2: DVV on the largest one, every term doubled so that
+    # the quadratic half is an integer weight
     d1 = d[0]
     rest = d[1:]
-    acc = Fraction(0)
     for i, dj, c in runs(rest):
-        others = rest[:i] + rest[i + 1 :]
-        acc += Fraction(c * _dfact(2 * (d1 + dj) - 1), _dfact(2 * dj - 1)) * psi_integral(
-            g, (d1 + dj - 1,) + others
-        )
+        # d1 + dj - 1 > d1 >= the others, so the key stays sorted
+        val = _psi_value(g, (d1 + dj - 1,) + rest[:i] + rest[i + 1 :])
+        den = _dfact(2 * dj - 1) * val.denominator
+        sums[den] = sums.get(den, 0) + 2 * c * _dfact(2 * (d1 + dj) - 1) * val.numerator
     splits = multiset_splits(rest)
-    quad = Fraction(0)
     for a in range(d1 - 1):
         b = d1 - 2 - a
         w = _dfact(2 * a + 1) * _dfact(2 * b + 1)
         if g >= 1 and is_stable(g - 1, n + 1):
-            quad += w * psi_integral(g - 1, (a, b) + rest)
+            val = _psi_value(g - 1, _desc((a, b) + rest))
+            sums[val.denominator] = sums.get(val.denominator, 0) + w * val.numerator
         for left, right, ways, left_deg in splits:
             # the genus of the left side is fixed by its dimension
             g1, r = divmod(a + left_deg - len(left) + 2, 3)
             if r or not 0 <= g1 <= g:
                 continue
             if is_stable(g1, len(left) + 1) and is_stable(g - g1, len(right) + 1):
-                quad += (
-                    w
-                    * ways
-                    * psi_integral(g1, (a,) + left)
-                    * psi_integral(g - g1, (b,) + right)
-                )
-    acc += quad / 2
-    return acc / _dfact(2 * d1 + 1)
+                x = _psi_value(g1, _desc((a,) + left))
+                y = _psi_value(g - g1, _desc((b,) + right))
+                den = x.denominator * y.denominator
+                sums[den] = sums.get(den, 0) + w * ways * x.numerator * y.numerator
+    return sum_by_denominator(sums) / (2 * _dfact(2 * d1 + 1))
+
+
+def _desc(t: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(t, reverse=True))
 
 
 # -- cache persistence --------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from oracles import added_point_terms_by_compositions, integrate_exp_kappa
 
 from tautint.exact import interpolate_polynomial
-from tautint.hodge import hodge_pair
+from tautint.hodge import hodge_monomial, hodge_pair
 from tautint.intersect import _added_point_terms, integrate_monomial
 from tautint.polys import TautPolynomial, compositions, exp_kappa_series
 from tautint.psi import is_stable
@@ -172,3 +172,14 @@ def test_integrate_monomial_is_a_coefficient_of_integrate_exp_kappa(g, n):
         )
         want = coef * prod(factorial(e) for _, e in kappa)
         assert integrate_monomial(g, n, kappa, psi) == want, (g, n, kappa, psi)
+
+
+def test_negative_psi_exponent_raises():
+    # the kernels look psi integrals up unchecked, so a negative exponent
+    # must be refused where the public calls enter
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_monomial(0, 4, (), (2, -1, 0, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_monomial(0, 4, ((1, 1),), (1, -1, 0, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        hodge_monomial(1, 2, (1,), (), (2, -1))
