@@ -14,7 +14,8 @@ import argparse
 import sys
 from itertools import product
 
-from tautint.omega import OmegaSpec, degree_bound_check
+from tautint.checks import degree_bound_check
+from tautint.omega import OmegaSpec
 from tautint.psi import is_stable
 
 

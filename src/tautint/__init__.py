@@ -20,6 +20,7 @@ from .apps import (
     mv_via_hodge,
     mv_via_omega,
 )
+from .checks import degree_bound_check
 from .exact import (
     Rat,
     bernoulli_number,
@@ -38,13 +39,7 @@ from .graphs import (
 )
 from .hodge import hodge_monomial, hodge_pair
 from .intersect import integrate_monomial
-from .omega import (
-    OmegaConstraintError,
-    OmegaSpec,
-    degree_bound_check,
-    omega_integral,
-    omega_pairings,
-)
+from .omega import OmegaConstraintError, OmegaSpec, omega_integral, omega_pairings
 from .polys import (
     EdgeSeries,
     TautPolynomial,

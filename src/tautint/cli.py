@@ -5,8 +5,9 @@ verify) renders floats with a warning, since nothing internal is inexact.
 Exit codes: 0 success, 1 a verification failed or stdout was closed early
 (the rest goes to os.devnull, with no traceback), 2 usage (malformed tokens,
 an unstable (g, n), 3g-3+n above DIM_HARD_CAP, or above GRAPH_DIM_CAP for
-omega and table, an unreadable --cache file), which is reported on one
-"error:" line before any computation starts.
+omega and table, r^g above WEIGHTING_CAP for omega with r > 1, an unreadable
+--cache file), which is reported on one "error:" line before any computation
+starts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ from .psi import is_stable, stable_types
 # sum, and table runs every chi route on every space up to --dimmax.
 DIM_HARD_CAP = 12
 GRAPH_DIM_CAP = 10
+# omega with r > 1 runs the graph sum, which builds up to r^g mod-r weightings
+# per stable graph.  On a 2-core Intel Xeon the slowest call measured within
+# the cap, `omega 4 1 5 0 0` (r^g = 625), takes 27-35 s and 266 MB, while
+# `omega 4 1 10 0 0` runs out of 2 GB and `omega 1 1 100000 0 0` takes > 300 s.
+WEIGHTING_CAP = 10**3
 CACHE_ENV_VAR = "TAUTINT_CACHE"
 
 
@@ -151,6 +157,8 @@ def cmd_omega(ns: argparse.Namespace) -> int:
         return _usage_error("need one a_i per marked point")
     if ns.route == "closed" and ns.r != 1:
         return _usage_error("--route closed needs r = 1")
+    if ns.r**ns.g > WEIGHTING_CAP:
+        return _usage_error(f"r^g exceeds the cap of {WEIGHTING_CAP} weightings per stable graph")
     if any(name == "psi" and i > ns.n for name, i, _ in ns.test_class):
         return _usage_error(f"--test-class names a psi beyond the {ns.n} marked points")
     try:

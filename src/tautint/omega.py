@@ -62,7 +62,6 @@ from .polys import (
     monomial_degree,
     monomial_product,
 )
-from .reports import CheckReport, first_failure
 
 
 class OmegaConstraintError(ValueError):
@@ -143,11 +142,7 @@ def _leg_coeffs(r: int, ai: int, xn: int, xd: int, trunc: int) -> tuple[tuple[in
     exp(-sum_m B_m psi^m), B the Bernoulli series at a_i/r, as (numerator,
     denominator) pairs."""
     coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), Fraction(xn, xd), trunc).items()}
-    terms = exp_psi_series(1, coeffs, 1, trunc).terms
-    return tuple(
-        (c.numerator, c.denominator)
-        for c in (terms.get(((), (k,)), Fraction(0)) for k in range(trunc + 1))
-    )
+    return tuple((c.numerator, c.denominator) for c in exp_psi_series(coeffs, trunc))
 
 
 @lru_cache(maxsize=None)
@@ -552,7 +547,7 @@ def omega_r1_parts(
     for i, ai in enumerate(a, start=1):
         if ai != 0:
             leg = {m: -c for m, c in _r1_shift(ai, x, trunc)}
-            P = P * exp_psi_series(i, leg, n, trunc)
+            P = P * TautPolynomial.psi_series(i, n, trunc, exp_psi_series(leg, trunc))
     return lam, P
 
 
@@ -581,49 +576,3 @@ def _pairings_closed(
     and kappa/psi terms of complementary degree."""
     lam, buckets = _r1_buckets(g, n, s, a)
     return {mono: hodge_pair_by_degree(g, n, lam, buckets, mono) for mono in monomials}
-
-
-# -- Riemann-Roch degree bounds --------------------------------------------------
-
-
-def degree_bound_check(g: int, n: int, spec: OmegaSpec, bound_formula: str) -> CheckReport:
-    """Vanishing of [deg = k].Omega above the rank bound.
-
-    bound_formula "jkv": g = 0, s = 0, a_i > 0 except at most one in {-1, 0};
-    the degree-k part vanishes for k > sum(a)/r - 1.
-    bound_formula "negative-s": s < 0, a_i > 0; vanishing for
-    k > ((2g-2+n)(-s) + r(g-1) + sum(a))/r.
-    The degree-k part pairs with T of degree dim-k as x^k times the x = 1
-    pairing, so the x = 1 pairings decide the vanishing.
-    """
-    spec.validate(g, n)
-    dim = 3 * g - 3 + n
-    if bound_formula == "jkv":
-        if g != 0 or spec.s != 0:
-            raise ValueError("jkv bound needs g = 0 and s = 0")
-        low = [ai for ai in spec.a if ai <= 0]
-        if len(low) > 1 or any(ai not in (-1, 0) for ai in low):
-            raise ValueError("jkv bound needs a_i > 0 except at most one in {-1, 0}")
-        bound = Fraction(sum(spec.a), spec.r) - 1
-    elif bound_formula == "negative-s":
-        if spec.s >= 0 or any(ai <= 0 for ai in spec.a):
-            raise ValueError("negative-s bound needs s < 0 and a_i > 0")
-        bound = Fraction(
-            (2 * g - 2 + n) * (-spec.s) + spec.r * (g - 1) + sum(spec.a), spec.r
-        )
-    else:
-        raise ValueError(f"unknown bound formula {bound_formula!r}")
-
-    ks = [k for k in range(dim + 1) if k > bound]
-    details: list[str] = []
-    for k in ks:
-        monos = [((), psi) for psi in compositions(dim - k, n, 0)]
-        pairs = omega_pairings(g, n, OmegaSpec(spec.r, spec.s, spec.a), monos)
-        for mono in monos:
-            if pairs[mono] != 0:
-                details.append(f"k={k} T=psi^{mono[1]}: coefficient {pairs[mono]}")
-    expected = f"degree-k pairings vanish for k > {bound}" if ks else f"vanishing above k > {bound}"
-    # scripts/degree_bounds_scan.py reads "vacuous" in `got`
-    ok = "all zero" if ks else f"vacuous (bound >= dim = {dim})"
-    params = {"g": g, "n": n, "spec": spec}
-    return first_failure(f"degree_bound_{bound_formula}", params, expected, details, ok)

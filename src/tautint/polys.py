@@ -1,10 +1,14 @@
 """Truncated polynomial algebra in kappa_m and per-point psi_i classes.
 
-One truncated sparse-series kernel (multiply, exp, inverse) serves the kappa/psi
-polynomials here and the edge and lambda series elsewhere.  The two
-exponentials the Omega class needs are built directly instead: exp of a
-kappa series by the partition formula prod c_m^{e_m}/e_m!, and exp of a
-one-point psi series by the recurrence k a_k = sum_m m b_m a_{k-m}.
+One truncated sparse-series kernel (multiply, exp, inverse) serves the edge
+and lambda series and the kappa/psi products here.  `TautPolynomial` holds
+a kappa/psi polynomial and keeps what the engine calls: the constructors
+`one`, `from_monomial` and `psi_series` (the single place a coefficient list
+is put on one psi_i), `*`, `==`, `by_degree` and the canonical `render`.
+The two exponentials the Omega class needs are built directly: exp of a
+kappa series by the partition formula prod c_m^{e_m}/e_m!, and the
+coefficient list of exp of a one-point psi series by the recurrence
+k a_k = sum_m m b_m a_{k-m}.
 
 A monomial is a pair (kappa, psi): `kappa` is a tuple of (index, exponent)
 pairs sorted by index, `psi` a tuple of n nonnegative exponents.  Its degree
@@ -145,12 +149,6 @@ class TautPolynomial:
             for mono, c in terms.items():
                 self._add_term(mono, c)
 
-    def _like(self, terms: Series) -> TautPolynomial:
-        """Wrap kernel output, already truncated and free of zeros."""
-        out = TautPolynomial(self.n_points, self.trunc)
-        out.terms = terms
-        return out
-
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -158,22 +156,18 @@ class TautPolynomial:
         return TautPolynomial(n_points, trunc, {((), (0,) * n_points): Fraction(1)})
 
     @staticmethod
-    def kappa(m: int, n_points: int, trunc: int) -> TautPolynomial:
-        if m < 1:
-            raise ValueError("kappa index must be >= 1 (kappa_0 is a scalar)")
-        return TautPolynomial(n_points, trunc, {(((m, 1),), (0,) * n_points): Fraction(1)})
-
-    @staticmethod
-    def psi(i: int, n_points: int, trunc: int, power: int = 1) -> TautPolynomial:
-        if not 1 <= i <= n_points:
-            raise ValueError("psi point index out of range")
-        e = [0] * n_points
-        e[i - 1] = power
-        return TautPolynomial(n_points, trunc, {((), tuple(e)): Fraction(1)})
-
-    @staticmethod
     def from_monomial(n_points: int, trunc: int, kappa: KappaPart, psi: PsiPart, c: Rat = 1) -> TautPolynomial:
         return TautPolynomial(n_points, trunc, {(tuple(sorted(kappa)), tuple(psi)): Fraction(c)})
+
+    @staticmethod
+    def psi_series(i: int, n_points: int, trunc: int, coeffs: list[Fraction]) -> TautPolynomial:
+        """sum_k coeffs[k] psi_i^k over k <= trunc, zero coefficients dropped."""
+        if not 1 <= i <= n_points:
+            raise ValueError("psi point index out of range")
+        out = TautPolynomial(n_points, trunc)
+        unit = (0,) * n_points
+        out.terms = {((), unit[: i - 1] + (k,) + unit[i:]): c for k, c in enumerate(coeffs[: trunc + 1]) if c}
+        return out
 
     # -- basic ring structure ----------------------------------------------
 
@@ -189,29 +183,12 @@ class TautPolynomial:
         else:
             self.terms[mono] = new
 
-    def _check_compatible(self, other: TautPolynomial) -> None:
+    def __mul__(self, other: TautPolynomial) -> TautPolynomial:
         if self.n_points != other.n_points or self.trunc != other.trunc:
             raise ValueError("mismatched n_points or truncation degree")
-
-    def __add__(self, other: TautPolynomial) -> TautPolynomial:
-        self._check_compatible(other)
-        out = TautPolynomial(self.n_points, self.trunc, dict(self.terms))
-        for mono, c in other.terms.items():
-            out._add_term(mono, c)
+        out = TautPolynomial(self.n_points, self.trunc)
+        out.terms = series_mul(self.terms, other.terms, self.trunc, monomial_degree, monomial_product)
         return out
-
-    def __sub__(self, other: TautPolynomial) -> TautPolynomial:
-        return self + other.scale(-1)
-
-    def scale(self, c: Rat) -> TautPolynomial:
-        c = Fraction(c)
-        if c == 0:
-            return TautPolynomial(self.n_points, self.trunc)
-        return self._like({m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other: TautPolynomial) -> TautPolynomial:
-        self._check_compatible(other)
-        return self._like(series_mul(self.terms, other.terms, self.trunc, monomial_degree, monomial_product))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -223,36 +200,12 @@ class TautPolynomial:
 
     # -- inspection ----------------------------------------------------------
 
-    def _unit(self) -> Monomial:
-        return ((), (0,) * self.n_points)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(self._unit(), Fraction(0))
-
     def by_degree(self) -> dict[int, tuple[tuple[Monomial, Fraction], ...]]:
         """The terms grouped by degree, for pairings that read one degree."""
         buckets: dict[int, list] = {}
         for mono, c in self.terms.items():
             buckets.setdefault(monomial_degree(mono), []).append((mono, c))
         return {deg: tuple(terms) for deg, terms in buckets.items()}
-
-    # -- series helpers ------------------------------------------------------
-
-    def exp(self) -> TautPolynomial:
-        """exp of a polynomial with zero constant term."""
-        if self.constant_term() != 0:
-            raise ValueError("exp needs vanishing constant term")
-        return self._like(
-            series_exp(self.terms, self._unit(), self.trunc, monomial_degree, monomial_product)
-        )
-
-    def inverse(self) -> TautPolynomial:
-        """Inverse of a polynomial with constant term 1 (geometric series)."""
-        if self.constant_term() != 1:
-            raise ValueError("inverse needs constant term 1")
-        return self._like(
-            series_inverse(self.terms, self._unit(), self.trunc, monomial_degree, monomial_product)
-        )
 
     def render(self) -> str:
         """Canonical text form, e.g. "1 - 3/4*k2 + 1/2*k1*psi2^2"."""
@@ -316,21 +269,16 @@ def exp_kappa_series(coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautP
     return out
 
 
-def exp_psi_series(i: int, coeffs: dict[int, Rat], n_points: int, trunc: int) -> TautPolynomial:
-    """exp(sum_m b_m psi_i^m), truncated: its coefficients a_k obey
+def exp_psi_series(coeffs: dict[int, Rat], trunc: int) -> list[Fraction]:
+    """The coefficients a_0, ..., a_trunc of exp(sum_m b_m psi^m): they obey
     k a_k = sum_m m b_m a_{k-m} with a_0 = 1."""
-    if not 1 <= i <= n_points:
-        raise ValueError("psi point index out of range")
     if any(m < 1 for m in coeffs):
         raise ValueError("psi powers start at 1")
     b = [(m, m * Fraction(c)) for m, c in sorted(coeffs.items()) if c and m <= trunc]
     a = [Fraction(1)]
     for k in range(1, trunc + 1):
         a.append(sum((mb * a[k - m] for m, mb in b if m <= k), Fraction(0)) / k)
-    out = TautPolynomial(n_points, trunc)
-    unit = (0,) * n_points
-    out.terms = {((), unit[: i - 1] + (k,) + unit[i:]): ak for k, ak in enumerate(a) if ak}
-    return out
+    return a
 
 
 # -- bivariate half-edge series ---------------------------------------------

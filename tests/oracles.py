@@ -40,7 +40,9 @@ from tautint.polys import (
     edge_local_factor,
     exp_kappa_series,
     exp_psi_series,
+    monomial_degree,
     monomial_product,
+    series_inverse,
     series_mul,
     vector_add,
 )
@@ -288,7 +290,7 @@ def _literal_vertex_base(r: int, s: int, x: Fraction, n_local: int, trunc: int, 
     P = exp_kappa_series(bernoulli_series(Fraction(s, r), x, trunc), n_local, trunc)
     for point, ai in leg_items:
         coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), x, trunc).items()}
-        P = P * exp_psi_series(point, coeffs, n_local, trunc)
+        P = P * TautPolynomial.psi_series(point, n_local, trunc, exp_psi_series(coeffs, trunc))
     return P
 
 
@@ -518,8 +520,9 @@ def descending_vectors(total: int, parts: int, maxpart: int):
 
 def psi_geometric(i: int, weight: Fraction, n_points: int, trunc: int) -> TautPolynomial:
     """sum_{k<=trunc} weight^k psi_i^k, the expansion of 1/(1 - weight*psi_i)."""
-    one = TautPolynomial.one(n_points, trunc)
-    return (one - TautPolynomial.psi(i, n_points, trunc).scale(weight)).inverse()
+    lin = TautPolynomial.psi_series(i, n_points, trunc, [Fraction(1), -weight]).terms
+    unit = ((), (0,) * n_points)
+    return TautPolynomial(n_points, trunc, series_inverse(lin, unit, trunc, monomial_degree, monomial_product))
 
 
 def edge_series_remultiply(series: EdgeSeries) -> dict[tuple[int, int], Fraction]:

@@ -20,7 +20,7 @@ from tautint.checks import (
     iter_suite,
     pairing_basis,
 )
-from tautint.polys import TautPolynomial
+from tautint.polys import TautPolynomial, monomial_degree, monomial_product, series_inverse
 
 
 def test_pairing_basis_shape():
@@ -193,11 +193,13 @@ def test_linear_product_matches_polynomial_product():
     # the product and inverse in the ring, one multiply per root, as the
     # oracle of the coefficient-list recurrences
     def ring_product(n, i, trunc, roots, invert):
-        one, psi_i = TautPolynomial.one(n, trunc), TautPolynomial.psi(i, n, trunc)
-        out = one
+        unit, psi_i = (0,) * n, tuple(int(j == i) for j in range(1, n + 1))
+        out = TautPolynomial.one(n, trunc)
         for t in roots:
-            out = out * (one + psi_i.scale(t))
-        return out.inverse() if invert else out
+            out = out * TautPolynomial(n, trunc, {((), unit): F(1), ((), psi_i): F(t)})
+        if not invert:
+            return out
+        return TautPolynomial(n, trunc, series_inverse(out.terms, ((), unit), trunc, monomial_degree, monomial_product))
 
     root_lists = ([], [F(0)], [F(-2)], [F(-3, 2), F(1, 3)], [F(2, 3), F(2, 3)], [F(5, 4), F(0), F(-5, 4), 2])
     for n in range(1, 5):

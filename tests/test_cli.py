@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tautint
 from tautint import cli
-from tautint.cli import DIM_HARD_CAP, GRAPH_DIM_CAP, main
+from tautint.cli import DIM_HARD_CAP, GRAPH_DIM_CAP, WEIGHTING_CAP, main
 from tautint.polys import TautPolynomial
 from tautint.psi import stable_types
 
@@ -279,6 +279,18 @@ def test_dimension_cap_applies_to_every_subcommand(args, capsys):
     assert err.count("\n") == 1 and f"cap of {cap}" in err
 
 
+def test_weighting_cap_refuses_huge_r_before_any_work(capsys):
+    # the graph sum would build r^g weightings per stable graph; at g = 0
+    # there is one per graph, so the same r still gives a value
+    r = str(10**400)
+    code, err = run_usage(["omega", "1", "1", r, "0", "0"], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert f"cap of {WEIGHTING_CAP}" in err
+    code, out = run_cli(["omega", "0", "3", r, "0", "0,0,0"], capsys)
+    assert code == 0 and out.strip() == f"1/{r}"
+
+
 def test_dimension_cap_admits_its_own_dimension(capsys):
     # dimension 12 runs for chi and hodge (both answers are immediate)
     for args, want in ((["chi", "5", "0"], "1/1056"), (["hodge", "5", "0", "1"], "0")):
@@ -372,8 +384,7 @@ def run_python(args, timeout):
 def test_test_class_is_one_monomial():
     # repeated factors merge, zero powers drop out, a degree above dim gives 0
     factors = cli._monomial_expr("psi1*k1*psi1^2*k2^0*psi3^0*k1")
-    k1 = TautPolynomial.kappa(1, 3, 6)
-    assert cli._test_class(factors, 2, 3) == TautPolynomial.psi(1, 3, 6, power=3) * k1 * k1
+    assert cli._test_class(factors, 2, 3) == TautPolynomial.from_monomial(3, 6, ((1, 2),), (3, 0, 0))
     assert cli._test_class(factors, 1, 3) == TautPolynomial(3, 3)
 
 

@@ -4,14 +4,13 @@ from fractions import Fraction as F
 import pytest
 from oracles import edge_configs_per_weighting, hodge_integral_via_omega, vertex_integral_literal
 
-from tautint import omega
-from tautint.checks import admissible_a, flat_basis
+from tautint import checks, omega
+from tautint.checks import admissible_a, degree_bound_check, flat_basis
 from tautint.graphs import graph_orbits
 from tautint.hodge import hodge_monomial, hodge_pair, lambda_total_inverse
 from tautint.omega import (
     OmegaConstraintError,
     OmegaSpec,
-    degree_bound_check,
     omega_integral,
     omega_pairings,
     omega_r1_parts,
@@ -29,7 +28,7 @@ def test_headline_values():
 
 def test_x_zero_reduces_to_covering_degree():
     # Omega^{[0]} is the pushforward of 1, i.e. r^{2g-1} times the unit
-    T = TautPolynomial.psi(1, 2, 2, power=2)
+    T = TautPolynomial.from_monomial(2, 2, (), (2, 0))
     spec = OmegaSpec(2, 1, (1, 1), F(0))
     assert omega_integral(1, 2, spec, T, route="graph-raw") == 2 * F(1, 24)
     assert omega_integral(0, 3, OmegaSpec(3, 0, (3, 3, 3), F(0))) == F(1, 3)
@@ -180,10 +179,10 @@ def test_lambda_pairings_graph_route_match_engine():
 def test_hodge_integral_via_omega_interpolation():
     T = TautPolynomial.one(1, 1)
     assert hodge_integral_via_omega(1, 1, 1, T) == F(1, 24)
-    T2 = TautPolynomial.psi(1, 1, 1)
+    T2 = TautPolynomial.from_monomial(1, 1, (), (1,))
     assert hodge_integral_via_omega(1, 1, 0, T2) == F(1, 24)
     # int lambda_1 psi_1 over Mbar_{1,2}
-    T3 = TautPolynomial.psi(1, 2, 2)
+    T3 = TautPolynomial.from_monomial(2, 2, (), (1, 0))
     assert hodge_integral_via_omega(1, 2, 1, T3) == F(1, 24)
     assert hodge_integral_via_omega(0, 4, 1, TautPolynomial.one(4, 1)) == 0
 
@@ -240,9 +239,9 @@ def test_degree_bound_check_failures(g, n, spec, formula, want, monkeypatch):
             degree_bound_check(g, n, spec, formula)
         return
     assert degree_bound_check(g, n, spec, formula).passed
-    pairings = omega.omega_pairings
+    pairings = checks.omega_pairings
     monkeypatch.setattr(
-        omega,
+        checks,
         "omega_pairings",
         lambda g, n, spec, monos: {m: v + F(spec.r, 7) for m, v in pairings(g, n, spec, monos).items()},
     )

@@ -12,6 +12,9 @@ from tautint.polys import (
     edge_local_factor,
     exp_kappa_series,
     exp_psi_series,
+    monomial_degree,
+    monomial_product,
+    series_exp,
 )
 
 
@@ -21,29 +24,29 @@ def P1(n=2, trunc=3):
 
 def test_truncation_kills_high_terms():
     one = TautPolynomial.one(1, 1)
-    psi = TautPolynomial.psi(1, 1, 1)
-    assert (one + psi) * (one - psi) == one  # psi^2 dies at trunc 1
+    plus, minus = (TautPolynomial.psi_series(1, 1, 1, [F(1), F(t)]) for t in (1, -1))
+    assert plus * minus == one  # psi^2 dies at trunc 1
 
 
 def test_kappa_merge_and_zero_purge():
-    k1 = TautPolynomial.kappa(1, 0, 4)
+    k1 = TautPolynomial.from_monomial(0, 4, ((1, 1),), ())
     sq = k1 * k1
     assert list(sq.terms) == [(((1, 2),), ())]
-    z = TautPolynomial.kappa(2, 1, 4).scale(F(3)) + TautPolynomial.psi(1, 1, 4).scale(0)
+    z = TautPolynomial(1, 4, {(((2, 1),), (0,)): F(3), ((), (1,)): F(0)})
     assert len(z.terms) == 1
 
 
 def test_render_canonical():
     n, tr = 2, 4
-    p = TautPolynomial.one(n, tr) - TautPolynomial.kappa(2, n, tr).scale(F(3, 4))
+    p = TautPolynomial(n, tr, {((), (0, 0)): F(1), (((2, 1),), (0, 0)): F(-3, 4)})
     assert p.render() == "1 - 3/4*k2"
-    q = TautPolynomial.kappa(1, n, tr) * TautPolynomial.psi(2, n, tr, power=2)
+    q = TautPolynomial.from_monomial(n, tr, ((1, 1),), (0, 0)) * TautPolynomial.psi_series(2, n, tr, [0, 0, 1])
     assert q.render() == "k1*psi2^2"
 
 
 @st.composite
 def sparse_polys(draw, n=2, trunc=4):
-    out = TautPolynomial(n, trunc)
+    terms = {}
     for _ in range(draw(st.integers(1, 4))):
         c = F(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         ks = draw(st.lists(st.integers(1, 3), max_size=2))
@@ -51,8 +54,9 @@ def sparse_polys(draw, n=2, trunc=4):
         for m in set(ks):
             kappa.append((m, ks.count(m)))
         psi = tuple(draw(st.integers(0, 2)) for _ in range(n))
-        out = out + TautPolynomial.from_monomial(n, trunc, tuple(sorted(kappa)), psi, c)
-    return out
+        mono = (tuple(sorted(kappa)), psi)
+        terms[mono] = terms.get(mono, 0) + c
+    return TautPolynomial(n, trunc, terms)
 
 
 @given(sparse_polys(), sparse_polys(), sparse_polys())
@@ -60,7 +64,12 @@ def sparse_polys(draw, n=2, trunc=4):
 def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    # distributivity, each sum taken on the term dicts
+    def plus(p, q):
+        keys = p.terms.keys() | q.terms.keys()
+        return TautPolynomial(p.n_points, p.trunc, {m: p.terms.get(m, 0) + q.terms.get(m, 0) for m in keys})
+
+    assert a * plus(b, c) == plus(a * b, a * c)
 
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=1, max_size=3))
@@ -76,11 +85,7 @@ def test_exp_inverse(coeffs):
 def test_exp_kappa_examples():
     assert exp_kappa_series({}, 0, 3) == TautPolynomial.one(0, 3)
     e = exp_kappa_series({1: F(-1)}, 0, 2)
-    want = (
-        TautPolynomial.one(0, 2)
-        - TautPolynomial.kappa(1, 0, 2)
-        + TautPolynomial.from_monomial(0, 2, ((1, 2),), (), F(1, 2))
-    )
+    want = TautPolynomial(0, 2, {((), ()): F(1), (((1, 1),), ()): F(-1), (((1, 2),), ()): F(1, 2)})
     assert e == want
     # exp(-k1 - k2/2 - k3/3) expanded by hand through degree 3
     e3 = exp_kappa_series({m: F(-1, m) for m in (1, 2, 3)}, 0, 3)
@@ -100,29 +105,31 @@ def test_exp_series_reject_index_zero():
     with pytest.raises(ValueError):
         exp_kappa_series({0: F(1)}, 1, 3)
     with pytest.raises(ValueError):
-        exp_psi_series(1, {0: F(1)}, 1, 3)
+        exp_psi_series({0: F(1)}, 3)
     with pytest.raises(ValueError):
-        exp_psi_series(0, {1: F(1)}, 1, 3)
+        TautPolynomial.psi_series(0, 1, 3, exp_psi_series({1: F(1)}, 3))
 
 
 def test_exp_series_drop_high_and_zero_terms():
     assert exp_kappa_series({1: F(0), 4: F(2)}, 1, 3) == TautPolynomial.one(1, 3)
-    assert exp_psi_series(2, {2: F(0), 4: F(2)}, 2, 3) == TautPolynomial.one(2, 3)
-    e = exp_psi_series(2, {1: F(0), 2: F(3), 5: F(1)}, 2, 4)
+    assert exp_psi_series({2: F(0), 4: F(2)}, 3) == [1, 0, 0, 0]
+    assert TautPolynomial.psi_series(2, 2, 3, exp_psi_series({2: F(0), 4: F(2)}, 3)) == TautPolynomial.one(2, 3)
+    a = exp_psi_series({1: F(0), 2: F(3), 5: F(1)}, 4)
+    assert a == [1, 0, 3, 0, F(9, 2)]
+    e = TautPolynomial.psi_series(2, 2, 4, a)
     assert e.terms == {((), (0, 0)): F(1), ((), (0, 2)): F(3), ((), (0, 4)): F(9, 2)}
 
 
 def test_exp_series_equal_sum_then_exp():
     n, tr = 3, 5
     coeffs = {1: F(-1, 2), 2: F(2, 3), 4: F(5)}
-    lin = TautPolynomial(n, tr)
-    for m, c in coeffs.items():
-        lin = lin + TautPolynomial.kappa(m, n, tr).scale(c)
-    assert exp_kappa_series(coeffs, n, tr) == lin.exp()
-    lin = TautPolynomial(n, tr)
-    for m, c in coeffs.items():
-        lin = lin + TautPolynomial.psi(2, n, tr, power=m).scale(c)
-    assert exp_psi_series(2, coeffs, n, tr) == lin.exp()
+    one = ((), (0,) * n)
+    lin = {(((m, 1),), (0,) * n): c for m, c in coeffs.items()}
+    want = TautPolynomial(n, tr, series_exp(lin, one, tr, monomial_degree, monomial_product))
+    assert exp_kappa_series(coeffs, n, tr) == want
+    lin = {((), (0, m, 0)): c for m, c in coeffs.items()}
+    want = TautPolynomial(n, tr, series_exp(lin, one, tr, monomial_degree, monomial_product))
+    assert TautPolynomial.psi_series(2, n, tr, exp_psi_series(coeffs, tr)) == want
 
 
 def test_direct_exp_series_match_generic_exp():
@@ -135,12 +142,31 @@ def test_direct_exp_series_match_generic_exp():
                 coeffs = dict(zip((1, 2, 4), cs))
                 unit = (0,) * n
                 lin = {(((m, 1),), unit): c for m, c in coeffs.items()}
-                want = TautPolynomial(n, tr, lin).exp()
+                want = TautPolynomial(n, tr, series_exp(lin, ((), unit), tr, monomial_degree, monomial_product))
                 assert exp_kappa_series(coeffs, n, tr) == want, (n, tr, coeffs)
                 for i in range(1, n + 1):
                     lin = {((), unit[: i - 1] + (m,) + unit[i:]): c for m, c in coeffs.items()}
-                    want = TautPolynomial(n, tr, lin).exp()
-                    assert exp_psi_series(i, coeffs, n, tr) == want, (i, n, tr, coeffs)
+                    want = TautPolynomial(n, tr, series_exp(lin, ((), unit), tr, monomial_degree, monomial_product))
+                    got = TautPolynomial.psi_series(i, n, tr, exp_psi_series(coeffs, tr))
+                    assert got == want, (i, n, tr, coeffs)
+
+
+@pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 5) for i in sorted({1, n})])
+@pytest.mark.parametrize("trunc", range(6))
+def test_psi_series_places_coefficients_on_psi_i(n, i, trunc):
+    # the entry at k = 1 is zero and dropped; the list runs two past trunc
+    coeffs = [F(k - 1, k + 1) for k in range(trunc + 3)]
+    want = {}
+    for k, c in enumerate(coeffs):
+        psi = tuple(k if j == i else 0 for j in range(1, n + 1))
+        if c and k <= trunc:
+            want[((), psi)] = c
+    got = TautPolynomial.psi_series(i, n, trunc, coeffs)
+    assert (got.n_points, got.trunc, got.terms) == (n, trunc, want)
+    assert len(got.terms) == max(trunc, 1)  # psi_i^1 dropped, nothing past trunc
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError, match="psi point index out of range"):
+            TautPolynomial.psi_series(bad, n, trunc, coeffs)
 
 
 def test_wrong_psi_length_raises_above_trunc():
@@ -152,13 +178,8 @@ def test_wrong_psi_length_raises_above_trunc():
 def test_psi_geometric():
     assert psi_geometric(1, F(0), 1, 3) == TautPolynomial.one(1, 3)
     got = psi_geometric(1, F(1, 3), 1, 3)
-    want = (
-        TautPolynomial.one(1, 3)
-        + TautPolynomial.psi(1, 1, 3).scale(F(1, 3))
-        + TautPolynomial.psi(1, 1, 3, power=2).scale(F(1, 9))
-        + TautPolynomial.psi(1, 1, 3, power=3).scale(F(1, 27))
-    )
-    assert got == want
+    want = {((), (k,)): F(1, 3**k) for k in range(4)}
+    assert got.terms == want
 
 
 def test_edge_factor_constant_term():
@@ -221,10 +242,10 @@ def test_substitute_edge():
     n, tr = 3, 2
     p = TautPolynomial.one(n, tr)
     s = EdgeSeries(tr, (((1, 0), F(1)),))  # the series psi'
-    assert substitute_edge(s, p, 3, 2) == TautPolynomial.psi(3, n, tr)
+    assert substitute_edge(s, p, 3, 2) == TautPolynomial.from_monomial(n, tr, (), (0, 0, 1))
     s2 = EdgeSeries(tr, (((1, 1), F(2)),))
     got = substitute_edge(s2, p, 1, 2)
-    assert got == (TautPolynomial.psi(1, n, tr) * TautPolynomial.psi(2, n, tr)).scale(2)
+    assert got == TautPolynomial.from_monomial(n, tr, (), (1, 1, 0), 2)
     with pytest.raises(ValueError):
         substitute_edge(s, p, 2, 2)
 
