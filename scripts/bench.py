@@ -22,13 +22,18 @@ value checked:
   cold, its orbit count and digest compared with pinned ones;
 - the many-marking frontier, two `tautint omega` calls whose degree-9 test
   class reads only degree 2 of Omega on spaces with tens of thousands of
-  graph orbits, each cold, its printed value compared with a pinned one.
+  graph orbits, each cold, its printed value compared with a pinned one;
+- cold start: 20 starts each of `python -c "import tautint"`,
+  `python -S -c "import tautint"` and `python -m tautint chi 1 1` (its stdout
+  checked against -1/12), each timed from outside the child, with the
+  median and quartiles of each.
 
 With `--against` it also runs 12 alternating pairs of cold
 `perfbench/workload.py --workload W --seed 0` runs per workload, each in a
 fresh interpreter, and records per side the `run_s` of every run, their
 median and quartiles, and the number of pairs in which that side was the
-faster one: three runs per side cannot resolve a change of 10-30 %.
+faster one: three runs per side cannot resolve a change of 10-30 %.  The
+cold starts then alternate too, and record the same count of wins.
 
 Beside the times it records a measure of the work that does not depend on
 the machine: per workload, the function calls of one cold
@@ -64,12 +69,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 WORKLOADS = ("graph_sum", "closed_form", "identity_suite")
 CALL_COUNT = Path(__file__).resolve().parent / "call_count.py"
 TRACE0_RUNS = 3
 COLD_PAIRS = 12
+COLD_STARTS = 20
 
 # the digest that tests/test_omega.py::PINNED_BATCHES pins for this batch (M23-r7)
 FRONTIER_DIGEST = "05645631499edc2b9844995c8e6e4846fb0d15df5c6d553399d94d61fe5c3fbf"
@@ -173,6 +180,14 @@ MANY_MARKING = (
      ["omega", "1", "9", "2", "0", "1,1,0,0,0,0,0,0,0", "--test-class", "psi1^4*psi2^3"], "0"),
 )
 
+# (name, interpreter arguments, expected stdout): what every process that
+# imports tautint pays before it computes anything
+COLD_START = (
+    ("import tautint", ["-c", "import tautint"], ""),
+    ("-S import tautint", ["-S", "-c", "import tautint"], ""),
+    ("tautint chi 1 1", ["-m", "tautint", "chi", "1", "1"], "-1/12\n"),
+)
+
 MANY_MARKING_CASE = """
 import contextlib, io, json, resource, time
 from tautint.cli import main
@@ -252,11 +267,22 @@ def new_record(checkout: Path) -> dict:
         "frontier_many_marking": [],
         "call_counts": {},
         "cold_pairs": {},
+        "cold_start": {},
     }
 
 
 def bench_name(record: dict) -> str:
     return f"BENCH_{record['commit']}{'-dirty' if record['dirty'] else ''}"
+
+
+def add_spread(entry: dict, times: list[float], theirs: list[float] | None) -> None:
+    """The median and quartiles of times and, against the other side's times
+    of the same runs, the number of pairs in which this side was faster."""
+    entry["median"] = statistics.median(times)
+    entry["quartiles"] = statistics.quantiles(times, n=4)
+    if theirs is not None:
+        entry["wins"] = sum(a < b for a, b in zip(times, theirs))
+        entry["pairs"] = len(theirs)
 
 
 def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
@@ -276,6 +302,14 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
 
     def run_case(checkout: Path, code: str) -> dict:
         return run_src(checkout, [sys.executable, "-c", code])
+
+    def start(checkout: Path, args: list[str], expected: str) -> tuple[float, bool]:
+        """The wall time of one interpreter start in the checkout, and whether
+        it exited 0 with the expected stdout."""
+        cmd, env_src = [sys.executable, *args], {**env, "PYTHONPATH": str(checkout / "src")}
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=checkout, env=env_src, capture_output=True, text=True)
+        return time.perf_counter() - t0, proc.returncode == 0 and proc.stdout == expected
 
     for workload in WORKLOADS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace"]
@@ -326,11 +360,19 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
                     entry["correct"] = entry.get("correct", True) and run["correct"]
         for (_, mine), (_, other) in zip(sides, sides[::-1]):
             for workload, entry in mine["cold_pairs"].items():
-                theirs = other["cold_pairs"][workload]["run_s"]
-                entry["median"] = statistics.median(entry["run_s"])
-                entry["quartiles"] = statistics.quantiles(entry["run_s"], n=4)
-                entry["wins"] = sum(a < b for a, b in zip(entry["run_s"], theirs))
-                entry["pairs"] = len(theirs)
+                add_spread(entry, entry["run_s"], other["cold_pairs"][workload]["run_s"])
+    for k in range(COLD_STARTS):
+        for name, args, expected in COLD_START:
+            for checkout, record in each_side():
+                print(f"{bench_name(record)}: {name} ({k + 1}/{COLD_STARTS})", flush=True)
+                wall, ok = start(checkout, args, expected)
+                entry = record["cold_start"].setdefault(name, {"wall_s": [], "correct": True})
+                entry["wall_s"].append(wall)
+                entry["correct"] = entry["correct"] and ok
+    for (_, mine), (_, other) in zip(sides, sides[::-1]):
+        for name, entry in mine["cold_start"].items():
+            theirs = other["cold_start"][name]["wall_s"] if len(sides) == 2 else None
+            add_spread(entry, entry["wall_s"], theirs)
     return [record for _, record in sides]
 
 
@@ -376,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         checks += [case["correct"] for case in record["frontier_many_marking"]]
         checks += [entry["correct"] for entry in record["call_counts"].values()]
         checks += [entry["correct"] for entry in record["cold_pairs"].values()]
+        checks += [entry["correct"] for entry in record["cold_start"].values()]
         if not all(checks):
             print(f"{path.name}: a benchmarked value is wrong", file=sys.stderr)
             status = 1

@@ -5,8 +5,7 @@ together with the normalisation constant that the reported values leave out."""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, prod
 
@@ -18,14 +17,7 @@ from .psi import is_stable
 
 CHI_ROUTES = ("harer_zagier", "hodge_sum", "omega")
 MV_ROUTES = ("omega", "hodge_sum")
-
-
-@dataclass(frozen=True)
-class RouteResult:
-    g: int
-    n: int
-    value: Fraction
-    route: str
+RouteResult = namedtuple("RouteResult", "g n value route")
 
 
 def _require_stable(g: int, n: int) -> None:

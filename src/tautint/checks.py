@@ -18,11 +18,11 @@ and their inverses are integer coefficient lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator
 
 from .exact import (
     power_sum,
@@ -415,14 +415,13 @@ def check_counterexample_footnote(xs: Iterable = (1, 2, Fraction(1, 2))) -> Chec
 # -- grid runner -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckGrid:
+_GRID_DEFAULTS = (4, 3, tuple(range(-3, 5)), (Fraction(1), Fraction(-1), Fraction(1, 2)))
+
+
+class CheckGrid(namedtuple("CheckGrid", "max_dim max_r s_values x_values", defaults=_GRID_DEFAULTS)):
     """Parameter grid for the identity suite."""
 
-    max_dim: int = 4
-    max_r: int = 3
-    s_values: tuple[int, ...] = tuple(range(-3, 5))
-    x_values: tuple = (Fraction(1), Fraction(-1), Fraction(1, 2))
+    __slots__ = ()
 
     def spaces(self) -> list[tuple[int, int]]:
         return stable_types(self.max_dim)

@@ -13,11 +13,9 @@ starts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import psi
@@ -109,6 +107,8 @@ def _emit(cells: list[tuple[int, int, Fraction, str]], fmt: str, decimal: int | 
     keys = ("g", "n", "value", "route")
     rows = [(g, n, _fmt_rat(v, decimal), route) for g, n, v, route in cells]
     if fmt == "json":
+        import json  # json and the process pool load only where they are used
+
         return "\n".join(json.dumps(dict(zip(keys, map(str, row))), sort_keys=True) for row in rows)
     if fmt == "csv":
         return "\n".join([",".join(keys)] + [",".join(map(str, row)) for row in rows])
@@ -201,6 +201,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
         return _usage_error(f"--dimmax is capped at {GRAPH_DIM_CAP}")
     cells = stable_types(ns.dimmax, ns.gmax)
     if ns.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers at once; more than one per cell idle
         with ProcessPoolExecutor(max_workers=min(ns.jobs, len(cells))) as pool:
             blocks = list(pool.map(_chi_cell, cells))

@@ -28,9 +28,8 @@ each the tuple of side-0 residues w (the side-1 half carries (r - w) % r).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 from math import factorial, prod
@@ -42,11 +41,9 @@ class WeightingConstraintError(ValueError):
     """The a-vector violates sum(a_i) = (2g-2+n)s mod r: empty domain."""
 
 
-@dataclass(frozen=True)
-class StableGraph:
-    genera: tuple[int, ...]
-    legs: tuple[int, ...]  # legs[i] = vertex carrying marking i+1
-    edges: tuple[tuple[int, int], ...]
+# legs[i] is the vertex carrying marking i+1
+class StableGraph(namedtuple("StableGraph", "genera legs edges")):
+    __slots__ = ()
 
     @property
     def n_vertices(self) -> int:

@@ -40,7 +40,7 @@ the dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -68,19 +68,13 @@ class OmegaConstraintError(ValueError):
     """sum(a_i) != (2g-2+n)s mod r: the parameter tuple is inadmissible."""
 
 
-@dataclass(frozen=True)
-class OmegaSpec:
-    r: int
-    s: int
-    a: tuple[int, ...]
-    x: Rat = Fraction(1)
+class OmegaSpec(namedtuple("OmegaSpec", "r s a x")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __new__(cls, r: int, s: int, a: tuple[int, ...], x: Rat = Fraction(1)) -> OmegaSpec:
+        if r < 1:
             raise ValueError("r must be a positive integer")
-        object.__setattr__(self, "a", tuple(self.a))
-        if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", Fraction(self.x))
+        return super().__new__(cls, r, s, tuple(a), x if isinstance(x, Fraction) else Fraction(x))
 
     def validate(self, g: int, n: int) -> None:
         if len(self.a) != n:
@@ -239,10 +233,12 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
         # its numerator under each weighting (0 where that weighting's residue
         # lacks the term)
         cap_a, cap_b, same = dims[va], dims[vb], va == vb
-        column = [w[e] for w in weightings]
+        # the weightings by the residue they put on this edge, in one pass
+        by_res: dict[int, list[int]] = {}
+        for k, w in enumerate(weightings):
+            by_res.setdefault(w[e], []).append(k)
         factors: dict[tuple[int, int], list[int]] = {}
-        for res in dict.fromkeys(column):
-            ks = [k for k, rk in enumerate(column) if rk == res]
+        for res, ks in by_res.items():
             d, terms = series[res]
             scale = den // d
             for (i, j), q in terms:  # sorted, so no later term fits once i > cap_a

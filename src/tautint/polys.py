@@ -20,11 +20,11 @@ scalar 2g-2+n and is substituted at the use site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Hashable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter
-from typing import Callable, Hashable, Iterator
 
 from .exact import Rat, bernoulli_series
 
@@ -284,14 +284,9 @@ def exp_psi_series(coeffs: dict[int, Rat], trunc: int) -> list[Fraction]:
 # -- bivariate half-edge series ---------------------------------------------
 
 BivTerms = dict[tuple[int, int], Fraction]
-
-
-@dataclass(frozen=True)
-class EdgeSeries:
-    """Polynomial in the two half-edge psi classes (psi', psi'')."""
-
-    trunc: int
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+# a polynomial in the two half-edge psi classes (psi', psi''): its sorted
+# ((i, j), coefficient) terms, truncated to total degree trunc
+EdgeSeries = namedtuple("EdgeSeries", "trunc terms")
 
 
 class EdgeDivisionError(ArithmeticError):

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
-from pathlib import Path
-from typing import Iterable, Iterator
 
 from .exact import sum_by_denominator
 
@@ -198,12 +197,14 @@ def clear_cache() -> None:
         _cache.clear()
 
 
-def save_cache(path: str | Path) -> int:
+def save_cache(path: str | os.PathLike) -> int:
     """Write the memo table as sorted 'g;d_1,...,d_n;p/q' lines.
 
     The text goes to a temporary file in the target's directory that is then
     renamed over the target, so a failed save leaves the old file intact.
     """
+    from pathlib import Path  # only here, so that importing tautint does not load pathlib
+
     path = Path(path)
     lines = [f"# {CACHE_VERSION}"]
     for (g, d), v in sorted(_cache.items()):
@@ -221,8 +222,10 @@ def save_cache(path: str | Path) -> int:
     return len(_cache)
 
 
-def load_cache(path: str | Path) -> int:
+def load_cache(path: str | os.PathLike) -> int:
     """Load a cache file, skipping (with a warning) any corrupted line."""
+    from pathlib import Path
+
     p = Path(path)
     if not p.exists():
         return 0

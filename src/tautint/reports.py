@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass
-class CheckReport:
-    check: str
-    parameters: dict
-    expected: str
-    got: str
-    passed: bool
-    details: list[str] = field(default_factory=list)
+class CheckReport(namedtuple("CheckReport", "check parameters expected got passed details")):
+    __slots__ = ()
+
+    def __new__(cls, check: str, parameters: dict, expected: str, got: str, passed: bool, details=None):
+        details = [] if details is None else details  # a new list per report, never a shared one
+        return super().__new__(cls, check, parameters, expected, got, passed, details)
 
     def to_json(self) -> str:
         import json  # only here, so that importing tautint does not load json

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -113,7 +114,7 @@ def test_table_jobs_capped_at_cell_count(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code, out = run_cli(["table", "--dimmax", "1", "--jobs", "100000"], capsys)
     assert code == 0
     assert sizes == [len(stable_types(1))]
@@ -180,6 +181,22 @@ def test_import_loads_neither_json_nor_logging():
     # keeps site from importing anything on its own
     env = dict(os.environ, PYTHONPATH=str(Path(tautint.__file__).parents[1]))
     code = "import tautint, sys; print(sorted({'json', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+
+
+NOT_AT_START = ("dataclasses", "inspect", "json", "logging", "concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize(
+    "module,absent", [("tautint", NOT_AT_START + ("typing", "pathlib")), ("tautint.cli", NOT_AT_START)]
+)
+def test_import_loads_only_what_runs(module, absent):
+    # the records are namedtuples, and pathlib, json and the process pool are
+    # imported where they are used, so starting the package or the CLI loads
+    # none of these; -S keeps site from importing anything on its own
+    env = dict(os.environ, PYTHONPATH=str(Path(tautint.__file__).parents[1]))
+    code = f"import {module}, sys; print(sorted(set({absent!r}) & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stdout + proc.stderr
 

@@ -411,7 +411,9 @@ def test_graph_sum_builds_edge_series_only_at_used_residues():
 
 @pytest.mark.parametrize(
     "g,n,r,s",
-    [(2, 3, r, s) for r in (2, 3, 5) for s in (0, 1)] + [(1, 4, 4, 0), (1, 4, 4, 1)],
+    [(2, 3, r, s) for r in (2, 3, 5) for s in (0, 1)] + [(1, 4, 4, 0), (1, 4, 4, 1)]
+    # large r: many residues on one loop edge
+    + [(1, 2, 40, 0), (1, 3, 20, 1)],
 )
 def test_edge_configs_match_per_weighting_sums(g, n, r, s):
     # one pass over the edges for all weightings against one weighting at a time
