@@ -11,6 +11,11 @@ value checked:
   on Mbar_{2,3}: once cold, and once warm, by repeating the call in the same
   process (a warm time far from zero means a memo has stopped working), its
   digest compared with the one the test suite pins;
+- the graph-sum frontier, two batches of every basis monomial, kappa
+  included: Omega(3, 0; 1,2,3,1,2,3,1,2) on Mbar_{0,8} and Omega(2, 0;
+  1,2,1,2) on Mbar_{2,4}, where many psi vectors of an orbit meet one leg
+  layout, each cold, its digest (perfbench's `pairing_digest` format)
+  compared with a pinned one;
 - the chi/MV frontier beyond dimension 10: chi by the hodge_sum route on
   (6,0), (7,0) and (8,0), MV by the hodge_sum route on (6,0), chi by the
   omega route on (5,2) and (7,0), and MV by the omega route on (7,0), each
@@ -107,6 +112,37 @@ print(json.dumps({
 }))
 """
 
+
+# (name, g, n, r, a, sha256 of the pairings as perfbench's pairing_digest
+# writes them): s = 0, every basis monomial, kappa included
+GRAPH_SUM_FRONTIER = (
+    ("Mbar_{0,8} r=3 s=0 a=(1,2,3,1,2,3,1,2)", 0, 8, 3, (1, 2, 3, 1, 2, 3, 1, 2),
+     "8d4fb7d9734d53e5ffed927d9adf28929cd633ae1da3273d7a6cb20cb02524c9"),
+    ("Mbar_{2,4} r=2 s=0 a=(1,2,1,2)", 2, 4, 2, (1, 2, 1, 2),
+     "dc046dfd356c247fce11de511f06d1d99aa4ac1cb44ba8f6f15ee81618efd7d7"),
+)
+
+GRAPH_SUM_CASE = """
+import hashlib, json, resource, time
+from tautint.checks import flat_basis
+from tautint.omega import OmegaSpec, omega_pairings
+
+monos = flat_basis({g}, {n})
+t0 = time.perf_counter()
+values = omega_pairings({g}, {n}, OmegaSpec({r}, 0, {a!r}), monos)
+t1 = time.perf_counter()
+h = hashlib.sha256()
+for mono in sorted(values):
+    v = values[mono]
+    h.update(f"{{mono!r}}={{v.numerator}}/{{v.denominator}}\\n".encode())
+print(json.dumps({{
+    "name": {name!r},
+    "cold_s": t1 - t0,
+    "monomials": len(monos),
+    "digest": h.hexdigest(),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}}))
+"""
 
 # (name, expression, expected value): chi against Harer-Zagier, MV against
 # the value both MV routes give
@@ -262,6 +298,7 @@ def new_record(checkout: Path) -> dict:
         "python": platform.python_version(),
         "wc_l_src": src_line_counts(checkout),
         "perfbench": {},
+        "frontier_graph_sum": [],
         "frontier_chi_mv": [],
         "frontier_enumeration": [],
         "frontier_many_marking": [],
@@ -326,6 +363,13 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
         print(f"{bench_name(record)}: frontier batch", flush=True)
         record["frontier"] = run_case(checkout, FRONTIER)
         record["frontier"]["correct"] = record["frontier"]["digest"] == FRONTIER_DIGEST
+    for name, g, n, r, a, digest in GRAPH_SUM_FRONTIER:
+        code = GRAPH_SUM_CASE.format(name=name, g=g, n=n, r=r, a=a)
+        for checkout, record in each_side():
+            print(f"{bench_name(record)}: {name}", flush=True)
+            case = run_case(checkout, code)
+            case["correct"] = case["digest"] == digest
+            record["frontier_graph_sum"].append(case)
     for name, expr, expected in CHI_MV_FRONTIER:
         code = CHI_MV_CASE.format(name=name, expr=expr, expected=expected)
         for checkout, record in each_side():
@@ -413,6 +457,7 @@ def main(argv: list[str] | None = None) -> int:
             record["perfbench"][f"{w}/trace{t}"]["correct"] for w in WORKLOADS for t in (0, 1)
         ]
         checks.append(record["frontier"]["correct"])
+        checks += [case["correct"] for case in record["frontier_graph_sum"]]
         checks += [case["correct"] for case in record["frontier_chi_mv"]]
         checks += [case["correct"] for case in record["frontier_enumeration"]]
         checks += [case["correct"] for case in record["frontier_many_marking"]]

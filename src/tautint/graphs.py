@@ -445,16 +445,22 @@ def enumerate_weightings(G: StableGraph, r: int, s: int, a: tuple[int, ...]) -> 
     # so far on its half-edges; a weighting is admissible when every acc[v] is
     # 0 mod r.  A BFS spanning tree leaves h1 free edges (loops included); their
     # residues are tried, then the tree edges are forced, peeling from the
-    # leaves.  The root then balances by the global congruence.
-    nv, edges = G.n_vertices, G.edges
-    acc0 = [
-        sum(a[i - 1] for i in G.legs_at(v)) - (2 * G.genera[v] - 2 + G.valence(v)) * s
-        for v in range(nv)
-    ]
+    # leaves.  The root then balances by the global congruence.  acc0 and the
+    # incidence lists (a self-loop twice at its vertex) take one pass over the
+    # legs and edges.
+    edges = G.edges
+    acc0 = [(2 - 2 * gv) * s for gv in G.genera]
+    incident: list[list[int]] = [[] for _ in G.genera]
+    for i, v in enumerate(G.legs):
+        acc0[v] += a[i] - s
+    for e, ends in enumerate(edges):
+        for v in ends:
+            acc0[v] -= s
+            incident[v].append(e)
     parent_edge: dict[int, int] = {0: -1}
     order = [0]
     for v in order:
-        for e, _ in G.half_edges_at(v):
+        for e in incident[v]:
             w = edges[e][0] + edges[e][1] - v
             if w not in parent_edge:
                 parent_edge[w] = e

@@ -133,36 +133,43 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
             if v:
                 sums[v.denominator] = sums.get(v.denominator, 0) + (-1) ** j * v.numerator
     lam_splits = _lambda_splits(lambdas)
+    top = len(lam_splits) - 1  # the largest degree of a lambda part
     for left, right, ways, left_deg in multiset_splits(psi):
         n1, n2 = len(left) + 1, len(right) + 1
-        # both sides stable: genus >= 1 on a side with fewer than 3 points
-        for g1 in range(0 if n1 >= 3 else 1, (g if n2 >= 3 else g - 1) + 1):
+        # i = dim(Mbar_{g1,n1}) - |lambda1| - |psi_left| = room - |lambda1|
+        # lies in 0..m-1, so room = 3 g1 + c lies in 0..m-1+top; and both
+        # sides are stable: genus >= 1 on a side with fewer than 3 points
+        c = n1 - 3 - left_deg
+        g1_lo = max(0 if n1 >= 3 else 1, (2 - c) // 3)
+        g1_hi = min(g if n2 >= 3 else g - 1, (m - 1 + top - c) // 3)
+        for g1 in range(g1_lo, g1_hi + 1):
             g2 = g - g1
-            # i = dim(Mbar_{g1,n1}) - |lambda1| - |psi_left|
-            room = 3 * g1 - 3 + n1 - left_deg
-            for lam1, lam2, lam1_deg in lam_splits:
-                i = room - lam1_deg
+            room = 3 * g1 + c
+            # the keys of both sides depend on i, not on the lambda split
+            for i in range(max(0, room - top), min(m - 1, room) + 1):
                 j = m - 1 - i
-                if i < 0 or j < 0:
-                    continue
-                if (lam1 and lam1[0] > g1) or (lam2 and lam2[0] > g2):
-                    continue
-                a = _hodge_core(g1, n1, lam1, (), _desc(left + (i,)))
-                if a:
-                    b = _hodge_core(g2, n2, lam2, (), _desc(right + (j,)))
-                    den = a.denominator * b.denominator
-                    sums[den] = sums.get(den, 0) + (-1) ** j * ways * a.numerator * b.numerator
+                left_key, right_key = _desc(left + (i,)), _desc(right + (j,))
+                for lam1, lam2 in lam_splits[room - i]:
+                    if (lam1 and lam1[0] > g1) or (lam2 and lam2[0] > g2):
+                        continue
+                    a = _hodge_core(g1, n1, lam1, (), left_key)
+                    if a:
+                        b = _hodge_core(g2, n2, lam2, (), right_key)
+                        den = a.denominator * b.denominator
+                        sums[den] = sums.get(den, 0) + (-1) ** j * ways * a.numerator * b.numerator
     return sum_by_denominator(sums)
 
 
 @lru_cache(maxsize=None)
-def _lambda_splits(lambdas: LambdaPart) -> tuple[tuple[LambdaPart, LambdaPart, int], ...]:
-    """All ways to write each lambda_a as lambda_p (x) lambda_q with p+q=a:
-    (left, right, degree of left)."""
-    return tuple(
-        (_desc(p for p in ps if p), _desc(a - p for a, p in zip(lambdas, ps) if a > p), sum(ps))
-        for ps in iproduct(*(range(a + 1) for a in lambdas))
-    )
+def _lambda_splits(lambdas: LambdaPart) -> tuple[tuple[tuple[LambdaPart, LambdaPart], ...], ...]:
+    """All ways to write each lambda_a as lambda_p (x) lambda_q with p+q=a,
+    as (left, right) pairs, listed by the degree of left: entry d holds the
+    splits whose left part has degree d, for d = 0..|lambdas|."""
+    by_deg: list[list] = [[] for _ in range(sum(lambdas) + 1)]
+    for ps in iproduct(*(range(a + 1) for a in lambdas)):
+        left = _desc(p for p in ps if p)
+        by_deg[sum(ps)].append((left, _desc(a - p for a, p in zip(lambdas, ps) if a > p)))
+    return tuple(map(tuple, by_deg))
 
 
 def hodge_pair(g: int, n: int, lam: LambdaDict, p: TautPolynomial) -> Fraction:

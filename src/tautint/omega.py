@@ -12,15 +12,22 @@ class T:
   and, for a monomial d, sums its terms over the H-orbit of the psi vector
   of d with weight |Stab_H(d)|/|Aut_col(G0)|, where Aut_col lets legs of
   equal a_i be permuted (Mbar_{0,8} with all a_i equal: 32 graphs, not
-  39208).  Per graph shape the edge series are multiplied out in one pass
-  over the edges for all r^h1 weightings at once, each partial
-  configuration carrying one integer coefficient per weighting over a
-  common denominator; the half-edge exponent configurations are merged up
-  to order at each vertex and grouped by per-vertex degree, and per graph
-  the configs that fit a vertex room vector are found once per room.  A
-  vertex integral reads one degree of its integrand, and only that degree
-  is built: the kappa-exponential terms of each degree and each leg's
-  coefficient list are convolved into one bucket per (leg a_i, degree).
+  39208).  A graph reads a psi vector only through its restriction to the
+  legs of each vertex, so that orbit sum runs once per distinct restriction
+  (a reading), weighted by the number of orbit vectors that give it; the
+  readings are kept per leg layout, which the graphs of a batch share.  Per
+  graph shape the edge series are multiplied out in one pass over the edges
+  for all r^h1 weightings at once, each partial configuration carrying one
+  integer coefficient per weighting over a common denominator and its
+  half-edge exponents as one multiset per vertex, so that configurations
+  differing only by order merge as they are built; they are grouped by
+  per-vertex degree, and per graph the configs that fit a vertex room
+  vector are found once per room.  The edge series at residue r - w is the
+  one at w with its two half-edges swapped, so only residues w <= r/2 are
+  expanded.  A vertex integral reads one degree of its integrand, and only
+  that degree is built: the kappa-exponential terms of each degree and each
+  leg's coefficient list are convolved into one bucket per (leg a_i,
+  degree).
   Vertex integrals and the per-graph terms of each monomial are summed as
   integer numerators per denominator and reduced once at the end
   (`exact.sum_by_denominator`), not as one Fraction per term;
@@ -45,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm, prod
-from operator import gt, le
+from operator import itemgetter, le, sub
 
 from .exact import Rat, bernoulli_series, sum_by_denominator
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
@@ -93,29 +100,19 @@ class OmegaSpec(namedtuple("OmegaSpec", "r s a x")):
 
 @lru_cache(maxsize=None)
 def _graph_plan(G: StableGraph):
-    """What every graph-sum pass reads of one graph.  Local marked points per
-    vertex are its legs first, then its half-edges.  Returns (dims, n_local,
-    legs, rigid, edges, prefactor exponent): per vertex its dimension,
-    local point count and the 0-based markings of its legs in local order; the
-    bitmask of markings at vertices of dimension 0, which carry no psi; per
-    edge its end vertices and the positions of its halves among the half-edges
-    at those vertices."""
-    n_local: list[int] = []
-    legs: list[tuple[int, ...]] = []
-    half_pos: dict[tuple[int, int], int] = {}
-    for v in range(G.n_vertices):
-        halves = G.half_edges_at(v)
-        for k, half in enumerate(halves):
-            half_pos[half] = k
-        legs.append(tuple(i - 1 for i in G.legs_at(v)))
-        n_local.append(len(legs[v]) + len(halves))
-    edges = tuple(
-        (va, vb, half_pos[(e, 0)], half_pos[(e, 1)]) for e, (va, vb) in enumerate(G.edges)
-    )
-    dims = tuple(G.vertex_dims())
-    rigid = sum(1 << i for lv, d in zip(legs, dims) if d == 0 for i in lv)
-    exp_pref = 2 * G.genus() - 1 - G.h1()
-    return dims, tuple(n_local), tuple(legs), rigid, edges, exp_pref
+    """What every graph-sum pass reads of one graph, in one pass over its legs
+    and edges.  Local marked points per vertex are its legs first, then its
+    half-edges.  Returns (dims, n_local, legs, prefactor exponent): per vertex
+    its dimension, local point count and the 0-based markings of its legs."""
+    legs: list[list[int]] = [[] for _ in G.genera]
+    for i, v in enumerate(G.legs):
+        legs[v].append(i)
+    n_local = list(map(len, legs))
+    for va, vb in G.edges:
+        n_local[va] += 1
+        n_local[vb] += 1
+    dims = tuple(3 * gv - 3 + k for gv, k in zip(G.genera, n_local))
+    return dims, tuple(n_local), tuple(map(tuple, legs)), 2 * G.genus() - 1 - G.h1()
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +187,13 @@ def _vertex_integral(r: int, s: int, xn: int, xd: int, vkey: tuple, cfg: tuple) 
 @lru_cache(maxsize=None)
 def _edge_terms(w: int, r: int, xn: int, xd: int, trunc: int) -> tuple[int, tuple]:
     """The edge series at residue w as (den, (((i, j), numerator), ...)): its
-    terms as integer numerators over den, their least common denominator."""
+    terms as integer numerators over den, their least common denominator,
+    sorted by (i, j).  B_{m+1}(1 - u) = (-1)^{m+1} B_{m+1}(u) makes the
+    series at r - w the one at w with psi' and psi'' swapped, so only
+    residues w <= r/2 are expanded."""
+    if 2 * w > r:
+        den, terms = _edge_terms(r - w, r, xn, xd, trunc)
+        return den, tuple(sorted(((j, i), q) for (i, j), q in terms))
     terms = edge_local_factor(w, r, Fraction(xn, xd), trunc).terms
     den = lcm(*(q.denominator for _, q in terms))
     return den, tuple((ij, q.numerator * (den // q.denominator)) for ij, q in terms)
@@ -210,25 +213,26 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
     """Half-edge exponent configurations of G with their edge-series
     coefficients summed over its weightings (s and a taken mod r), grouped by
     per-vertex degree: a tuple of (degrees, ((config, numerator, denominator),
-    ...)) with every coefficient nonzero.  A config holds one exponent vector
-    per vertex over its half-edges, sorted: the vertex integrand puts factors
-    on leg points only, so it is symmetric in the half-edge points and the
-    per-vertex integrals do not see their order.  Nor do they depend on the
-    weighting, only the edge coefficients do, so their sum collapses per
-    config.  One pass over the edges serves all weightings: a partial config
-    carries one integer coefficient per weighting, over a common
-    denominator, and each edge multiplies it by the series term of the
-    residue that weighting puts on the edge.  The result sees the legs only
-    through each vertex's count and residue sum, so graphs of one shape
-    share it."""
-    dims, n_local, legs, _, edges, _ = _graph_plan(G)
-    zero_cfg = tuple((0,) * (k - len(lv)) for k, lv in zip(n_local, legs))
+    ...)) with every coefficient nonzero.  A config holds one sorted tuple of
+    exponents per vertex, a multiset over its half-edges: the vertex
+    integrand puts factors on leg points only, so it is symmetric in the
+    half-edge points and the per-vertex integrals do not see their order.
+    Nor do they depend on the weighting, only the edge coefficients do, so
+    their sum collapses per config.  One pass over the edges serves all
+    weightings: a partial config carries one integer coefficient per
+    weighting, over a common denominator; each edge inserts its exponents i
+    and j into the tuples of its end vertices and multiplies the coefficients
+    by the series term of the residue each weighting puts on it, and partial
+    configs that differ only by order merge as soon as they meet.  The result
+    sees the legs only through each vertex's count and residue sum, so graphs
+    of one shape share it."""
+    dims = _graph_plan(G)[0]
     weightings = enumerate_weightings(G, r, s, a)
     # one denominator for the residues these weightings use, not all r of them
     series = {res: _edge_terms(res, r, xn, xd, dim) for res in {v for w in weightings for v in w}}
     den = lcm(*[d for d, _ in series.values()])
-    partial: dict[tuple, list[int]] = {zero_cfg: [1] * len(weightings)}
-    for e, (va, vb, pa, pb) in enumerate(edges):
+    partial: dict[tuple, list[int]] = {((),) * len(dims): [1] * len(weightings)}
+    for e, (va, vb) in enumerate(G.edges):
         # each term (i, j) of this edge's series within the vertex caps, with
         # its numerator under each weighting (0 where that weighting's residue
         # lacks the term)
@@ -249,19 +253,20 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
                     q *= scale
                     for k in ks:
                         row[k] = q
+        steps = sorted(factors.items())
         nxt: dict[tuple, list[int]] = {}
         for cfg, coeffs in partial.items():
-            for (i, j), qs in factors.items():
-                # on a self-loop (va == vb) the second read sees the first update
-                ncfg = list(cfg)
-                veca = list(ncfg[va])
-                veca[pa] += i
-                ncfg[va] = tuple(veca)
-                vecb = list(ncfg[vb])
-                vecb[pb] += j
-                ncfg[vb] = tuple(vecb)
-                if sum(ncfg[va]) > dims[va] or sum(ncfg[vb]) > dims[vb]:
+            room_a = cap_a - sum(cfg[va])
+            room_b = cap_b - sum(cfg[vb])
+            for (i, j), qs in steps:
+                if i > room_a:
+                    break
+                if i + j > room_a if same else j > room_b:
                     continue
+                # on a self-loop (va == vb) the second insert sees the first
+                ncfg = list(cfg)
+                ncfg[va] = tuple(sorted((*cfg[va], i)))
+                ncfg[vb] = tuple(sorted((*ncfg[vb], j)))
                 ncfg = tuple(ncfg)
                 prods = [c * q for c, q in zip(coeffs, qs)]
                 acc = nxt.get(ncfg)
@@ -269,13 +274,10 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
         partial = nxt
         if not partial:
             break
-    configs: dict[tuple, int] = {}
-    for cfg, coeffs in partial.items():
-        key = tuple(map(tuple, map(sorted, cfg)))
-        configs[key] = configs.get(key, 0) + sum(coeffs)
-    den **= len(edges)
+    den **= len(G.edges)
     groups: dict[tuple[int, ...], list] = {}
-    for cfg, c in configs.items():
+    for cfg, coeffs in partial.items():
+        c = sum(coeffs)
         if c:
             q = Fraction(c, den)
             groups.setdefault(tuple(map(sum, cfg)), []).append((cfg, q.numerator, q.denominator))
@@ -419,17 +421,37 @@ def _distinct_perms(vals: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _psi_orbit(psi: tuple[int, ...], classes) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _psi_orbit(psi: tuple[int, ...], classes) -> tuple[tuple[int, ...], ...]:
     """The distinct psi vectors obtained by permuting the exponents within
-    each class of markings, each with its support (a bitmask of markings)."""
+    each class of markings."""
     orbit = []
     for choice in product(*(_distinct_perms(tuple(psi[i] for i in cls)) for cls in classes)):
         vec = list(psi)
         for cls, vals in zip(classes, choice):
             for i, v in zip(cls, vals):
                 vec[i] = v
-        orbit.append((tuple(vec), sum(1 << i for i, d in enumerate(vec) if d)))
+        orbit.append(tuple(vec))
     return tuple(orbit)
+
+
+def _leg_readings(orbit, legs: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> tuple:
+    """What a graph with leg layout `legs` (the markings at each vertex) reads
+    of the psi vectors of one orbit: their distinct restrictions to the
+    vertices, as (vertex legs, leg degrees, count).  Vertex legs are the
+    sorted (a_i, psi_i) pairs of each vertex's legs, since the vertex base is
+    symmetric in its legs, leg degrees are their psi sums per vertex, and
+    count is the number of orbit vectors that restrict to them."""
+    leg_a = [tuple(map(a.__getitem__, lv)) for lv in legs]
+    counts: dict[tuple, int] = {}
+    for psi in orbit:
+        vlegs = tuple(
+            [tuple(sorted(zip(la, map(psi.__getitem__, lv)))) for la, lv in zip(leg_a, legs)]
+        )
+        counts[vlegs] = counts.get(vlegs, 0) + 1
+    return tuple(
+        (vlegs, tuple([sum(map(itemgetter(1), vl)) for vl in vlegs]), count)
+        for vlegs, count in counts.items()
+    )
 
 
 def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomials) -> dict:
@@ -442,7 +464,15 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
 
     where Hd is the orbit of the psi vector of d (kappa does not move) and
     contrib is the term of one graph without its 1/|Aut|.  With all a_i
-    distinct H is trivial and this is the sum over labelled graphs."""
+    distinct H is trivial and this is the sum over labelled graphs.
+
+    A graph reads a psi vector only through its restriction to each vertex's
+    legs, so the sum over Hd runs once per distinct restriction (a reading,
+    `_leg_readings`), weighted by the number of vectors that give it.  The
+    readings depend on the graph only through its leg layout, which graphs of
+    one batch share (the 365 orbits of Mbar_{2,3} at a = (1, 2, 2) have 49),
+    so they are kept per layout and canonical psi vector for the length of
+    the call."""
     dim = 3 * g - 3 + n
     xn, xd = xq
     classes = _classes_of(a)
@@ -450,50 +480,48 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
     # per monomial, its graph terms as integer numerators per denominator
     sums: dict[Monomial, dict[int, int]] = {mono: {} for mono in monomials}
     # a term supported on a graph with E edges has class degree >= E, so a
-    # graph with E edges meets only the monomials of degree <= dim - E; the
-    # psi support (a bitmask of markings) rules out a graph at once when it
-    # puts a psi on a marking at a vertex of dimension 0
+    # graph with E edges meets only the monomials of degree <= dim - E
     monos_upto: list[list] = [[] for _ in range(dim + 1)]
     for mono in monomials:
         orbit = _psi_orbit(mono[1], classes)
         entry = (mono, h_order // len(orbit), orbit)
         for room in range(monomial_degree(mono), dim + 1):
             monos_upto[room].append(entry)
+    # {leg layout: {canonical psi vector: readings}}
+    readings_at: dict[tuple, dict[tuple, tuple]] = {}
     vertex_vals = _vertex_cache.setdefault((r, s, xn, xd), {})
     s_res, a_res = s % r, tuple(ai % r for ai in a)
     shapes = _config_cache.setdefault((r, s_res, xn, xd, dim), {})
     for G, aut_col in graph_orbits(g, n, a):
         if G.n_edges > dim or not monos_upto[dim - G.n_edges]:
             continue
-        dims, n_local, legs, rigid, _, exp_pref = _graph_plan(G)
+        dims, n_local, legs, exp_pref = _graph_plan(G)
         pref_num, pref_den = (
             (r ** exp_pref, aut_col) if exp_pref >= 0 else (1, aut_col * r ** -exp_pref)
         )
         vtypes = tuple(zip(G.genera, n_local))
-        leg_a = [tuple(map(a.__getitem__, lv)) for lv in legs]
         leg_res = tuple(sum(map(a_res.__getitem__, lv)) % r for lv in legs)
         shape = (G.genera, G.edges, n_local, leg_res)
         config_groups = shapes.get(shape)
         if config_groups is None:
             config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, xn, xd, dim)
+        by_psi = readings_at.setdefault(legs, {})
         # the configs whose per-vertex degrees fit a room vector, per room
         fits: dict[tuple[int, ...], tuple] = {}
         for mono, stab, orbit in monos_upto[dim - G.n_edges]:
+            readings = by_psi.get(mono[1])
+            if readings is None:
+                readings = by_psi[mono[1]] = _leg_readings(orbit, legs, a)
             dists = _kappa_distributions(mono[0], dims)
             num, den = 0, 1
-            for psi, sup in orbit:
-                if sup & rigid:
+            for vlegs, legdeg, count in readings:
+                # the room each vertex leaves after its legs' psi; a psi on a
+                # leg at a vertex of dimension 0 fails here too
+                free = tuple(map(sub, dims, legdeg))
+                if min(free) < 0:
                     continue
-                legdeg = [sum(map(psi.__getitem__, lv)) for lv in legs]
-                if any(map(gt, legdeg, dims)):
-                    continue
-                # the vertex base is symmetric in its legs: a vertex value
-                # depends on the legs only through their (a_i, psi) pairs
-                vlegs = [
-                    tuple(sorted(zip(la, map(psi.__getitem__, lv)))) for la, lv in zip(leg_a, legs)
-                ]
                 for mult, parts, kdeg in dists:
-                    room = tuple(d - ld - kd for d, ld, kd in zip(dims, legdeg, kdeg))
+                    room = tuple(map(sub, free, kdeg))
                     fit = fits.get(room)
                     if fit is None:
                         fit = fits[room] = tuple(
@@ -504,8 +532,9 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
                         continue
                     vkeys = zip(vtypes, vlegs, parts)
                     tables = [(vkey, vertex_vals.setdefault(vkey, {})) for vkey in vkeys]
+                    weight = mult * count
                     for cfg, cnum, cden in fit:
-                        pnum, pden = cnum * mult, cden
+                        pnum, pden = cnum * weight, cden
                         for (vkey, table), c in zip(tables, cfg):
                             vv = table.get(c)
                             if vv is None:

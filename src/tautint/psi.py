@@ -161,23 +161,23 @@ def _compute(g: int, d: tuple[int, ...]) -> Fraction:
         val = _psi_value(g, (d1 + dj - 1,) + rest[:i] + rest[i + 1 :])
         den = _dfact(2 * dj - 1) * val.denominator
         sums[den] = sums.get(den, 0) + 2 * c * _dfact(2 * (d1 + dj) - 1) * val.numerator
-    splits = multiset_splits(rest)
-    for a in range(d1 - 1):
-        b = d1 - 2 - a
-        w = _dfact(2 * a + 1) * _dfact(2 * b + 1)
-        if g >= 1 and is_stable(g - 1, n + 1):
-            val = _psi_value(g - 1, _desc((a, b) + rest))
+    # a + b = d1 - 2 over the two halves of the new node, weighted (2a+1)!! (2b+1)!!
+    weights = [_dfact(2 * a + 1) * _dfact(2 * (d1 - 2 - a) + 1) for a in range(d1 - 1)]
+    if g >= 1 and is_stable(g - 1, n + 1):
+        for a, w in enumerate(weights):
+            val = _psi_value(g - 1, _desc((a, d1 - 2 - a) + rest))
             sums[val.denominator] = sums.get(val.denominator, 0) + w * val.numerator
-        for left, right, ways, left_deg in splits:
-            # the genus of the left side is fixed by its dimension
-            g1, r = divmod(a + left_deg - len(left) + 2, 3)
-            if r or not 0 <= g1 <= g:
-                continue
-            if is_stable(g1, len(left) + 1) and is_stable(g - g1, len(right) + 1):
+    for left, right, ways, left_deg in multiset_splits(rest):
+        # the genus of the left side is fixed by its dimension: a = 3 g1 + c
+        c = len(left) - left_deg - 2
+        n1, n2 = len(left) + 1, len(right) + 1
+        for g1 in range(max(0, (2 - c) // 3), min(g, (d1 - 2 - c) // 3) + 1):
+            if is_stable(g1, n1) and is_stable(g - g1, n2):
+                a = 3 * g1 + c
                 x = _psi_value(g1, _desc((a,) + left))
-                y = _psi_value(g - g1, _desc((b,) + right))
+                y = _psi_value(g - g1, _desc((d1 - 2 - a,) + right))
                 den = x.denominator * y.denominator
-                sums[den] = sums.get(den, 0) + w * ways * x.numerator * y.numerator
+                sums[den] = sums.get(den, 0) + weights[a] * ways * x.numerator * y.numerator
     return sum_by_denominator(sums) / (2 * _dfact(2 * d1 + 1))
 
 

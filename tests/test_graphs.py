@@ -134,6 +134,19 @@ def test_weightings_match_residue_filter():
             for r, s, a in samples:
                 got = enumerate_weightings(G, r, s, a)
                 assert got == brute_weightings(G, r, s, a), (G, r, s, a)
+    # n = 0: legless vertices, the one-vertex graphs with loops only; the
+    # global congruence asks 2s = 0 mod r
+    graphs = enumerate_stable_graphs(2, 0)
+    assert any(G.n_vertices == 1 and G.n_edges == 2 for G in graphs)
+    for G in graphs:
+        for r, s in product(range(1, 6), range(-1, 3)):
+            if 2 * s % r == 0:
+                got = enumerate_weightings(G, r, s, ())
+                assert got == brute_weightings(G, r, s, ()), (G, r, s)
+                assert len(got) == r ** G.h1()
+            else:
+                with pytest.raises(WeightingConstraintError):
+                    enumerate_weightings(G, r, s, ())
 
 
 def test_weighting_global_constraint_error():

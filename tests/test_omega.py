@@ -409,6 +409,64 @@ def test_graph_sum_builds_edge_series_only_at_used_residues():
         assert edge_local_factor.cache_info().misses == built, a
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_edge_terms_by_reflection_match_the_edge_series(r):
+    # above r/2 the edge series is read from residue r - w with psi' and psi''
+    # swapped; against the series expanded at w itself, its order kept
+    from tautint.polys import edge_local_factor
+
+    trunc = 5
+    for x in (F(1), F(1, 2), F(-1)):
+        for w in range(r):
+            den, terms = omega._edge_terms(w, r, x.numerator, x.denominator, trunc)
+            want = edge_local_factor(w, r, x, trunc).terms
+            assert [ij for ij, _ in terms] == [ij for ij, _ in want], (r, w, x)
+            assert [F(q, den) for _, q in terms] == [q for _, q in want], (r, w, x)
+
+
+# Graphs that read the psi vectors of an orbit through their leg layout: all
+# a_i equal, a repeated a_i beside a distinct one, and a repeated a_i with
+# a_i outside 0..r-1 (4 and -2 at r = 3).
+READING_CASES = [(0, 6, (1,) * 6), (2, 3, (1, 2, 2)), (1, 4, (1, 1, 4, -2))]
+
+
+@pytest.mark.parametrize("g,n,a", READING_CASES)
+def test_leg_readings_cover_each_orbit_once(g, n, a):
+    from collections import Counter
+    from itertools import permutations
+
+    classes = omega._classes_of(a)
+    by_a = [[i for i in range(n) if a[i] == c] for c in set(a)]
+    orbits = {}
+    for _, psi in flat_basis(g, n):
+        orbit = omega._psi_orbit(psi, classes)
+        # the orbit: the vectors with psi's multiset of exponents on the
+        # markings of each a_i, each once
+        moved = {
+            p
+            for p in permutations(psi)
+            if all(sorted(p[i] for i in cls) == sorted(psi[i] for i in cls) for cls in by_a)
+        }
+        assert len(orbit) == len(moved) and set(orbit) == moved, psi
+        orbits[psi] = orbit
+    for G, _ in graph_orbits(g, n, a):
+        legs = omega._graph_plan(G)[2]
+        for psi, orbit in orbits.items():
+            readings = omega._leg_readings(orbit, legs, a)
+            assert sum(count for _, _, count in readings) == len(orbit)
+            # each vector of the orbit restricted to the legs of each vertex
+            want = Counter(
+                tuple(
+                    tuple(sorted((a[i], vec[i]) for i in range(n) if G.legs[i] == v))
+                    for v in range(G.n_vertices)
+                )
+                for vec in orbit
+            )
+            assert {vlegs: count for vlegs, _, count in readings} == want, (G, psi)
+            for vlegs, legdeg, _ in readings:
+                assert legdeg == tuple(sum(d for _, d in vl) for vl in vlegs)
+
+
 @pytest.mark.parametrize(
     "g,n,r,s",
     [(2, 3, r, s) for r in (2, 3, 5) for s in (0, 1)] + [(1, 4, 4, 0), (1, 4, 4, 1)]
