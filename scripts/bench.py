@@ -28,6 +28,9 @@ value checked:
 - the many-marking frontier, two `tautint omega` calls whose degree-9 test
   class reads only degree 2 of Omega on spaces with tens of thousands of
   graph orbits, each cold, its printed value compared with a pinned one;
+- the full identity suite, one `python -m tautint verify --grid full` per
+  side, cold: its wall time and peak RSS, taken from outside the child, and
+  the sha256 of its stdout compared with the pinned report text;
 - cold start: 20 starts each of `python -c "import tautint"`,
   `python -S -c "import tautint"` and `python -m tautint chi 1 1` (its stdout
   checked against -1/12), each timed from outside the child, with the
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import platform
@@ -216,6 +220,9 @@ MANY_MARKING = (
      ["omega", "1", "9", "2", "0", "1,1,0,0,0,0,0,0,0", "--test-class", "psi1^4*psi2^3"], "0"),
 )
 
+# sha256 of the stdout of `tautint verify --grid full`, the pinned report text
+VERIFY_FULL_DIGEST = "7dac257d7f02f1d17bdda1029718249ff6cc44a4d726f262c34cf98f2d2cc55b"
+
 # (name, interpreter arguments, expected stdout): what every process that
 # imports tautint pays before it computes anything
 COLD_START = (
@@ -348,6 +355,25 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
         proc = subprocess.run(cmd, cwd=checkout, env=env_src, capture_output=True, text=True)
         return time.perf_counter() - t0, proc.returncode == 0 and proc.stdout == expected
 
+    def verify_full(checkout: Path) -> dict:
+        """One cold `python -m tautint verify --grid full` in the checkout: its
+        wall time, the peak RSS of that child alone (os.wait4), and whether it
+        exited 0 with the pinned stdout."""
+        cmd = [sys.executable, "-m", "tautint", "verify", "--grid", "full"]
+        env_src = {**env, "PYTHONPATH": str(checkout / "src")}
+        t0 = time.perf_counter()
+        with subprocess.Popen(cmd, cwd=checkout, env=env_src, stdout=subprocess.PIPE) as proc:
+            digest = hashlib.sha256(proc.stdout.read()).hexdigest()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        return {
+            "name": "tautint verify --grid full",
+            "cold_s": time.perf_counter() - t0,
+            "digest": digest,
+            "peak_rss_mb": usage.ru_maxrss / 1024,
+            "correct": proc.returncode == 0 and digest == VERIFY_FULL_DIGEST,
+        }
+
     for workload in WORKLOADS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace"]
         for k in range(TRACE0_RUNS):
@@ -405,6 +431,9 @@ def measure(sides: list[tuple[Path, dict]], env: dict[str, str]) -> list[dict]:
         for (_, mine), (_, other) in zip(sides, sides[::-1]):
             for workload, entry in mine["cold_pairs"].items():
                 add_spread(entry, entry["run_s"], other["cold_pairs"][workload]["run_s"])
+    for checkout, record in each_side():
+        print(f"{bench_name(record)}: verify --grid full", flush=True)
+        record["frontier_verify"] = verify_full(checkout)
     for k in range(COLD_STARTS):
         for name, args, expected in COLD_START:
             for checkout, record in each_side():
@@ -461,6 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         checks += [case["correct"] for case in record["frontier_chi_mv"]]
         checks += [case["correct"] for case in record["frontier_enumeration"]]
         checks += [case["correct"] for case in record["frontier_many_marking"]]
+        checks.append(record["frontier_verify"]["correct"])
         checks += [entry["correct"] for entry in record["call_counts"].values()]
         checks += [entry["correct"] for entry in record["cold_pairs"].values()]
         checks += [entry["correct"] for entry in record["cold_start"].values()]

@@ -14,6 +14,17 @@ integer dot product; each side of a compared row is a (numerator,
 denominator) pair, the two compared by cross-multiplying, and a row's label
 and fractions are formatted only when it fails.  The (1 + t psi_i) products
 and their inverses are integer coefficient lists.
+
+The shift and 0/r checks read Omega as one integer row per OmegaSpec and
+space: its pairings with flat_basis(g, n), fetched with one `omega_pairings`
+call.  `iter_suite` shares the rows of a space among its checks, since the
+left sides of the shift in s at s are the right sides at s + Nr, and drops
+them when it moves on; a check called on its own fetches its own.  The
+products of a factor's monomials with the basis are read from an index
+table that depends only on the monomials, so each right side is an integer
+dot product with a row, and the rows are compared in a memoised sorted
+order of the basis.  The pullback family reads its two batches by positions
+planned once per (n, dim).
 """
 
 from __future__ import annotations
@@ -79,35 +90,73 @@ def flat_basis(g: int, n: int, include_kappa: bool = True) -> list[Monomial]:
     return [m for ms in _basis_by_degree(g, n, include_kappa) for m in ms]
 
 
+@lru_cache(maxsize=None)
+def _basis_plan(g: int, n: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int], tuple[int, ...]]:
+    """flat_basis(g, n) as a tuple, the position of each of its monomials, and
+    the positions in sorted monomial order."""
+    basis = tuple(flat_basis(g, n))
+    order = tuple(sorted(range(len(basis)), key=basis.__getitem__))
+    return basis, {m: k for k, m in enumerate(basis)}, order
+
+
 # -- helpers ----------------------------------------------------------------------
 
 
-def _common_denominator(values: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
-    """The values as integer numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values.values()))
-    return {m: v.numerator * (den // v.denominator) for m, v in values.items()}, den
+def _integer_row(values: dict[Monomial, Fraction], monos: Iterable[Monomial]) -> tuple[list[int], int]:
+    """The values at monos, in that order, as integer numerators over their
+    least common denominator."""
+    row = [values[m] for m in monos]
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
 
 
-def _pair_with_factor(
-    g: int, n: int, spec: OmegaSpec, factor: TautPolynomial, monos: Iterable[Monomial]
-) -> tuple[dict[Monomial, int], int]:
-    """int Omega_spec * factor * mono for each basis monomial, as integer
-    numerators over one denominator.
+class _Rows(dict):
+    """Omega's pairings with flat_basis(g, n), one row per OmegaSpec: integer
+    numerators in basis order over one denominator, each row fetched with one
+    `omega_pairings` call when it is first read.  A memo lives as long as the
+    checks of one space that share it, never longer."""
+
+    def __init__(self, g: int, n: int):
+        super().__init__()
+        self.g, self.n = g, n
+        self.basis, _, self.order = _basis_plan(g, n)
+
+    def __missing__(self, spec: OmegaSpec) -> tuple[list[int], int]:
+        row = self[spec] = _integer_row(omega_pairings(self.g, self.n, spec, self.basis), self.basis)
+        return row
+
+
+@lru_cache(maxsize=None)
+def _product_table(g: int, n: int, trunc: int, factor_monos: tuple[Monomial, ...]) -> tuple:
+    """Per factor monomial f, the positions in flat_basis(g, n) of the
+    products f * mono over the basis monomials with deg(mono) <= trunc -
+    deg(f): the terms a truncation at `trunc` keeps.  The basis runs by
+    increasing degree, so those monomials are a prefix of it."""
+    basis, index, _ = _basis_plan(g, n)
+    table = []
+    for f in factor_monos:
+        room = trunc - monomial_degree(f)
+        table.append(tuple(index[monomial_product(f, m)] for m in basis if monomial_degree(m) <= room))
+    return tuple(table)
+
+
+def _pair_with_factor(g: int, n: int, row: tuple[list[int], int], factor: TautPolynomial) -> tuple[list, int]:
+    """int Omega * factor * mono for each monomial of flat_basis(g, n), from
+    `row`, Omega's pairings with that basis: both as integer numerators in
+    basis order over one denominator.
 
     Each product factor * mono keeps the factor's terms of degree
-    <= factor.trunc - deg(mono), as its truncation at factor.trunc would,
-    and one `omega_pairings` batch covers every monomial the products reach.
-    With the factor and the pairings each over a common denominator, each
-    sum of c * pairing is an integer dot product."""
-    coeffs, fden = _common_denominator(factor.terms)
-    terms = [(m, c, monomial_degree(m)) for m, c in coeffs.items()]
-    prods: dict[Monomial, list[tuple[Monomial, int]]] = {}
-    for mono in monos:
-        room = factor.trunc - monomial_degree(mono)
-        prods[mono] = [(monomial_product(m, mono), c) for m, c, d in terms if d <= room]
-    needed = {m for prod_terms in prods.values() for m, _ in prod_terms}
-    pair, pden = _common_denominator(omega_pairings(g, n, spec, needed) if needed else {})
-    return {mono: sum(c * pair[m] for m, c in prod_terms) for mono, prod_terms in prods.items()}, fden * pden
+    <= factor.trunc - deg(mono), as its truncation at factor.trunc would.
+    The products are read as basis positions from `_product_table`, so with
+    the factor over a common denominator each value is an integer dot
+    product."""
+    nums, den = row
+    monos = tuple(factor.terms)
+    coeffs, fden = _integer_row(factor.terms, monos)
+    out = [0] * len(nums)
+    for c, prods in zip(coeffs, _product_table(g, n, factor.trunc, monos)):
+        out[: len(prods)] = [o + c * nums[p] for o, p in zip(out, prods)]
+    return out, fden * den
 
 
 def _differing(template: str, rows: Iterable[tuple]) -> list[str]:
@@ -122,10 +171,15 @@ def _differing(template: str, rows: Iterable[tuple]) -> list[str]:
     ]
 
 
-def _compare_pairings(name: str, params: dict, lhs: tuple[dict, int], rhs: tuple[dict, int]) -> CheckReport:
-    """Pairings compared per monomial, each side numerators over one denominator."""
+def _compare_pairings(
+    memo: _Rows, name: str, params: dict, lhs: tuple[list[int], int], rhs: tuple[list[int], int]
+) -> CheckReport:
+    """Pairings compared per basis monomial of the memo's space, in sorted
+    monomial order, each side numerators in basis order over one
+    denominator."""
     (lnums, lden), (rnums, rden) = lhs, rhs
-    rows = (((mono,), (lnums[mono], lden), (rnums[mono], rden)) for mono in sorted(lnums))
+    basis = memo.basis
+    rows = (((basis[k],), (lnums[k], lden), (rnums[k], rden)) for k in memo.order)
     expected = "all pairings equal (pairing-certified identity)"
     return first_failure(name, params, expected, _differing("pairing {}", rows), "equal")
 
@@ -203,50 +257,86 @@ def degree_bound_check(g: int, n: int, spec: OmegaSpec, bound_formula: str) -> C
 def check_shift_s(g: int, n: int, r: int, s: int, a: tuple[int, ...], x, N: int = 1) -> CheckReport:
     """Omega(r, s+Nr; a) = Omega(r, s; a) * exp(sum (-x)^m/m p_m kappa_m), p_m the power sum
     of s/r, ..., s/r+N-1: reported as shift_s at N = 1, else as multi_shift_s with N."""
+    return _shift_s(_Rows(g, n), r, s, a, x, N)
+
+
+def _shift_s(memo: _Rows, r: int, s: int, a: tuple[int, ...], x, N: int) -> CheckReport:
     x = Fraction(x)
+    g, n = memo.g, memo.n
     dim = 3 * g - 3 + n
-    basis = flat_basis(g, n)
-    lhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, s + N * r, a, x), basis))
+    lhs = memo[OmegaSpec(r, s + N * r, a, x)]
     coeffs = {m: (-x) ** m * power_sum(m, Fraction(s, r), N) / m for m in range(1, dim + 1)}
     factor = exp_kappa_series(coeffs, n, dim)
-    rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
+    rhs = _pair_with_factor(g, n, memo[OmegaSpec(r, s, a, x)], factor)
     name, extra = ("shift_s", {}) if N == 1 else ("multi_shift_s", {"N": N})
-    return _compare_pairings(name, {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x, **extra}, lhs, rhs)
+    return _compare_pairings(memo, name, {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x, **extra}, lhs, rhs)
 
 
 def check_shift_a(g: int, n: int, r: int, s: int, a: tuple[int, ...], i: int, x, N: int = 1) -> CheckReport:
     """Omega(r, s; .., a_i + Nr, ..) = Omega(r, s; a) * prod_{t<N} (1 + x(a_i/r + t) psi_i):
     reported as shift_a at N = 1, else as multi_shift_a with N."""
+    return _shift_a(_Rows(g, n), r, s, a, i, x, N)
+
+
+def _shift_a(memo: _Rows, r: int, s: int, a: tuple[int, ...], i: int, x, N: int) -> CheckReport:
     x = Fraction(x)
-    basis = flat_basis(g, n)
+    g, n = memo.g, memo.n
     a2 = a[: i - 1] + (a[i - 1] + N * r,) + a[i:]
-    lhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, s, a2, x), basis))
+    lhs = memo[OmegaSpec(r, s, a2, x)]
     roots = [x * (Fraction(a[i - 1], r) + t) for t in range(N)]
     factor = _linear_product(n, i, 3 * g - 3 + n, roots, False)
-    rhs = _pair_with_factor(g, n, OmegaSpec(r, s, a, x), factor, basis)
+    rhs = _pair_with_factor(g, n, memo[OmegaSpec(r, s, a, x)], factor)
     name, extra = ("shift_a", {}) if N == 1 else ("multi_shift_a", {"N": N})
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "i": i, "x": x, **extra}
-    return _compare_pairings(name, params, lhs, rhs)
+    return _compare_pairings(memo, name, params, lhs, rhs)
 
 
 def check_zero_r_symmetry(g: int, n: int, r: int, a: tuple[int, ...]) -> CheckReport:
     """Omega(r, 0; a) = Omega(r, r; a), plus the leaf version 0 <-> r."""
-    basis = flat_basis(g, n)
-    lhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, 0, a), basis))
-    rhs = _common_denominator(omega_pairings(g, n, OmegaSpec(r, r, a), basis))
-    rep = _compare_pairings("zero_r_symmetry", {"g": g, "n": n, "r": r, "a": a}, lhs, rhs)
+    return _zero_r_symmetry(_Rows(g, n), r, a)
+
+
+def _zero_r_symmetry(memo: _Rows, r: int, a: tuple[int, ...]) -> CheckReport:
+    g, n = memo.g, memo.n
+    lhs = memo[OmegaSpec(r, 0, a)]
+    rhs = memo[OmegaSpec(r, r, a)]
+    rep = _compare_pairings(memo, "zero_r_symmetry", {"g": g, "n": n, "r": r, "a": a}, lhs, rhs)
     if rep.passed:
         for i, ai in enumerate(a):
             if ai % r == 0:
                 a2 = a[:i] + (ai + r if ai == 0 else ai - r,) + a[i + 1 :]
-                alt = _common_denominator(omega_pairings(g, n, OmegaSpec(r, 0, a2), basis))
-                leaf = _compare_pairings(
-                    "zero_r_symmetry_leaf", {"g": g, "n": n, "r": r, "a": a, "i": i + 1}, lhs, alt
-                )
+                params = {"g": g, "n": n, "r": r, "a": a, "i": i + 1}
+                leaf = _compare_pairings(memo, "zero_r_symmetry_leaf", params, lhs, memo[OmegaSpec(r, 0, a2)])
                 if not leaf.passed:
                     return leaf
                 break
     return rep
+
+
+@lru_cache(maxsize=None)
+def _pullback_plan(n: int, dim1: int) -> tuple:
+    """What `_pullback_family` reads on Mbar_{g,n+1} of dimension dim1: its
+    two batches of monomials, up on n + 1 points and down on n, and its rows
+    as positions in them.  Pullback rows are (label, up position, down
+    position, k), string rows (label, up position or None past the
+    dimension, down positions summed), dilaton rows (label, up position, down
+    position)."""
+    ds = _psi_upto(n, dim1)
+    cases = [(k, d) for k in range(3) for d in _psi_upto(n, dim1 - k - 1)]
+    up = tuple(((), d + (k,)) for k in range(4) for d in _psi_upto(n, dim1 + 1 - k))
+    down = tuple([((), d) for d in ds] + [(((k, 1),), d) for k, d in cases if k])
+    u = {m: i for i, m in enumerate(up)}
+    v = {m: i for i, m in enumerate(down)}
+    pullback = tuple(
+        ((k, d), u[((), d + (k + 1,))], v[(((k, 1),), d) if k else ((), d)], k) for k, d in cases
+    )
+    string = tuple(
+        ((d,), u[((), d + (0,))] if sum(d) <= dim1 else None,
+         tuple(v[((), d[:j] + (d[j] - 1,) + d[j + 1 :])] for j in range(n) if d[j]))
+        for d in _psi_upto(n, dim1 + 1)
+    )
+    dilaton = tuple(((d,), u[((), d + (1,))], v[((), d)]) for d in ds)
+    return up, down, u[((), (0,) * (n + 1))], pullback, string, dilaton
 
 
 def _pullback_family(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> tuple[CheckReport, ...]:
@@ -258,32 +348,25 @@ def _pullback_family(g: int, n: int, r: int, s: int, a: tuple[int, ...], x) -> t
     their equations, coefficientwise.  All four read one batch of its
     pairings on Mbar_{g,n+1} with every psi monomial of degree <= dim + 1
     whose last exponent is at most 3, and one batch of Omega(r,s;a) pairings
-    on Mbar_{g,n}, so each graph sum runs once for the four."""
+    on Mbar_{g,n}, so each graph sum runs once for the four; their rows are
+    positions in the two batches (`_pullback_plan`)."""
     x = Fraction(x)
-    dim1 = 3 * g - 2 + n
     params = {"g": g, "n": n, "r": r, "s": s, "a": a, "x": x}
-    ds = _psi_upto(n, dim1)
-    cases = [(k, d) for k in range(3) for d in _psi_upto(n, dim1 - k - 1)]
-    monos = [((), d + (k,)) for k in range(4) for d in _psi_upto(n, dim1 + 1 - k)]
-    # each batch as integer numerators over one denominator
-    up, uden = _common_denominator(omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), monos))
-    kappa_monos = [(((k, 1),), d) for k, d in cases if k]
-    down_monos = [((), d) for d in ds] + kappa_monos
-    down, dden = _common_denominator(omega_pairings(g, n, OmegaSpec(r, s, a, x), down_monos))
+    up_monos, down_monos, zero, pb_rows, string_rows, dilaton_rows = _pullback_plan(n, 3 * g - 2 + n)
+    up, uden = _integer_row(omega_pairings(g, n + 1, OmegaSpec(r, s, a + (s,), x), up_monos), up_monos)
+    down, dden = _integer_row(omega_pairings(g, n, OmegaSpec(r, s, a, x), down_monos), down_monos)
     euler = 2 * g - 2 + n
-    total = Fraction(up[((), (0,) * (n + 1))], uden)
+    total = Fraction(up[zero], uden)
     pullback = [f"int Omega(..., s) = {total} != 0"] if total != 0 else []
     pullback += _differing("k={} d={}", (
-        ((k, d), (up[((), d + (k + 1,))], uden), (down[(((k, 1),), d)] if k else euler * down[((), d)], dden))
-        for k, d in cases
+        (key, (up[i], uden), (down[j] if k else euler * down[j], dden)) for key, i, j, k in pb_rows
     ))
     string = _differing("d={}", (
-        ((d,), (up[((), d + (0,))] if sum(d) <= dim1 else 0, uden),
-         (sum(down[((), d[:j] + (d[j] - 1,) + d[j + 1 :])] for j in range(n) if d[j]), dden))
-        for d in _psi_upto(n, dim1 + 1)
+        (key, (0 if i is None else up[i], uden), (sum(map(down.__getitem__, js)), dden))
+        for key, i, js in string_rows
     ))
     dilaton = _differing("d={}", (
-        ((d,), (up[((), d + (1,))], uden), (euler * down[((), d)], dden)) for d in ds
+        (key, (up[i], uden), (euler * down[j], dden)) for key, i, j in dilaton_rows
     ))
     expected = "pullback consequences (vanishing and kappa transport)"
     return (
@@ -442,6 +525,9 @@ def admissible_a(g: int, n: int, r: int, s: int) -> tuple[int, ...]:
 def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
     """Run every identity check over the grid, yielding reports."""
     for g, n in grid.spaces():
+        # the Omega rows of this space, shared by its shift and 0/r checks:
+        # the left sides of the shift in s at s are the right sides at s + Nr
+        memo = _Rows(g, n)
         for r in range(1, grid.max_r + 1):
             for s in grid.s_values:
                 if n == 0 and (2 * g - 2) * s % r != 0:
@@ -449,14 +535,14 @@ def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
                 a = admissible_a(g, n, r, s)
                 for x in grid.x_values:
                     for N in (1, 2, 3):
-                        yield check_shift_s(g, n, r, s, a, x, N)
+                        yield _shift_s(memo, r, s, a, x, N)
                     if n >= 1:
                         for N in (1, 2):
-                            yield check_shift_a(g, n, r, s, a, 1, x, N)
+                            yield _shift_a(memo, r, s, a, 1, x, N)
                     yield from _pullback_family(g, n, r, s, a, x)
                     yield check_vanishing_corollary(g, n, r, s, a, x)
             a0 = admissible_a(g, n, r, 0)
-            yield check_zero_r_symmetry(g, n, r, a0)
+            yield _zero_r_symmetry(memo, r, a0)
         for s in grid.s_values:
             for x in grid.x_values:
                 yield check_segre_chern(g, n, s, x)

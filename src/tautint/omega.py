@@ -15,7 +15,8 @@ class T:
   39208).  A graph reads a psi vector only through its restriction to the
   legs of each vertex, so that orbit sum runs once per distinct restriction
   (a reading), weighted by the number of orbit vectors that give it; the
-  readings are kept per leg layout, which the graphs of a batch share.  Per
+  readings are kept per leg layout, which the graphs of a batch share,
+  until the last graph of that layout has been summed.  Per
   graph shape the edge series are multiplied out in one pass over the edges
   for all r^h1 weightings at once, each partial configuration carrying one
   integer coefficient per weighting over a common denominator and its
@@ -27,7 +28,8 @@ class T:
   expanded.  A vertex integral reads one degree of its integrand, and only
   that degree is built: the kappa-exponential terms of each degree and each
   leg's coefficient list are convolved into one bucket per (leg a_i,
-  degree).
+  degree); the product of the leg lists does not read s and is kept per
+  (r, x, leg a_i, degree) for every s.
   Vertex integrals and the per-graph terms of each monomial are summed as
   integer numerators per denominator and reduced once at the end
   (`exact.sum_by_denominator`), not as one Fraction per term;
@@ -47,7 +49,7 @@ the dimension.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -137,12 +139,11 @@ def _leg_coeffs(r: int, ai: int, xn: int, xd: int, trunc: int) -> tuple[tuple[in
 
 
 @lru_cache(maxsize=None)
-def _vertex_bucket(r: int, s: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
-    """The terms of one degree of a vertex base, the kappa factor times one
-    leg factor per a_i in `legs`: ((kappa part, leg psi exponents, numerator,
-    denominator), ...), the fractions not reduced.  Built by convolution over
-    the legs, so only the terms of that degree are formed; shared by every
-    vertex with these leg a_i, whatever its genus and half-edges."""
+def _leg_convolution(r: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
+    """The product of one leg factor per a_i in `legs` up to `degree`, by
+    degree: ((d, ((leg psi exponents, numerator, denominator), ...)), ...),
+    the fractions not reduced.  Built by convolution over the legs; it does
+    not read s, so one serves the vertex buckets of every s."""
     by_deg: dict[int, list] = {0: [((), 1, 1)]}
     for ai in legs:
         coeffs = _leg_coeffs(r, ai, xn, xd, degree)
@@ -154,10 +155,20 @@ def _vertex_bucket(r: int, s: int, xn: int, xd: int, legs: tuple[int, ...], degr
                         (psi + (k,), pn * cn, pd * cd) for psi, pn, pd in terms
                     )
         by_deg = nxt
+    return tuple((d, tuple(terms)) for d, terms in by_deg.items())
+
+
+@lru_cache(maxsize=None)
+def _vertex_bucket(r: int, s: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
+    """The terms of one degree of a vertex base, the kappa factor times one
+    leg factor per a_i in `legs`: ((kappa part, leg psi exponents, numerator,
+    denominator), ...), the fractions not reduced.  Only the terms of that
+    degree are formed; shared by every vertex with these leg a_i, whatever
+    its genus and half-edges."""
     kterms = _kappa_terms(r, s, xn, xd, degree)
     return tuple(
         (kap, psi, kn * pn, kd * pd)
-        for d, terms in by_deg.items()
+        for d, terms in _leg_convolution(r, xn, xd, legs, degree)
         for kap, kn, kd in kterms.get(degree - d, ())
         for psi, pn, pd in terms
     )
@@ -225,7 +236,14 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
     by the series term of the residue each weighting puts on it, and partial
     configs that differ only by order merge as soon as they meet.  The result
     sees the legs only through each vertex's count and residue sum, so graphs
-    of one shape share it."""
+    of one shape share it.
+
+    `_config_cache` keeps it per shape across calls.  That serves the
+    identity suite, whose batches revisit one space at many s, a and x: a
+    cold perfbench identity_suite run finds 2421 of its 2700 lookups there,
+    and `verify --grid small` 682 of 803.  A graph_sum batch gets no hit:
+    the 762 graphs its three batches visit have 762 distinct shapes, even
+    up to relabelling the vertices."""
     dims = _graph_plan(G)[0]
     weightings = enumerate_weightings(G, r, s, a)
     # one denominator for the residues these weightings use, not all r of them
@@ -471,8 +489,8 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
     `_leg_readings`), weighted by the number of vectors that give it.  The
     readings depend on the graph only through its leg layout, which graphs of
     one batch share (the 365 orbits of Mbar_{2,3} at a = (1, 2, 2) have 49),
-    so they are kept per layout and canonical psi vector for the length of
-    the call."""
+    so they are kept per layout and canonical psi vector until the last graph
+    of that layout has been summed."""
     dim = 3 * g - 3 + n
     xn, xd = xq
     classes = _classes_of(a)
@@ -487,14 +505,18 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
         entry = (mono, h_order // len(orbit), orbit)
         for room in range(monomial_degree(mono), dim + 1):
             monos_upto[room].append(entry)
-    # {leg layout: {canonical psi vector: readings}}
+    visits = [
+        (G, aut_col) for G, aut_col in graph_orbits(g, n, a)
+        if G.n_edges <= dim and monos_upto[dim - G.n_edges]
+    ]
+    # {leg layout: {canonical psi vector: readings}}, each layout's entry
+    # dropped after the last graph that reads it
     readings_at: dict[tuple, dict[tuple, tuple]] = {}
+    graphs_left = Counter(_graph_plan(G)[2] for G, _ in visits)
     vertex_vals = _vertex_cache.setdefault((r, s, xn, xd), {})
     s_res, a_res = s % r, tuple(ai % r for ai in a)
     shapes = _config_cache.setdefault((r, s_res, xn, xd, dim), {})
-    for G, aut_col in graph_orbits(g, n, a):
-        if G.n_edges > dim or not monos_upto[dim - G.n_edges]:
-            continue
+    for G, aut_col in visits:
         dims, n_local, legs, exp_pref = _graph_plan(G)
         pref_num, pref_den = (
             (r ** exp_pref, aut_col) if exp_pref >= 0 else (1, aut_col * r ** -exp_pref)
@@ -505,7 +527,8 @@ def _pairings_graph(g: int, n: int, r: int, s: int, a: tuple, xq: tuple, monomia
         config_groups = shapes.get(shape)
         if config_groups is None:
             config_groups = shapes[shape] = _edge_configs(G, r, s_res, a_res, xn, xd, dim)
-        by_psi = readings_at.setdefault(legs, {})
+        graphs_left[legs] -= 1
+        by_psi = readings_at.setdefault(legs, {}) if graphs_left[legs] else readings_at.pop(legs, {})
         # the configs whose per-vertex degrees fit a room vector, per room
         fits: dict[tuple[int, ...], tuple] = {}
         for mono, stab, orbit in monos_upto[dim - G.n_edges]:

@@ -20,7 +20,8 @@ from tautint.checks import (
     iter_suite,
     pairing_basis,
 )
-from tautint.polys import TautPolynomial, monomial_degree, monomial_product, series_inverse
+from tautint.exact import power_sum
+from tautint.polys import TautPolynomial, exp_kappa_series, monomial_degree, monomial_product, series_inverse
 
 
 def test_pairing_basis_shape():
@@ -241,3 +242,73 @@ def test_one_wrong_pairing_fails_the_rows_that_read_it(monkeypatch, k, d, failin
     row = f"d={d}: lhs={true + eps} rhs={true}"
     for name in failing:
         assert reports[name].details == [f"k=0 {row}" if name == "pullback" else row]
+
+
+@pytest.mark.parametrize(
+    "check, args, bumped",
+    [
+        (check_shift_s, (1, 1, 2, 1, (1,), F(1)), checks.OmegaSpec(2, 3, (1,), F(1))),
+        (check_shift_a, (1, 1, 2, 1, (1,), 1, F(1)), checks.OmegaSpec(2, 1, (3,), F(1))),
+        (check_zero_r_symmetry, (1, 1, 2, (2,)), checks.OmegaSpec(2, 0, (2,))),
+    ],
+)
+def test_check_functions_keep_no_pairings_between_calls(monkeypatch, check, args, bumped):
+    # a check called on its own reads Omega afresh: once one of its specs
+    # reads one more, the next call must report that, not a remembered value
+    assert check(*args).passed
+    pairings = checks.omega_pairings
+    monkeypatch.setattr(
+        checks,
+        "omega_pairings",
+        lambda g, n, spec, monos: {m: v + (spec == bumped) for m, v in pairings(g, n, spec, monos).items()},
+    )
+    rep = check(*args)
+    g, n = args[:2]
+    first = min(flat_basis(g, n))
+    true = pairings(g, n, bumped, [first])[first]
+    assert not rep.passed
+    assert rep.got == f"pairing {first}: lhs={true + 1} rhs={true}"
+
+
+def test_suite_asks_each_omega_batch_once_per_space(monkeypatch):
+    # the shift and 0/r checks of one space share one row per spec, so no
+    # (space, spec, monomial set) reaches omega_pairings twice
+    pairings, asked = checks.omega_pairings, []
+
+    def record(g, n, spec, monos):
+        monos = list(monos)
+        asked.append((g, n, spec, frozenset(monos)))
+        return pairings(g, n, spec, monos)
+
+    monkeypatch.setattr(checks, "omega_pairings", record)
+    reports = list(iter_suite(SMALL_GRID))
+    assert len(reports) == 1061 and all(rep.passed for rep in reports)
+    assert len(asked) == len(set(asked))
+
+
+def test_pair_with_factor_matches_the_truncated_product():
+    # oracle: the truncated product factor * mono in the ring, paired term by
+    # term with Fraction values; the factor truncated at dim - 1 as well as
+    # at dim, so a product table that kept terms beyond the truncation would
+    # change the values, not only fail to find them
+    for g, n in [(0, 4), (1, 1), (1, 2), (0, 5)]:
+        dim = 3 * g - 3 + n
+        basis = flat_basis(g, n)
+        for r in (1, 2, 3):
+            s = 1
+            a = admissible_a(g, n, r, s)
+            for x in (F(1), F(-1), F(1, 2)):
+                spec = checks.OmegaSpec(r, s, a, x)
+                pairs = checks.omega_pairings(g, n, spec, basis)
+                row = checks._Rows(g, n)[spec]
+                for trunc in {max(dim - 1, 0), dim}:
+                    coeffs = {m: (-x) ** m * power_sum(m, F(s, r), 2) / m for m in range(1, dim + 1)}
+                    roots = [x * (F(a[0], r) + t) for t in range(2)]
+                    factors = [exp_kappa_series(coeffs, n, trunc)]
+                    factors += [checks._linear_product(n, 1, trunc, roots, invert) for invert in (False, True)]
+                    for factor in factors:
+                        nums, den = checks._pair_with_factor(g, n, row, factor)
+                        for k, mono in enumerate(basis):
+                            prod = factor * TautPolynomial.from_monomial(n, trunc, *mono)
+                            want = sum((c * pairs[m] for m, c in prod.terms.items()), F(0))
+                            assert F(nums[k], den) == want, (g, n, r, x, trunc, mono)
