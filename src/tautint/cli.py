@@ -270,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--jobs", type=_pos_int, default=1)
     t.set_defaults(func=cmd_table)
 
+    # the negative-number matcher of Python 3.13: "-1,1,1,-3" and "-1/2" are values, not options
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"-\.?\d")
     return p
 
 

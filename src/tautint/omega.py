@@ -5,8 +5,9 @@ class T:
 
 * the stable-graph sum: per graph and admissible mod-r weighting, a vertex
   kappa-exponential, per-leg psi-exponentials (with the true integers a_i,
-  not their residues), and per-edge series obtained as the exact quotient of
-  1 - exp(...) by psi' + psi'', all weighted by r^{2g-1-h1(Gamma)}/|Aut|.
+  not their residues), and per-edge series (1 - exp(...))/(psi' + psi''),
+  read in closed form from the leg series at the edge's two residues, all
+  weighted by r^{2g-1-h1(Gamma)}/|Aut|.
   The class is symmetric under the group H of permutations of markings with
   equal a_i, so the sum visits one graph G0 per H-orbit of stable graphs
   and, for a monomial d, sums its terms over the H-orbit of the psi vector
@@ -68,6 +69,7 @@ from .polys import (
     edge_local_factor,
     exp_kappa_series,
     exp_psi_series,
+    leg_series,
     monomial_degree,
     monomial_product,
 )
@@ -131,11 +133,8 @@ def _kappa_terms(r: int, s: int, xn: int, xd: int, trunc: int) -> dict[int, tupl
 
 @lru_cache(maxsize=None)
 def _leg_coeffs(r: int, ai: int, xn: int, xd: int, trunc: int) -> tuple[tuple[int, int], ...]:
-    """The coefficients of psi^0, ..., psi^trunc in the leg factor
-    exp(-sum_m B_m psi^m), B the Bernoulli series at a_i/r, as (numerator,
-    denominator) pairs."""
-    coeffs = {m: -c for m, c in bernoulli_series(Fraction(ai, r), Fraction(xn, xd), trunc).items()}
-    return tuple((c.numerator, c.denominator) for c in exp_psi_series(coeffs, trunc))
+    """`polys.leg_series` at a_i/r as (numerator, denominator) pairs."""
+    return tuple((c.numerator, c.denominator) for c in leg_series(Fraction(ai, r), Fraction(xn, xd), trunc))
 
 
 @lru_cache(maxsize=None)

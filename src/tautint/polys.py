@@ -1,14 +1,15 @@
 """Truncated polynomial algebra in kappa_m and per-point psi_i classes.
 
-One truncated sparse-series kernel (multiply, exp, inverse) serves the edge
-and lambda series and the kappa/psi products here.  `TautPolynomial` holds
+One truncated sparse-series kernel (multiply, inverse) serves the kappa/psi
+products here and the lambda series of `hodge`.  `TautPolynomial` holds
 a kappa/psi polynomial and keeps what the engine calls: the constructors
 `one`, `from_monomial` and `psi_series` (the single place a coefficient list
 is put on one psi_i), `*`, `==`, `by_degree` and the canonical `render`.
-The two exponentials the Omega class needs are built directly: exp of a
+The exponentials the Omega class needs are built directly: exp of a
 kappa series by the partition formula prod c_m^{e_m}/e_m!, and the
 coefficient list of exp of a one-point psi series by the recurrence
-k a_k = sum_m m b_m a_{k-m}.
+k a_k = sum_m m b_m a_{k-m}.  That list at a residue u is the leg series
+(`leg_series`); the edge series is a closed form in two of them.
 
 A monomial is a pair (kappa, psi): `kappa` is a tuple of (index, exponent)
 pairs sorted by index, `psi` a tuple of n nonnegative exponents.  Its degree
@@ -35,10 +36,9 @@ Monomial = tuple[KappaPart, PsiPart]
 # -- the truncated sparse-series kernel ----------------------------------------
 #
 # A series is a dict {key: Fraction} without zero coefficients, truncated
-# above a total degree.  A ring is fixed by two
-# functions on its keys: `degree` and `product`.  Kappa/psi polynomials, the
-# bivariate edge series and the lambda polynomials are all multiplied and
-# exponentiated here.
+# above a total degree.  A ring is fixed by two functions on its keys:
+# `degree` and `product`.  Kappa/psi polynomials and the lambda polynomials
+# are multiplied and inverted here.
 
 Series = dict[Hashable, Fraction]
 Degree = Callable[[Hashable], int]
@@ -57,20 +57,6 @@ def series_mul(a: Series, b: Series, trunc: int, degree: Degree, product: Produc
             key = product(ka, kb)
             cur = out.get(key)
             out[key] = ca * cb if cur is None else cur + ca * cb
-    return {key: c for key, c in out.items() if c}
-
-
-def series_exp(a: Series, one: Hashable, trunc: int, degree: Degree, product: Product) -> Series:
-    """exp(a) truncated above `trunc`, for a series without constant term."""
-    out: Series = {one: Fraction(1)}
-    power: Series = {one: Fraction(1)}
-    for k in range(1, trunc + 1):
-        power = {key: c / k for key, c in series_mul(power, a, trunc, degree, product).items()}
-        if not power:
-            break
-        for key, c in power.items():
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
     return {key: c for key, c in out.items() if c}
 
 
@@ -281,55 +267,40 @@ def exp_psi_series(coeffs: dict[int, Rat], trunc: int) -> list[Fraction]:
     return a
 
 
-# -- bivariate half-edge series ---------------------------------------------
+# -- leg and edge series ---------------------------------------------------------
 
-BivTerms = dict[tuple[int, int], Fraction]
+
+def leg_series(u: Rat, x: Rat, trunc: int) -> list[Fraction]:
+    """The coefficients of psi^0, ..., psi^trunc in the leg factor
+    exp(-sum_m c_m(u) psi^m), c_m(u) the Bernoulli series at residue u."""
+    return exp_psi_series({m: -c for m, c in bernoulli_series(u, x, trunc).items()}, trunc)
+
+
 # a polynomial in the two half-edge psi classes (psi', psi''): its sorted
 # ((i, j), coefficient) terms, truncated to total degree trunc
 EdgeSeries = namedtuple("EdgeSeries", "trunc terms")
 
 
-class EdgeDivisionError(ArithmeticError):
-    """The edge numerator failed to divide by psi' + psi'' (a bug if raised)."""
-
-
 @lru_cache(maxsize=None)
 def edge_local_factor(w: int, r: int, x: Rat, trunc: int) -> EdgeSeries:
-    """Edge factor of the stable-graph expansion at half-edge residue w.
+    """Edge factor of the stable-graph expansion at half-edge residue w:
 
-    Computes N = 1 - exp(-sum_m (-x)^m B_{m+1}(w/r)/(m(m+1)) ((psi')^m - (-psi'')^m))
-    exactly, checks divisibility by psi' + psi'', and returns N/(psi'+psi'')
-    truncated to total degree `trunc`.
+        (1 - exp(-sum_m c_m(w/r) ((psi')^m - (-psi'')^m))) / (psi' + psi'')
+
+    truncated to total degree `trunc`.  B_{m+1}(1 - u) = (-1)^{m+1} B_{m+1}(u)
+    makes the exponential A(psi') B(psi''), with A and B the leg series at
+    w/r and (r - w)/r, and A(t) B(-t) = 1.  So 1 - A(s) B(t) =
+    A(s) (B(-s) - B(t)), and dividing B(-s) - B(t) by s + t term by term gives
+    Q[i, j] = -sum_{q <= i} (-1)^q A[i - q] B[j + q + 1] with no remainder.
     """
     if not 0 <= w < r:
         raise ValueError("residue must lie in 0..r-1")
-    arg: BivTerms = {}
-    for m, c in bernoulli_series(Fraction(w, r), x, trunc + 1).items():
-        if c:
-            arg[(m, 0)] = -c
-            arg[(0, m)] = (-1) ** m * c
-    expo = series_exp(arg, (0, 0), trunc + 1, sum, vector_add)
-    num = {key: -c for key, c in expo.items() if key != (0, 0)}
-
-    quot = _divide_by_psi_sum(num)
-    quot = {k: v for k, v in quot.items() if sum(k) <= trunc and v != 0}
-    return EdgeSeries(trunc, tuple(sorted(quot.items())))
-
-
-def _divide_by_psi_sum(num: BivTerms) -> BivTerms:
-    """Exact division by (psi' + psi''), solving N[i,j] = Q[i-1,j] + Q[i,j-1]."""
-    if not num:
-        return {}
-    imax = max(i for i, _ in num)
-    jmax = max(j for _, j in num)
-    q: BivTerms = {}
-    for i in range(imax, 0, -1):
-        for j in range(0, jmax + 1):
-            val = num.get((i, j), Fraction(0)) - q.get((i, j - 1), Fraction(0))
-            if val != 0:
-                q[(i - 1, j)] = val
-    for j in range(0, jmax + 1):
-        rem = num.get((0, j), Fraction(0)) - q.get((0, j - 1), Fraction(0))
-        if rem != 0:
-            raise EdgeDivisionError("numerator not divisible by psi' + psi''")
-    return q
+    A = leg_series(Fraction(w, r), x, trunc)
+    B = leg_series(Fraction(r - w, r), x, trunc + 1)
+    terms = []
+    for i in range(trunc + 1):
+        for j in range(trunc + 1 - i):
+            c = -sum((-1) ** q * A[i - q] * B[j + q + 1] for q in range(i + 1))
+            if c:
+                terms.append(((i, j), c))
+    return EdgeSeries(trunc, tuple(terms))

@@ -140,11 +140,12 @@ def brute_stable_graphs(g: int, n: int) -> dict[tuple, int]:
             ne = g - sum(genera) + nv - 1
             if ne < 0 or ne > dim:
                 continue
+            # connectivity reads only the edge multiset, so it is tested once
+            # per multiset here, not once per leg placement
             pairs = list(combinations_with_replacement(range(nv), 2))
+            connected = [emul for emul in combinations_with_replacement(pairs, ne) if _is_connected(nv, emul)]
             for legs in product(range(nv), repeat=n):
-                for emul in combinations_with_replacement(pairs, ne):
-                    if not _is_connected(nv, emul):
-                        continue
+                for emul in connected:
                     stable = True
                     for v in range(nv):
                         val = sum(1 for w in legs if w == v) + sum(

@@ -46,6 +46,12 @@ def test_mv_and_hodge_and_omega(capsys):
     assert code == 0 and out.strip() == "1/24"
     code, out = run_cli(["omega", "1", "1", "1", "--", "-1", "0"], capsys)
     assert code == 0 and out.strip() == "-1/12"
+    # argparse before Python 3.13 takes "-1,1,1,-3" or "-1/2" for an unknown
+    # option; both are values here, as after `--` or in "-x=-1/2"
+    code, out = run_cli(["omega", "0", "4", "2", "-1", "-1,1,1,-3"], capsys)
+    assert code == 0 and out == "1\n"
+    code, out = run_cli(["omega", "0", "4", "3", "0", "1,1,1,-3", "-x", "-1/2", "--route", "graph-raw"], capsys)
+    assert code == 0 and out == "-1/6\n"
     code, out = run_cli(["omega", "1", "2", "2", "1", "0,2", "--test-class", "k1"], capsys)
     assert code == 0 and out.strip() == "1/48"
 
@@ -258,6 +264,7 @@ def run_usage(args, capsys):
         ["mv", "0", "3", "--with-normalization"],  # 4g-4+n < 0: no constant
         ["verify", "--decimal", "3"],  # verify prints exact JSON reports only
         ["verify", "--format", "json"],
+        ["omega", "0", "4", "2", "-1", "-1,1,1,-3", "-y"],  # unknown option beside negative values
     ],
 )
 def test_bad_input_is_a_usage_error(args, capsys):
@@ -431,3 +438,18 @@ def test_scripts_run_clean(argv):
     proc = run_python([str(script), *argv[1:]], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and "FAIL" not in proc.stdout
+
+
+def test_code_lines_counts_neither_docstrings_nor_comments(tmp_path):
+    # counted: the two lines of x, "class C:", "def f", and the two lines of a
+    # string that is returned, not a docstring
+    src = tmp_path / "m.py"
+    src.write_text(
+        '"""Module\ndocstring."""\n\n# comment\nx = (1,\n     2)  # trailing\n\n\n'
+        'class C:\n    """Doc."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+        '        return """not a\n        docstring"""\n'
+    )
+    script = Path(__file__).parents[1] / "scripts" / "code_lines.py"
+    proc = run_python([str(script), str(src)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", str(src), "6", "total"]

@@ -1,21 +1,13 @@
 from fractions import Fraction as F
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import edge_series_remultiply, psi_geometric, substitute_edge
+from oracles import edge_series_remultiply, exp_series, psi_geometric, substitute_edge
 from tautint.exact import bernoulli_poly
-from tautint.polys import (
-    EdgeSeries,
-    TautPolynomial,
-    edge_local_factor,
-    exp_kappa_series,
-    exp_psi_series,
-    monomial_degree,
-    monomial_product,
-    series_exp,
-)
+from tautint.polys import EdgeSeries, TautPolynomial, edge_local_factor, exp_kappa_series, exp_psi_series
 
 
 def P1(n=2, trunc=3):
@@ -120,35 +112,39 @@ def test_exp_series_drop_high_and_zero_terms():
     assert e.terms == {((), (0, 0)): F(1), ((), (0, 2)): F(3), ((), (0, 4)): F(9, 2)}
 
 
+def psi_exp_reference(coeffs, tr):
+    """exp(sum_m c_m t^m) through t^tr by the oracle's one-variable exp."""
+    return exp_series([F(0)] + [F(coeffs.get(m, 0)) for m in range(1, tr + 1)], tr)
+
+
+def kappa_exp_reference(coeffs, n, tr):
+    """exp(sum_m c_m kappa_m) as the ring product over m of exp(c_m kappa_m),
+    each the oracle's one-variable exp with t^(m e) read as kappa_m^e."""
+    out = TautPolynomial.one(n, tr)
+    for m, c in coeffs.items():
+        series = psi_exp_reference({m: c}, tr)
+        terms = {(((m, k // m),) if k else (), (0,) * n): a for k, a in enumerate(series) if a}
+        out = out * TautPolynomial(n, tr, terms)
+    return out
+
+
 def test_exp_series_equal_sum_then_exp():
     n, tr = 3, 5
     coeffs = {1: F(-1, 2), 2: F(2, 3), 4: F(5)}
-    one = ((), (0,) * n)
-    lin = {(((m, 1),), (0,) * n): c for m, c in coeffs.items()}
-    want = TautPolynomial(n, tr, series_exp(lin, one, tr, monomial_degree, monomial_product))
-    assert exp_kappa_series(coeffs, n, tr) == want
-    lin = {((), (0, m, 0)): c for m, c in coeffs.items()}
-    want = TautPolynomial(n, tr, series_exp(lin, one, tr, monomial_degree, monomial_product))
-    assert TautPolynomial.psi_series(2, n, tr, exp_psi_series(coeffs, tr)) == want
+    assert exp_kappa_series(coeffs, n, tr) == kappa_exp_reference(coeffs, n, tr)
+    assert exp_psi_series(coeffs, tr) == psi_exp_reference(coeffs, tr)
 
 
 def test_direct_exp_series_match_generic_exp():
     # the partition formula and the one-variable recurrence against the
-    # generic series exponential, zero coefficients and trunc 0 included
+    # oracle's series exponential, zero coefficients and trunc 0 included
     values = (F(0), F(1), F(-2, 3))
-    for n in range(4):
-        for tr in range(5):
-            for cs in product(values, repeat=3):
-                coeffs = dict(zip((1, 2, 4), cs))
-                unit = (0,) * n
-                lin = {(((m, 1),), unit): c for m, c in coeffs.items()}
-                want = TautPolynomial(n, tr, series_exp(lin, ((), unit), tr, monomial_degree, monomial_product))
-                assert exp_kappa_series(coeffs, n, tr) == want, (n, tr, coeffs)
-                for i in range(1, n + 1):
-                    lin = {((), unit[: i - 1] + (m,) + unit[i:]): c for m, c in coeffs.items()}
-                    want = TautPolynomial(n, tr, series_exp(lin, ((), unit), tr, monomial_degree, monomial_product))
-                    got = TautPolynomial.psi_series(i, n, tr, exp_psi_series(coeffs, tr))
-                    assert got == want, (i, n, tr, coeffs)
+    for tr in range(5):
+        for cs in product(values, repeat=3):
+            coeffs = dict(zip((1, 2, 4), cs))
+            assert exp_psi_series(coeffs, tr) == psi_exp_reference(coeffs, tr), (tr, coeffs)
+            for n in range(4):
+                assert exp_kappa_series(coeffs, n, tr) == kappa_exp_reference(coeffs, n, tr), (n, tr, coeffs)
 
 
 @pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 5) for i in sorted({1, n})])
@@ -195,40 +191,39 @@ def test_edge_factor_x_zero_vanishes():
     assert edge_local_factor(0, 2, F(0), 4).terms == ()
 
 
-def test_edge_factor_remultiplication():
-    # quotient * (psi' + psi'') reproduces the numerator: check low degrees
-    # against a direct series expansion of 1 - exp(-S)
-    from oracles import exp_series
-
-    w, r, x, tr = 1, 2, F(1), 4
-    series = edge_local_factor(w, r, x, tr)
-    remul = edge_series_remultiply(series)
-    # numerator coefficients via independent bivariate expansion
-    import itertools
-
-    coeffs = {}
-    for m in range(1, tr + 2):
-        c = (-x) ** m * bernoulli_poly(m + 1, F(w, r)) / (m * (m + 1))
-        coeffs[(m, 0)] = coeffs.get((m, 0), F(0)) + c
-        coeffs[(0, m)] = coeffs.get((0, m), F(0)) - (-1) ** m * c
-    num = {(0, 0): F(0)}
-    power = {(0, 0): F(1)}
-    from math import factorial
-
-    acc = {(0, 0): F(1)}
-    for k in range(1, tr + 2):
-        nxt = {}
-        for (i, j), cv in power.items():
-            for (a, b), cw in coeffs.items():
-                if i + a + j + b <= tr + 1:
-                    nxt[(i + a, j + b)] = nxt.get((i + a, j + b), F(0)) - cv * cw
-        power = nxt
-        for key, val in power.items():
-            acc[key] = acc.get(key, F(0)) + val / factorial(k)
-    for key in set(acc) | set(remul):
-        expect = -acc.get(key, F(0)) + (1 if key == (0, 0) else 0)
-        if sum(key) <= tr:
-            assert remul.get(key, F(0)) == expect
+@pytest.mark.parametrize("x", [F(1), F(-1), F(1, 2), F(0)])
+@pytest.mark.parametrize("r", range(1, 8))
+def test_edge_factor_remultiplication(r, x):
+    # quotient * (psi' + psi'') reproduces the numerator 1 - exp(-S) through
+    # degree trunc + 1, which fixes every quotient term through trunc; the
+    # numerator is expanded here as a bivariate series, once at the largest
+    # trunc, and read below it by degree
+    top = 6
+    for w in range(r):
+        S = {}
+        for m in range(1, top + 2):
+            c = (-x) ** m * bernoulli_poly(m + 1, F(w, r)) / (m * (m + 1))
+            S[(m, 0)] = c
+            S[(0, m)] = -((-1) ** m) * c
+        # 1 - exp(-S) = -sum_{k >= 1} (-S)^k / k!
+        num, power = {}, {(0, 0): F(1)}
+        for k in range(1, top + 2):
+            nxt = {}
+            for (i, j), cv in power.items():
+                for (a, b), cw in S.items():
+                    if i + a + j + b <= top + 1:
+                        nxt[(i + a, j + b)] = nxt.get((i + a, j + b), F(0)) - cv * cw
+            power = nxt
+            for key, val in power.items():
+                num[key] = num.get(key, F(0)) - val / factorial(k)
+        for tr in range(top + 1):
+            series = edge_local_factor(w, r, x, tr)
+            keys = [ij for ij, _ in series.terms]
+            assert keys == sorted(keys) and all(sum(ij) <= tr and c for ij, c in series.terms)
+            remul = edge_series_remultiply(series)
+            for key in set(num) | set(remul):
+                if sum(key) <= tr + 1:
+                    assert remul.get(key, F(0)) == num.get(key, F(0)), (w, r, x, tr, key)
 
 
 def test_edge_factor_symmetry_r2():
