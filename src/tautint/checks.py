@@ -32,9 +32,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
+from . import memos
 from .exact import (
     power_sum,
     solve_linear,
@@ -43,6 +43,7 @@ from .exact import (
 )
 from .hodge import hodge_pair_by_degree, lambda_dict_mul, lambda_total_inverse
 from .intersect import integrate_monomial
+from .memos import cached
 from .omega import OmegaSpec, omega_integral, omega_pairings, omega_r1_parts
 from .polys import (
     Monomial,
@@ -59,13 +60,13 @@ from .reports import CheckReport, first_failure
 # -- pairing bases ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def _psi_upto(n: int, maxtotal: int) -> tuple[tuple[int, ...], ...]:
     """The psi exponent vectors on n points of total degree <= maxtotal."""
     return tuple(psi for total in range(maxtotal + 1) for psi in compositions(total, n, 0))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _basis_by_degree(g: int, n: int, include_kappa: bool) -> tuple[tuple[Monomial, ...], ...]:
     """The sorted kappa/psi monomials of each degree 0..dim, indexed by degree."""
     dim = 3 * g - 3 + n
@@ -90,7 +91,7 @@ def flat_basis(g: int, n: int, include_kappa: bool = True) -> list[Monomial]:
     return [m for ms in _basis_by_degree(g, n, include_kappa) for m in ms]
 
 
-@lru_cache(maxsize=None)
+@cached
 def _basis_plan(g: int, n: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int], tuple[int, ...]]:
     """flat_basis(g, n) as a tuple, the position of each of its monomials, and
     the positions in sorted monomial order."""
@@ -126,7 +127,7 @@ class _Rows(dict):
         return row
 
 
-@lru_cache(maxsize=None)
+@cached
 def _product_table(g: int, n: int, trunc: int, factor_monos: tuple[Monomial, ...]) -> tuple:
     """Per factor monomial f, the positions in flat_basis(g, n) of the
     products f * mono over the basis monomials with deg(mono) <= trunc -
@@ -313,7 +314,7 @@ def _zero_r_symmetry(memo: _Rows, r: int, a: tuple[int, ...]) -> CheckReport:
     return rep
 
 
-@lru_cache(maxsize=None)
+@cached
 def _pullback_plan(n: int, dim1: int) -> tuple:
     """What `_pullback_family` reads on Mbar_{g,n+1} of dimension dim1: its
     two batches of monomials, up on n + 1 points and down on n, and its rows
@@ -523,12 +524,17 @@ def admissible_a(g: int, n: int, r: int, s: int) -> tuple[int, ...]:
 
 
 def iter_suite(grid: CheckGrid) -> Iterator[CheckReport]:
-    """Run every identity check over the grid, yielding reports."""
+    """Run every identity check over the grid, yielding reports.  The
+    engine's block memos (`memos.release`) are emptied as the suite enters
+    each (space, r) block."""
     for g, n in grid.spaces():
         # the Omega rows of this space, shared by its shift and 0/r checks:
         # the left sides of the shift in s at s are the right sides at s + Nr
         memo = _Rows(g, n)
         for r in range(1, grid.max_r + 1):
+            # the rows the space shares are kept in `memo` as integers, so
+            # no check reads an engine memo entry of an earlier block
+            memos.release()
             for s in grid.s_values:
                 if n == 0 and (2 * g - 2) * s % r != 0:
                     continue

@@ -7,7 +7,10 @@ Exit codes: 0 success, 1 a verification failed or stdout was closed early
 an unstable (g, n), 3g-3+n above DIM_HARD_CAP, or above GRAPH_DIM_CAP for
 omega and table, r^g above WEIGHTING_CAP for omega with r > 1, an unreadable
 --cache file), which is reported on one "error:" line before any computation
-starts.
+starts.  --stats (omega and verify) writes one sorted-key JSON object to
+stderr when the command ends: every engine memo's entries (and its hits and
+misses if it is an lru_cache) and the process's peak RSS in MB; stdout does
+not change.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import psi
+from . import memos, psi
 from .apps import CHI_ROUTES, MV_ROUTES, chi, mv, mv_normalization
 from .checks import FULL_GRID, SMALL_GRID, iter_suite
 from .hodge import hodge_monomial
@@ -213,6 +216,15 @@ def cmd_table(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _stats_line() -> str:
+    """memos.stats() and the peak RSS of this process, as one JSON object."""
+    import json
+    import resource
+
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return json.dumps({"memos": memos.stats(), "peak_rss_mb": peak_rss_mb}, sort_keys=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache", default=None, help=f"psi-integral cache file (or ${CACHE_ENV_VAR})")
@@ -264,6 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid", choices=("small", "full"), default="small")
     v.set_defaults(func=cmd_verify)
 
+    for parser in (o, v):
+        parser.add_argument("--stats", action="store_true", help="engine memo sizes and peak RSS on stderr")
+
     t = sub.add_parser("table", parents=[output], help="chi by all three routes over a (g,n) range")
     t.add_argument("--gmax", type=_nonneg_int, default=3)
     t.add_argument("--dimmax", type=_nonneg_int, default=4)
@@ -299,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
                 psi.save_cache(cache_path)
             except OSError as exc:
                 print(f"warning: psi cache not saved to {cache_path}: {exc}", file=sys.stderr)
+    if getattr(ns, "stats", False):
+        print(_stats_line(), file=sys.stderr)
     return code
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
+
+from .memos import cached
 
 Rat = Fraction
 
@@ -34,7 +35,7 @@ def bernoulli_number(m: int) -> Fraction:
     return _bern[m]
 
 
-@lru_cache(maxsize=None)
+@cached
 def bernoulli_poly(m: int, x: Rat) -> Fraction:
     """B_m(x) = sum_k C(m,k) B_k x^{m-k}, exact at any rational x."""
     if m < 0:
@@ -58,7 +59,7 @@ def bernoulli_series(u: Rat, x: Rat, mmax: int) -> dict[int, Fraction]:
     return {m: (-x) ** m * bernoulli_poly(m + 1, u) / (m * (m + 1)) for m in range(1, mmax + 1)}
 
 
-@lru_cache(maxsize=None)
+@cached
 def binomial_ext(a: Rat, i: int) -> Fraction:
     """C(a, i) = a(a-1)...(a-i+1)/i! for arbitrary rational a, i >= 0."""
     if i < 0:
@@ -72,7 +73,7 @@ def binomial_ext(a: Rat, i: int) -> Fraction:
     return num
 
 
-@lru_cache(maxsize=None)
+@cached
 def power_sum(m: int, base: Rat, count: int) -> Fraction:
     """p_m = sum_i X_i^m over the progression X = base, base+1, ...,
     base+count-1; 0 on the empty set (count = 0)."""
@@ -83,7 +84,7 @@ def power_sum(m: int, base: Rat, count: int) -> Fraction:
     return sum(((Fraction(base) + t) ** m for t in range(count)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@cached
 def stirling_first(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (cycle counts)."""
     if n < 0 or k < 0:
@@ -93,7 +94,7 @@ def stirling_first(n: int, k: int) -> int:
     return stirling_first(n - 1, k - 1) + (n - 1) * stirling_first(n - 1, k)
 
 
-@lru_cache(maxsize=None)
+@cached
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind (set partition counts)."""
     if n < 0 or k < 0:
@@ -103,7 +104,7 @@ def stirling_second(n: int, k: int) -> int:
     return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
 
 
-@lru_cache(maxsize=None)
+@cached
 def stirling_generalized_first(k: int, m: int, x: Rat) -> Fraction:
     """(-1)^k s(k, k-m, x) = sum_i C(k+i-m, i) * c(k, k-m+i) * x^i.
 
@@ -158,7 +159,7 @@ def interpolate_polynomial(points: list[tuple[Rat, Rat]]) -> list[Fraction]:
     return solve_linear([[Fraction(x) ** k for k in range(n)] + [y] for x, y in points])
 
 
-@lru_cache(maxsize=None)
+@cached
 def stirling_generalized_second(k: int, m: int, x: Rat) -> Fraction:
     """S(-k+m, -k, x) = sum_i C(m+k-1, i) (-1)^i S2(m-i+k, k) x^i.
 

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Hashable, Sequence
-from functools import lru_cache
 from itertools import permutations, product as iproduct
 from math import factorial, prod
 
+from .memos import cached
 from .psi import is_stable
 
 
@@ -97,7 +97,7 @@ def colour_pattern(colours: Sequence[Hashable]) -> tuple[int, ...]:
     return tuple(first.setdefault(c, len(first)) for c in colours)
 
 
-@lru_cache(maxsize=None)
+@cached
 def colour_classes(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The 0-based markings of each colour that two or more markings share."""
     classes: dict[int, list[int]] = {}
@@ -326,7 +326,7 @@ def graph_orbits(
     return _graph_orbits(g, n, colour_pattern(colours))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _graph_orbits(g: int, n: int, pattern: tuple[int, ...]):
     if not is_stable(g, n):
         raise ValueError(f"unstable type (g={g}, n={n})")
@@ -362,7 +362,7 @@ def _graph_orbits(g: int, n: int, pattern: tuple[int, ...]):
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     """All isomorphism classes of stable graphs of type (g, n) with fixed
     markings, sorted by (edge count, serialisation)."""
@@ -412,7 +412,7 @@ def _genus0_forms(n: int):
     return expand([(None, [tuple(range(2, n + 1))])], (), [0] * n, ())
 
 
-@lru_cache(maxsize=None)
+@cached
 def automorphism_order(G: StableGraph) -> int:
     """Order of the automorphism group of G with its legs fixed pointwise:
     the vertex permutations preserving genus, legs and edges, counted by the

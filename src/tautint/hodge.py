@@ -34,11 +34,11 @@ which checks each of its keys once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 
 from .exact import Rat, bernoulli_number, sum_by_denominator
 from .intersect import _added_point_terms, _integrate_core
+from .memos import cached
 from .polys import (
     KappaPart,
     Monomial,
@@ -65,7 +65,7 @@ def hodge_monomial(g: int, n: int, lambdas, kappa: KappaPart = (), psi: PsiPart 
     return _hodge_core(g, n, _desc(lambdas), tuple(sorted(kappa)), _desc(psi))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _hodge_core(g: int, n: int, lambdas: LambdaPart, kappa: KappaPart, psi: PsiPart) -> Fraction:
     """hodge_monomial on canonical keys: lambdas and psi sorted descending,
     kappa sorted."""
@@ -160,7 +160,7 @@ def _boundary_terms(g: int, n: int, lambdas: LambdaPart, psi: PsiPart, m: int) -
     return sum_by_denominator(sums)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _lambda_splits(lambdas: LambdaPart) -> tuple[tuple[tuple[LambdaPart, LambdaPart], ...], ...]:
     """All ways to write each lambda_a as lambda_p (x) lambda_q with p+q=a,
     as (left, right) pairs, listed by the degree of left: entry d holds the

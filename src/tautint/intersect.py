@@ -23,9 +23,9 @@ checks of `psi_integral`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import sum_by_denominator
+from .memos import cached
 from .polys import KappaPart, PsiPart, monomial_degree
 from .psi import _desc, _psi_value, is_stable, multiset_splits
 
@@ -42,7 +42,7 @@ def _added_point_terms(kappa: KappaPart) -> tuple[tuple[int, tuple[int, ...]], .
     return _partition_sums(tuple(m for m, e in reversed(kappa) for _ in range(e)))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _partition_sums(b: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The signed set-partition sum for the kappa indices b (sorted
     descending): (integer coefficient, block sums sorted descending) pairs
@@ -69,7 +69,7 @@ def integrate_monomial(g: int, n: int, kappa: KappaPart, psi: PsiPart) -> Fracti
     return _integrate_core(g, n, tuple(sorted(kappa)), tuple(sorted(psi, reverse=True)))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _integrate_core(g: int, n: int, kappa: KappaPart, psi: PsiPart) -> Fraction:
     if not is_stable(g, n):
         raise ValueError(f"unstable moduli space (g={g}, n={n})")

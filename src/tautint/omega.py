@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import factorial, lcm, prod
 from operator import itemgetter, le, sub
@@ -61,6 +60,7 @@ from .exact import Rat, bernoulli_series, sum_by_denominator
 from .graphs import StableGraph, colour_classes, colour_pattern, enumerate_weightings, graph_orbits
 from .hodge import LambdaDict, hodge_pair_by_degree, lambda_total
 from .intersect import integrate_monomial
+from .memos import BLOCK, cached, cached_per_block, register
 from .polys import (
     KappaPart,
     Monomial,
@@ -102,7 +102,7 @@ class OmegaSpec(namedtuple("OmegaSpec", "r s a x")):
 # xd: hashing a Fraction costs a modular inverse on every lookup.
 
 
-@lru_cache(maxsize=None)
+@cached
 def _graph_plan(G: StableGraph):
     """What every graph-sum pass reads of one graph, in one pass over its legs
     and edges.  Local marked points per vertex are its legs first, then its
@@ -119,7 +119,7 @@ def _graph_plan(G: StableGraph):
     return dims, tuple(n_local), tuple(map(tuple, legs)), 2 * G.genus() - 1 - G.h1()
 
 
-@lru_cache(maxsize=None)
+@cached
 def _kappa_terms(r: int, s: int, xn: int, xd: int, trunc: int) -> dict[int, tuple]:
     """The terms of the vertex kappa factor exp(sum_m K_m kappa_m), K the
     Bernoulli series at s/r, by degree: {degree: ((kappa part, numerator,
@@ -131,13 +131,13 @@ def _kappa_terms(r: int, s: int, xn: int, xd: int, trunc: int) -> dict[int, tupl
     }
 
 
-@lru_cache(maxsize=None)
+@cached
 def _leg_coeffs(r: int, ai: int, xn: int, xd: int, trunc: int) -> tuple[tuple[int, int], ...]:
     """`polys.leg_series` at a_i/r as (numerator, denominator) pairs."""
     return tuple((c.numerator, c.denominator) for c in leg_series(Fraction(ai, r), Fraction(xn, xd), trunc))
 
 
-@lru_cache(maxsize=None)
+@cached_per_block
 def _leg_convolution(r: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
     """The product of one leg factor per a_i in `legs` up to `degree`, by
     degree: ((d, ((leg psi exponents, numerator, denominator), ...)), ...),
@@ -157,7 +157,7 @@ def _leg_convolution(r: int, xn: int, xd: int, legs: tuple[int, ...], degree: in
     return tuple((d, tuple(terms)) for d, terms in by_deg.items())
 
 
-@lru_cache(maxsize=None)
+@cached_per_block
 def _vertex_bucket(r: int, s: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
     """The terms of one degree of a vertex base, the kappa factor times one
     leg factor per a_i in `legs`: ((kappa part, leg psi exponents, numerator,
@@ -194,7 +194,7 @@ def _vertex_integral(r: int, s: int, xn: int, xd: int, vkey: tuple, cfg: tuple) 
     return sum_by_denominator(sums).as_integer_ratio()
 
 
-@lru_cache(maxsize=None)
+@cached
 def _edge_terms(w: int, r: int, xn: int, xd: int, trunc: int) -> tuple[int, tuple]:
     """The edge series at residue w as (den, (((i, j), numerator), ...)): its
     terms as integer numerators over den, their least common denominator,
@@ -209,14 +209,21 @@ def _edge_terms(w: int, r: int, xn: int, xd: int, trunc: int) -> tuple[int, tupl
     return den, tuple((ij, q.numerator * (den // q.denominator)) for ij, q in terms)
 
 
+# `_config_cache`, `_vertex_cache` and `_pairing_cache`, like the lru_caches
+# of `_vertex_bucket` and `_leg_convolution`, are keyed by r and grow with the
+# space: they have scope "block", and `memos.release` empties them as the
+# identity suite enters each (space, r) block.
+
 # edge configurations per graph shape: {(r, s mod r, xn, xd, dim): {shape: configs}}
-_config_cache: dict[tuple, dict[tuple, tuple]] = {}
+_config_cache: dict[tuple, dict[tuple, tuple]] = register("omega._config_cache", {}, BLOCK)
 
 # vertex integrals: {(r, s, xn, xd): {(vertex type, legs, kappa part):
 # {half-edge exponents: (numerator, denominator)}}}, so that the products and
 # sums of the graph sum run on plain integers; keyed by the true s, since the
 # kappa factor reads B_{m+1}(s/r)
-_vertex_cache: dict[tuple, dict[tuple, dict[tuple, tuple[int, int]]]] = {}
+_vertex_cache: dict[tuple, dict[tuple, dict[tuple, tuple[int, int]]]] = register(
+    "omega._vertex_cache", {}, BLOCK
+)
 
 
 def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, xd: int, dim: int) -> tuple:
@@ -237,10 +244,11 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
     sees the legs only through each vertex's count and residue sum, so graphs
     of one shape share it.
 
-    `_config_cache` keeps it per shape across calls.  That serves the
-    identity suite, whose batches revisit one space at many s, a and x: a
-    cold perfbench identity_suite run finds 2421 of its 2700 lookups there,
-    and `verify --grid small` 682 of 803.  A graph_sum batch gets no hit:
+    `_config_cache` keeps it per shape across calls until the identity
+    suite leaves the (space, r) block.  That serves the suite, whose batches
+    revisit one space at many s, a and x: a cold perfbench identity_suite run
+    finds 2383 of its 2716 lookups there, and `verify --grid small` 672 of
+    811.  A graph_sum batch gets no hit:
     the 762 graphs its three batches visit have 762 distinct shapes, even
     up to relabelling the vertices."""
     dims = _graph_plan(G)[0]
@@ -301,7 +309,7 @@ def _edge_configs(G: StableGraph, r: int, s: int, a: tuple[int, ...], xn: int, x
     return tuple((hsum, tuple(group)) for hsum, group in groups.items())
 
 
-@lru_cache(maxsize=None)
+@cached
 def _kappa_distributions(kappa: KappaPart, dims: tuple[int, ...]):
     """Ways to split each kappa_m^e across the vertices of dimensions `dims`
     (kappa restricts to the sum of the vertex kappa classes), as (multinomial
@@ -326,21 +334,21 @@ def _kappa_distributions(kappa: KappaPart, dims: tuple[int, ...]):
 
 # pairings at x = 1 on the closed and graph routes, and per x on graph-raw:
 # {(g, n, r, s, a, route[, xn, xd]): {canonical monomial: value}}
-_pairing_cache: dict[tuple, dict[Monomial, Fraction]] = {}
+_pairing_cache: dict[tuple, dict[Monomial, Fraction]] = register("omega._pairing_cache", {}, BLOCK)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _classes_of(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The classes of markings with equal a_i: Omega cannot tell them apart."""
     return colour_classes(colour_pattern(a))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _powers(xn: int, xd: int, dim: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(xn, xd) ** k for k in range(dim + 1))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _monomial_form(mono, classes) -> tuple[Monomial, Monomial, int]:
     """A monomial in any hashable form: its normalised form (kappa pairs
     sorted, psi a tuple), its canonical form (psi exponents sorted, largest
@@ -437,7 +445,7 @@ def _distinct_perms(vals: tuple[int, ...]):
             yield (v,) + tail
 
 
-@lru_cache(maxsize=None)
+@cached
 def _psi_orbit(psi: tuple[int, ...], classes) -> tuple[tuple[int, ...], ...]:
     """The distinct psi vectors obtained by permuting the exponents within
     each class of markings."""
@@ -598,7 +606,7 @@ def omega_r1_parts(
     return lam, P
 
 
-@lru_cache(maxsize=None)
+@cached
 def _r1_shift(u: int, x: Fraction, trunc: int) -> tuple[tuple[int, Fraction], ...]:
     """(m, c_m(u) - c_m(0)) for the coefficients c_m of bernoulli_series(u, x,
     trunc).  The residue-0 parts of the kappa, leg and edge series assemble
@@ -608,7 +616,7 @@ def _r1_shift(u: int, x: Fraction, trunc: int) -> tuple[tuple[int, Fraction], ..
     return tuple((m, c - zero[m]) for m, c in bernoulli_series(u, x, trunc).items())
 
 
-@lru_cache(maxsize=None)
+@cached
 def _r1_buckets(g: int, n: int, s: int, a: tuple[int, ...]):
     """omega_r1_parts at x = 1: the lambda terms, and the kappa/psi terms
     bucketed by degree."""

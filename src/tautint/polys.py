@@ -24,10 +24,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Hashable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, itemgetter
 
 from .exact import Rat, bernoulli_series
+from .memos import cached
 
 KappaPart = tuple[tuple[int, int], ...]
 PsiPart = tuple[int, ...]
@@ -281,7 +281,7 @@ def leg_series(u: Rat, x: Rat, trunc: int) -> list[Fraction]:
 EdgeSeries = namedtuple("EdgeSeries", "trunc terms")
 
 
-@lru_cache(maxsize=None)
+@cached
 def edge_local_factor(w: int, r: int, x: Rat, trunc: int) -> EdgeSeries:
     """Edge factor of the stable-graph expansion at half-edge residue w:
 

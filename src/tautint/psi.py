@@ -27,16 +27,16 @@ import os
 import threading
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
 
 from .exact import sum_by_denominator
+from .memos import cached, register
 
 
 CACHE_VERSION = "tautint-psi-cache v1"
 
-_cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+_cache: dict[tuple[int, tuple[int, ...]], Fraction] = register("psi._cache", {})
 _cache_lock = threading.Lock()
 
 
@@ -107,7 +107,7 @@ def runs(t: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
 Split = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
-@lru_cache(maxsize=None)
+@cached
 def multiset_splits(d: tuple[int, ...]) -> tuple[Split, ...]:
     """The ways to send marked points with exponents d (sorted descending) to
     two sides, grouped by the resulting exponent multisets: (left, right,

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tautint import checks, omega
+from tautint import checks, memos, omega
 from tautint.checks import (
     SMALL_GRID,
     CheckGrid,
@@ -124,14 +124,26 @@ def test_iter_suite_smallest():
     assert not bad, bad[0].to_json() if bad else None
 
 
-def test_suite_memo_holds_canonical_entries_only():
+def test_suite_memo_holds_canonical_entries_only(monkeypatch):
     # one pairing memo entry per canonical monomial: the closed and graph
     # routes keep x = 1 values only and scale other x on each call, and
     # monomials that differ by moving markings of equal a_i share one entry;
-    # storing scaled values or non-canonical aliases would raise these counts
-    omega._pairing_cache.clear()
-    omega._config_cache.clear()
+    # storing scaled values or non-canonical aliases would raise these counts.
+    # The suite empties the memo as it enters each (space, r) block, so the
+    # counts are summed over the blocks: a key asked in two blocks counts twice
+    release = memos.release
+    keys = entries = 0
+
+    def counted_release():
+        nonlocal keys, entries
+        keys += len(omega._pairing_cache)
+        entries += sum(map(len, omega._pairing_cache.values()))
+        release()
+
+    release()
+    monkeypatch.setattr(memos, "release", counted_release)
     reports = list(iter_suite(SMALL_GRID))
+    counted_release()
     assert len(reports) == 1061 and all(rep.passed for rep in reports)
     # `tautint verify --grid small` prints these lines (sha256 839aa8fa...0348
     # with its trailing newline)
@@ -139,8 +151,7 @@ def test_suite_memo_holds_canonical_entries_only():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a8380e8dc37dec3ebf211caf4d6c14fb1124036db33bd6b725151904067e57ca"
     )
-    assert len(omega._pairing_cache) == 315
-    assert sum(map(len, omega._pairing_cache.values())) == 2166
+    assert (keys, entries) == (327, 2206)
 
 
 def test_failing_reports_text(monkeypatch):

@@ -93,6 +93,31 @@ def test_verify_small_subset(capsys):
     assert json.loads(line)["pass"] is True
 
 
+def test_stats_go_to_stderr_and_leave_stdout_alone(capsys):
+    # --stats adds one sorted-key JSON line on stderr; stdout keeps its
+    # pinned text (`tautint verify --grid small`: sha256 839aa8fa...0348)
+    import hashlib
+
+    assert main(["verify", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "839aa8fa23d21735946000492c692191c7286f0931edbebdb35cb35ccffc0348"
+    )
+    last = captured.err.splitlines()[-1]
+    stats = json.loads(last)
+    assert last == json.dumps(stats, sort_keys=True)
+    assert set(stats) == {"memos", "peak_rss_mb"} and stats["peak_rss_mb"] > 0
+    assert stats["memos"]["omega._pairing_cache"]["scope"] == "block"
+    assert stats["memos"]["intersect._integrate_core"]["hits"] > 0
+    args = ["omega", "1", "2", "2", "0", "1,1", "--test-class", "psi1"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert main(args + ["--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out and plain.err == ""
+    assert set(json.loads(captured.err.splitlines()[-1])) == {"memos", "peak_rss_mb"}
+
+
 def test_table_deterministic_and_parallel(capsys):
     code, out1 = run_cli(["table", "--dimmax", "2"], capsys)
     assert code == 0
