@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("omega", parents=[output], help="int Omega^{[x]}(r,s;a) * T")
     o.add_argument("g", type=_nonneg_int)
     o.add_argument("n", type=_nonneg_int)
-    o.add_argument("r", type=int)
+    o.add_argument("r", type=_pos_int)
     o.add_argument("s", type=int)
     o.add_argument("a", nargs="?", type=_int_list, default=(), help="comma-separated a_i")
     o.add_argument("-x", type=_rational, default=Fraction(1), help="formal weight x (rational)")

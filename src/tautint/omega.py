@@ -27,10 +27,10 @@ class T:
   vector are found once per room.  The edge series at residue r - w is the
   one at w with its two half-edges swapped, so only residues w <= r/2 are
   expanded.  A vertex integral reads one degree of its integrand, and only
-  that degree is built: the kappa-exponential terms of each degree and each
-  leg's coefficient list are convolved into one bucket per (leg a_i,
-  degree); the product of the leg lists does not read s and is kept per
-  (r, x, leg a_i, degree) for every s.
+  that degree is formed, from two memoised factors: the kappa-exponential
+  terms by degree, kept per (r, s, x), and the product of the leg
+  coefficient lists by degree, which does not read s and is kept per
+  (r, x, leg a_i) for every s.
   Vertex integrals and the per-graph terms of each monomial are summed as
   integer numerators per denominator and reduced once at the end
   (`exact.sum_by_denominator`), not as one Fraction per term;
@@ -40,8 +40,8 @@ class T:
   Hodge integral engine.  Mumford's formula first gives the lambda part as
   Lambda(x)^{-1}; Mumford's relation c(E) c(E^dual) = 1 turns it into the
   linear Lambda(-x) = sum_i lambda_i (-x)^i.  Its terms are bucketed by
-  degree once per spec, so a monomial meets only the lambda_i and kappa/psi
-  terms of complementary degree.
+  degree once per batch of monomials, so a monomial meets only the lambda_i
+  and kappa/psi terms of complementary degree.
 
 The two routes are asserted equal on small (g, n) in the test suite; the
 closed form is the default for r = 1 since strata counts grow rapidly with
@@ -72,6 +72,7 @@ from .polys import (
     leg_series,
     monomial_degree,
     monomial_product,
+    vector_add,
 )
 
 
@@ -142,7 +143,7 @@ def _leg_convolution(r: int, xn: int, xd: int, legs: tuple[int, ...], degree: in
     """The product of one leg factor per a_i in `legs` up to `degree`, by
     degree: ((d, ((leg psi exponents, numerator, denominator), ...)), ...),
     the fractions not reduced.  Built by convolution over the legs; it does
-    not read s, so one serves the vertex buckets of every s."""
+    not read s, so one serves the vertex integrals of every s."""
     by_deg: dict[int, list] = {0: [((), 1, 1)]}
     for ai in legs:
         coeffs = _leg_coeffs(r, ai, xn, xd, degree)
@@ -157,40 +158,28 @@ def _leg_convolution(r: int, xn: int, xd: int, legs: tuple[int, ...], degree: in
     return tuple((d, tuple(terms)) for d, terms in by_deg.items())
 
 
-@cached_per_block
-def _vertex_bucket(r: int, s: int, xn: int, xd: int, legs: tuple[int, ...], degree: int) -> tuple:
-    """The terms of one degree of a vertex base, the kappa factor times one
-    leg factor per a_i in `legs`: ((kappa part, leg psi exponents, numerator,
-    denominator), ...), the fractions not reduced.  Only the terms of that
-    degree are formed; shared by every vertex with these leg a_i, whatever
-    its genus and half-edges."""
-    kterms = _kappa_terms(r, s, xn, xd, degree)
-    return tuple(
-        (kap, psi, kn * pn, kd * pd)
-        for d, terms in _leg_convolution(r, xn, xd, legs, degree)
-        for kap, kn, kd in kterms.get(degree - d, ())
-        for psi, pn, pd in terms
-    )
-
-
 def _vertex_integral(r: int, s: int, xn: int, xd: int, vkey: tuple, cfg: tuple) -> tuple[int, int]:
-    """Integral of the vertex base times an extra kappa/psi monomial, as
-    (numerator, denominator): only the base terms of the complementary degree
-    contribute.  `vkey` is (vertex type (g_v, local point count), sorted
-    (a_i, psi_i) leg pairs, kappa part) and `cfg` the half-edge exponents.
-    The terms are summed as integer numerators per denominator and reduced
-    once."""
+    """Integral of the vertex base, the kappa factor times one leg factor per
+    leg, times an extra kappa/psi monomial, as (numerator, denominator): only
+    the base terms of the complementary degree contribute, and only they are
+    formed, from the kappa terms and leg convolution of their degrees.
+    `vkey` is (vertex type (g_v, local point count), sorted (a_i, psi_i) leg
+    pairs, kappa part) and `cfg` the half-edge exponents.  The terms are
+    summed as integer numerators per denominator and reduced once."""
     (gv, n_local), vlegs, kap = vkey
     legs = tuple(ai for ai, _ in vlegs)
     leg_psi = tuple(d for _, d in vlegs)
-    off = sum(m * e for m, e in kap) + sum(leg_psi) + sum(cfg)
+    degree = 3 * gv - 3 + n_local - sum(m * e for m, e in kap) - sum(leg_psi) - sum(cfg)
+    kterms = _kappa_terms(r, s, xn, xd, degree)
     sums: dict[int, int] = {}
-    for bkap, bpsi, cnum, cden in _vertex_bucket(r, s, xn, xd, legs, 3 * gv - 3 + n_local - off):
-        kappa, psi = monomial_product((bkap, bpsi), (kap, leg_psi))
-        q = integrate_monomial(gv, n_local, kappa, psi + cfg)
-        if q:
-            den = cden * q.denominator
-            sums[den] = sums.get(den, 0) + cnum * q.numerator
+    for d, terms in _leg_convolution(r, xn, xd, legs, degree):
+        for bkap, kn, kd in kterms.get(degree - d, ()):
+            kappa, _ = monomial_product((bkap, ()), (kap, ()))
+            for psi, pn, pd in terms:
+                q = integrate_monomial(gv, n_local, kappa, vector_add(psi, leg_psi) + cfg)
+                if q:
+                    den = kd * pd * q.denominator
+                    sums[den] = sums.get(den, 0) + kn * pn * q.numerator
     return sum_by_denominator(sums).as_integer_ratio()
 
 
@@ -209,10 +198,10 @@ def _edge_terms(w: int, r: int, xn: int, xd: int, trunc: int) -> tuple[int, tupl
     return den, tuple((ij, q.numerator * (den // q.denominator)) for ij, q in terms)
 
 
-# `_config_cache`, `_vertex_cache` and `_pairing_cache`, like the lru_caches
-# of `_vertex_bucket` and `_leg_convolution`, are keyed by r and grow with the
-# space: they have scope "block", and `memos.release` empties them as the
-# identity suite enters each (space, r) block.
+# `_config_cache`, `_vertex_cache` and `_pairing_cache`, like the lru_cache
+# of `_leg_convolution`, are keyed by r and grow with the space: they have
+# scope "block", and `memos.release` empties them as the identity suite
+# enters each (space, r) block.
 
 # edge configurations per graph shape: {(r, s mod r, xn, xd, dim): {shape: configs}}
 _config_cache: dict[tuple, dict[tuple, tuple]] = register("omega._config_cache", {}, BLOCK)
@@ -616,18 +605,12 @@ def _r1_shift(u: int, x: Fraction, trunc: int) -> tuple[tuple[int, Fraction], ..
     return tuple((m, c - zero[m]) for m, c in bernoulli_series(u, x, trunc).items())
 
 
-@cached
-def _r1_buckets(g: int, n: int, s: int, a: tuple[int, ...]):
-    """omega_r1_parts at x = 1: the lambda terms, and the kappa/psi terms
-    bucketed by degree."""
-    lam, P = omega_r1_parts(g, n, s, a, Fraction(1), 3 * g - 3 + n)
-    return tuple(lam.items()), P.by_degree()
-
-
 def _pairings_closed(
     g: int, n: int, s: int, a: tuple[int, ...], monomials
 ) -> dict[Monomial, Fraction]:
-    """The r = 1 closed form at x = 1: each monomial meets only the lambda_i
-    and kappa/psi terms of complementary degree."""
-    lam, buckets = _r1_buckets(g, n, s, a)
-    return {mono: hodge_pair_by_degree(g, n, lam, buckets, mono) for mono in monomials}
+    """The r = 1 closed form at x = 1: its kappa/psi terms are bucketed by
+    degree once per batch, so each monomial meets only the lambda_i and
+    kappa/psi terms of complementary degree."""
+    lam, P = omega_r1_parts(g, n, s, a, Fraction(1), 3 * g - 3 + n)
+    buckets = P.by_degree()
+    return {mono: hodge_pair_by_degree(g, n, lam.items(), buckets, mono) for mono in monomials}

@@ -290,6 +290,7 @@ def run_usage(args, capsys):
         ["verify", "--decimal", "3"],  # verify prints exact JSON reports only
         ["verify", "--format", "json"],
         ["omega", "0", "4", "2", "-1", "-1,1,1,-3", "-y"],  # unknown option beside negative values
+        ["omega", "2", "1", "-1000", "0", "0"],  # r < 1 is refused before r^g meets its cap
     ],
 )
 def test_bad_input_is_a_usage_error(args, capsys):
@@ -297,6 +298,8 @@ def test_bad_input_is_a_usage_error(args, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert err.count("error:") == 1
+    if args[0] == "omega" and int(args[3]) < 1:
+        assert "argument r: not an integer >= 1" in err
 
 
 def test_inadmissible_omega_spec_error_line(capsys):

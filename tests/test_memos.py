@@ -10,7 +10,6 @@ BLOCK_MEMOS = {
     "omega._pairing_cache",
     "omega._config_cache",
     "omega._vertex_cache",
-    "omega._vertex_bucket",
     "omega._leg_convolution",
 }
 
@@ -54,7 +53,7 @@ def test_release_empties_block_memos_and_stats_count_across_it():
         # hits and misses of an lru_cache are counted across releases
         assert entry.get("hits") == before[name].get("hits"), name
         assert entry.get("misses") == before[name].get("misses"), name
-    assert after["omega._vertex_bucket"]["hits"] > 0
+    assert after["omega._leg_convolution"]["hits"] > 0
 
 
 def test_suite_releases_block_memos_per_space_and_r(monkeypatch):

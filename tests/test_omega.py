@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import edge_configs_per_weighting, hodge_integral_via_omega, vertex_integral_literal
 
-from tautint import checks, omega
+from tautint import checks, memos, omega
 from tautint.checks import admissible_a, degree_bound_check, flat_basis
 from tautint.graphs import graph_orbits
 from tautint.hodge import hodge_monomial, hodge_pair, lambda_total_inverse
@@ -262,33 +262,34 @@ def test_graph_sum_values_do_not_depend_on_cache_state():
     # these specs agree mod r up to moving markings, so their graph sums share
     # edge-configuration entries, and the first two share (r, s), so they share
     # vertex-integral entries too: values computed after the others filled the
-    # shared entries must equal values computed from empty caches
-    from tautint import omega
-
-    specs = [
-        OmegaSpec(3, 1, (1, 3, 2)),
-        OmegaSpec(3, 1, (3, 1, 2)),
-        OmegaSpec(3, 4, (3, 1, 5)),
-        OmegaSpec(3, -2, (4, 0, 2)),
+    # shared entries must equal values computed from empty caches; the r = 1
+    # spec does the same on the closed route
+    cases = [
+        (OmegaSpec(3, 1, (1, 3, 2)), "graph"),
+        (OmegaSpec(3, 1, (3, 1, 2)), "graph"),
+        (OmegaSpec(3, 4, (3, 1, 5)), "graph"),
+        (OmegaSpec(3, -2, (4, 0, 2)), "graph"),
+        (OmegaSpec(1, 2, (1, 0, 3)), "closed"),
     ]
     basis = flat_basis(1, 3)
 
     def clear():
-        omega._pairing_cache.clear()
-        omega._config_cache.clear()
-        omega._vertex_cache.clear()
-        omega._kappa_terms.cache_clear()
-        omega._leg_coeffs.cache_clear()
-        omega._vertex_bucket.cache_clear()
+        for name, (memo, _) in memos._memos.items():
+            if not name.startswith("omega."):
+                continue
+            if isinstance(memo, dict):
+                memo.clear()
+            else:
+                memo.cache_clear()
 
     cold = {}
-    for spec in specs:
+    for spec, route in cases:
         clear()
-        cold[spec] = omega_pairings(1, 3, spec, basis, route="graph")
+        cold[spec] = omega_pairings(1, 3, spec, basis, route=route)
     clear()
-    for spec in specs:
-        assert omega_pairings(1, 3, spec, basis, route="graph") == cold[spec]
-    assert len({tuple(cold[spec].values()) for spec in specs}) == len(specs)
+    for spec, route in cases:
+        assert omega_pairings(1, 3, spec, basis, route=route) == cold[spec]
+    assert len({tuple(cold[spec].values()) for spec, _ in cases}) == len(cases)
 
 
 # Exact pairings recorded with the sum over every labelled stable graph,
